@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 from .complexity import (
     StructuralIndices,
+    WordProfile,
     difference_profile,
     palindromic_complexity,
     structural_indices,
     subword_complexity,
+    word_profile,
 )
 from .core import complete_returns, is_palindrome, palindromic_factors
 from .palindromes import index_count_palindromes
@@ -129,6 +131,16 @@ def is_sturmian_palindrome(w: str) -> bool:
     return is_palindrome(w) and is_finite_sturmian(w)
 
 
+def _B_mismatches(c: Sequence[int], p: Sequence[int]) -> list[tuple[int, int, int]]:
+    out = []
+    for n in range(len(p) - 1):
+        lhs = p[n] + p[n + 1]
+        rhs = c[n + 1] - c[n] + 2
+        if lhs != rhs:
+            out.append((n, lhs, rhs))
+    return out
+
+
 def condition_B_mismatches(w: str) -> list[tuple[int, int, int]]:
     """Indices where P(n) + P(n+1) differs from C(n+1) - C(n) + 2.
 
@@ -136,15 +148,7 @@ def condition_B_mismatches(w: str) -> list[tuple[int, int, int]]:
     returns (n, lhs, rhs) triples in ascending n, so diagnostics can
     point at the first failure.
     """
-    c = subword_complexity(w)
-    p = palindromic_complexity(w)
-    out = []
-    for n in range(len(w) + 1):
-        lhs = p[n] + p[n + 1]
-        rhs = c[n + 1] - c[n] + 2
-        if lhs != rhs:
-            out.append((n, lhs, rhs))
-    return out
+    return _B_mismatches(subword_complexity(w), palindromic_complexity(w))
 
 
 def condition_B(w: str) -> bool:
@@ -156,11 +160,14 @@ def condition_B(w: str) -> bool:
     return not condition_B_mismatches(w)
 
 
+def _B_prime_mismatches(p: Sequence[int]) -> list[tuple[int, int]]:
+    n = len(p) - 2
+    return [(i, p[i] + p[n - i]) for i in range(n + 1) if p[i] + p[n - i] != 2]
+
+
 def condition_B_prime_mismatches(w: str) -> list[tuple[int, int]]:
     """Indices where P(n) + P(N-n) != 2, ascending (N = |w|)."""
-    n = len(w)
-    p = palindromic_complexity(w)
-    return [(i, p[i] + p[n - i]) for i in range(n + 1) if p[i] + p[n - i] != 2]
+    return _B_prime_mismatches(palindromic_complexity(w))
 
 
 def condition_B_prime(w: str) -> bool:
@@ -188,7 +195,8 @@ class ClassificationReport:
     """Every per-word verdict and index in one immutable record.
 
     is_balanced and unbalance_witness are None for words using three or
-    more distinct symbols, where balance is undefined.  palindrome_count
+    more distinct symbols, where balance is undefined.  profile holds the
+    profiles and indices the verdicts were read from.  palindrome_count
     includes the empty word, so is_rich means palindrome_count == |w|+1.
     """
 
@@ -201,17 +209,23 @@ class ClassificationReport:
     is_sturmian_palindrome: bool
     condition_B: bool
     condition_B_prime: bool
-    indices: StructuralIndices
-    palindrome_count: int
+    profile: WordProfile
     unbalance_witness: str | None
+
+    @property
+    def indices(self) -> StructuralIndices:
+        return self.profile.indices
+
+    @property
+    def palindrome_count(self) -> int:
+        return len(self.profile.palindromic_factors)
 
 
 def classify(w: str) -> ClassificationReport:
-    """Compute the full classification of one word."""
-    idx = structural_indices(w)
+    """Compute the full classification of one word from its profile."""
+    profile = word_profile(w)
+    idx = profile.indices
     pal = is_palindrome(w)
-    rich = is_rich_by_count(w)
-    trapezoidal = len(w) == idx.r_index + idx.k_index
     if len(set(w)) <= 2:
         balanced: bool | None = is_balanced(w)
         witness = unbalance_witness(w)
@@ -223,14 +237,13 @@ def classify(w: str) -> ClassificationReport:
     return ClassificationReport(
         word=w,
         is_palindrome=pal,
-        is_rich=rich,
-        is_trapezoidal=trapezoidal,
+        is_rich=len(profile.palindromic_factors) == len(w) + 1,
+        is_trapezoidal=len(w) == idx.r_index + idx.k_index,
         is_balanced=balanced,
         is_finite_sturmian=sturmian,
         is_sturmian_palindrome=pal and sturmian,
-        condition_B=condition_B(w),
-        condition_B_prime=condition_B_prime(w),
-        indices=idx,
-        palindrome_count=index_count_palindromes(w) + 1,
+        condition_B=not _B_mismatches(profile.subword, profile.palindromic),
+        condition_B_prime=not _B_prime_mismatches(profile.palindromic),
+        profile=profile,
         unbalance_witness=witness,
     )

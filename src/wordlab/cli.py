@@ -15,15 +15,14 @@ import os
 import sys
 
 from .classify import classify
-from .complexity import difference_profile, palindromic_complexity, subword_complexity
-from .core import MAX_ALPHABET_SIZE, palindromic_factors
+from .core import MAX_ALPHABET_SIZE
 from .generate import sturmian_corpus
 from .theorems import (
+    CENSUS_CLASSES,
     CLAIMS,
     DEFAULT_BUDGET,
     PREDICATES,
     BudgetExceededError,
-    CensusTable,
     VerificationReport,
     census,
     find_class_members,
@@ -59,30 +58,23 @@ def analyze_payload(word: str) -> dict:
     if len(alphabet) > MAX_ALPHABET_SIZE:
         raise ValueError(f"word uses more than {MAX_ALPHABET_SIZE} distinct symbols")
     report = classify(word)
-    c = subword_complexity(word)
-    p = palindromic_complexity(word)
-    if word:
-        d = difference_profile(word)
-        d_values: list[int] | None = list(d.values)
-        runs = list(d.trapezoid_runs) if d.trapezoid_runs is not None else None
-    else:
-        d_values = None
-        runs = None
-    factors = sorted(palindromic_factors(word), key=lambda f: (len(f), f))
+    profile = report.profile
+    d = profile.difference
+    runs = d.trapezoid_runs if d is not None else None
     return {
         "schema_version": SCHEMA_VERSION,
         "word": word,
         "length": len(word),
         "alphabet": alphabet,
-        "C": c,
-        "P": p,
-        "D": d_values,
-        "trapezoid_runs": runs,
+        "C": list(profile.subword),
+        "P": list(profile.palindromic),
+        "D": list(d.values) if d is not None else None,
+        "trapezoid_runs": list(runs) if runs is not None else None,
         "R": report.indices.r_index,
         "K": report.indices.k_index,
         "pi": report.indices.min_period,
         "palindrome_count": report.palindrome_count,
-        "palindromic_factors": factors,
+        "palindromic_factors": list(profile.palindromic_factors),
         "palindrome": report.is_palindrome,
         "rich": report.is_rich,
         "trapezoidal": report.is_trapezoidal,
@@ -224,20 +216,7 @@ def _cmd_enumerate(args) -> int:
 # census
 # ---------------------------------------------------------------------------
 
-_CENSUS_HEADER = [
-    "length",
-    "total",
-    "rich",
-    "trapezoidal",
-    "balanced",
-    "sturmian_palindrome",
-    "condition_B",
-    "condition_B_prime",
-]
-
-
-def _census_rows(table: CensusTable) -> list[list[int]]:
-    return table.rows()
+_CENSUS_HEADER = ["length", "total", *CENSUS_CLASSES]
 
 
 def _cmd_census(args) -> int:
@@ -247,12 +226,12 @@ def _cmd_census(args) -> int:
     elif args.format == "csv":
         writer = _csv_writer()
         writer.writerow(_CENSUS_HEADER)
-        for row in _census_rows(table):
+        for row in table.rows():
             writer.writerow(row)
     else:
         widths = [max(len(h), 6) for h in _CENSUS_HEADER]
         print("  ".join(h.rjust(w) for h, w in zip(_CENSUS_HEADER, widths)))
-        for row in _census_rows(table):
+        for row in table.rows():
             print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
     return EXIT_OK
 
@@ -321,7 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--alphabet", required=True, help="alphabet symbols, e.g. ab")
     p_verify.add_argument("--max-len", type=int, required=True)
     group = p_verify.add_mutually_exclusive_group()
-    group.add_argument("--parallel", type=int, metavar="K", help="worker processes")
+    group.add_argument(
+        "--parallel",
+        type=int,
+        metavar="K",
+        help="worker processes, at least 1; capped at the CPU count and the number of blocks",
+    )
     group.add_argument(
         "--sequential", action="store_true", help="force single-threaded execution"
     )

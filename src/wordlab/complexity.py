@@ -4,20 +4,75 @@ Profiles are plain integer lists indexed by factor length n = 0..N+1 for
 a word of length N.  The trailing entry at N+1 is always 0; the coupling
 identities between subword and palindromic complexity rely on that
 convention, so callers should not truncate it away.
+
+Each profile has one kernel, linear in N up to the alphabet factor: the
+suffix automaton (Blumer et al. 1985) gives C(n) and the palindromic
+tree PalindromeIndex gives P(n).  word_profile computes C, P, D, the
+structural indices and the palindromic factor list of a word once.  The
+indices R, K and the minimal period keep their own direct scans, so the
+claims that compare them with the profiles compare independent
+algorithms.  The naive set-based C and P live in wordlab.oracle.
+
+The records here are NamedTuples, not frozen dataclasses: each class is
+built when the module is imported, and a frozen dataclass costs about
+six times as much to build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
+
+from .palindromes import PalindromeIndex
 
 
 def subword_complexity(w: str) -> list[int]:
-    """C[n] = number of distinct factors of w of length n, for n = 0..N+1."""
-    n = len(w)
+    """C[n] = number of distinct factors of w of length n, for n = 0..N+1.
+
+    Each non-root state of the suffix automaton of w stands for exactly
+    one factor of each length len(link)+1 .. len, so C is the prefix sum
+    of a difference array over those intervals.
+    """
+    length = [0]
+    link = [-1]
+    trans: list[dict[str, int]] = [{}]
+    last = 0
+    for ch in w:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        trans.append({})
+        p = last
+        while p != -1 and ch not in trans[p]:
+            trans[p][ch] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p][ch]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                trans.append(trans[q].copy())
+                while p != -1 and trans[p].get(ch) == q:
+                    trans[p][ch] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+    delta = [0] * (len(w) + 2)
+    delta[0] = 1  # the root: the empty word
+    delta[1] = -1
+    for v in range(1, len(length)):
+        delta[length[link[v]] + 1] += 1
+        delta[length[v] + 1] -= 1
+    return list(accumulate(delta))
+
+
+def _palindromic_profile(index: PalindromeIndex, n: int) -> list[int]:
     values = [0] * (n + 2)
-    values[0] = 1
-    for m in range(1, n + 1):
-        values[m] = len({w[i : i + m] for i in range(n - m + 1)})
+    for m in index.lengths():
+        values[m] += 1
     return values
 
 
@@ -25,23 +80,13 @@ def palindromic_complexity(w: str) -> list[int]:
     """P[n] = number of distinct palindromic factors of length n, n = 0..N+1.
 
     P[0] = 1 (the empty word); the entries sum to the total number of
-    distinct palindromic factors.
+    distinct palindromic factors.  Counts the palindromic tree's nodes
+    per length.
     """
-    n = len(w)
-    values = [0] * (n + 2)
-    values[0] = 1
-    for m in range(1, n + 1):
-        seen: set[str] = set()
-        for i in range(n - m + 1):
-            f = w[i : i + m]
-            if f == f[::-1]:
-                seen.add(f)
-        values[m] = len(seen)
-    return values
+    return _palindromic_profile(PalindromeIndex(w), len(w))
 
 
-@dataclass(frozen=True)
-class DifferenceProfile:
+class DifferenceProfile(NamedTuple):
     """First difference of the subword complexity, values[n] = C(n+1) - C(n).
 
     trapezoid_runs holds (r, s) when the difference vector is exactly
@@ -66,13 +111,16 @@ def _run_decomposition(values: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
+def _difference_of(c: list[int]) -> DifferenceProfile:
+    values = tuple(c[n + 1] - c[n] for n in range(len(c) - 2))
+    return DifferenceProfile(values, _run_decomposition(values))
+
+
 def difference_profile(w: str) -> DifferenceProfile:
     """Difference vector of the subword complexity, indexed 0..N-1."""
     if not w:
         raise ValueError("difference profile undefined for the empty word")
-    c = subword_complexity(w)
-    values = tuple(c[n + 1] - c[n] for n in range(len(w)))
-    return DifferenceProfile(values, _run_decomposition(values))
+    return _difference_of(subword_complexity(w))
 
 
 def right_special_factors(w: str, n: int) -> set[str]:
@@ -135,8 +183,7 @@ def minimal_period(w: str) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class StructuralIndices:
+class StructuralIndices(NamedTuple):
     """The three indices driving the trapezoid classification.
 
     min_period is None only for the empty word, where it is undefined.
@@ -152,4 +199,34 @@ def structural_indices(w: str) -> StructuralIndices:
         r_index=r_index(w),
         k_index=k_index(w),
         min_period=minimal_period(w) if w else None,
+    )
+
+
+class WordProfile(NamedTuple):
+    """C, P, D, the structural indices and the palindromic factors of one word.
+
+    subword and palindromic are C and P indexed 0..N+1; difference is None
+    for the empty word.  palindromic_factors includes the empty word and
+    is sorted by length, then lexicographically.
+    """
+
+    subword: tuple[int, ...]
+    palindromic: tuple[int, ...]
+    difference: DifferenceProfile | None
+    indices: StructuralIndices
+    palindromic_factors: tuple[str, ...]
+
+
+def word_profile(w: str) -> WordProfile:
+    """Compute every profile of w once; P and the factors share one tree."""
+    index = PalindromeIndex(w)
+    c = subword_complexity(w)
+    return WordProfile(
+        subword=tuple(c),
+        palindromic=tuple(_palindromic_profile(index, len(w))),
+        difference=_difference_of(c) if w else None,
+        indices=structural_indices(w),
+        palindromic_factors=tuple(
+            sorted(index.distinct_palindromes(), key=lambda f: (len(f), f))
+        ),
     )

@@ -2,9 +2,10 @@
 
 A word is a plain Python string over a small alphabet of printable ASCII
 symbols; the empty string is the empty word.  Everything here is a pure
-function of its inputs.  The set-based routines are deliberately naive:
-they serve as the reference oracles that the accelerated palindrome
-index is tested against.
+function of its inputs.  palindromic_factors is a direct
+enumerate-and-filter scan, deliberately independent of the palindromic
+tree: richness by complete returns and the PAL_BOUND claim use it, so
+they do not check the tree against itself.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def complete_returns(w: str, u: str) -> set[str]:
 def palindromic_factors(w: str) -> set[str]:
     """The distinct palindromic factors of w, the empty word included.
 
-    Naive enumerate-and-filter over all factors; this is the reference
-    oracle for PalindromeIndex.  A word of length N never has more than
-    N + 1 distinct palindromic factors.
+    Naive enumerate-and-filter over all factors, independent of
+    PalindromeIndex.  A word of length N never has more than N + 1
+    distinct palindromic factors.
     """
     out = {""}
     n = len(w)

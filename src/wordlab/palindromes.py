@@ -5,9 +5,10 @@ the processed word, plus two roots (the empty word and an imaginary
 length minus-one root).  Appending a symbol creates at most one node, so
 construction is linear in the word length up to the alphabet factor.
 
-The index is an accelerator, never the source of truth: classifiers
-consult it only through index_count_palindromes, which the test suite
-shadow-checks against the naive palindromic_factors set.
+The index is the production kernel for everything palindromic about a
+word: the count behind richness, the palindromic complexity P(n) and
+the factor list that analyze reports.  The test suite checks it against
+the naive set-based palindromic_factors and wordlab.oracle.
 """
 
 from __future__ import annotations
@@ -85,26 +86,22 @@ class PalindromeIndex:
         """Nodes representing actual palindromes (empty word included)."""
         return len(self._len) - 1
 
+    def lengths(self) -> list[int]:
+        """Length of the palindrome each node stands for, empty word included."""
+        return self._len[_EMPTY:]
+
     def distinct_palindromes(self) -> set[str]:
         """Rebuild the palindrome each node stands for (empty word included)."""
-        memo: dict[int, str] = {_EMPTY: ""}
-
-        def build(idx: int) -> str:
-            got = memo.get(idx)
-            if got is not None:
-                return got
-            src, ch = self._via[idx]  # type: ignore[misc]
-            s = ch if self._len[idx] == 1 else ch + build(src) + ch
-            memo[idx] = s
-            return s
-
-        return {build(i) for i in range(_EMPTY, len(self._len))}
+        # a node is always created after the node it extends
+        built = ["", ""]
+        for (src, ch), length in zip(self._via[2:], self._len[2:]):  # type: ignore[misc]
+            built.append(ch if length == 1 else ch + built[src] + ch)
+        return set(built[_EMPTY:])
 
 
 def index_count_palindromes(w: str) -> int:
     """Count the distinct non-empty palindromic factors of w in one pass.
 
-    Equals len(palindromic_factors(w)) - 1; the naive set stays the
-    reference, this is the fast path classifiers use.
+    Equals len(palindromic_factors(w)) - 1.
     """
     return PalindromeIndex(w).palindrome_count

@@ -10,16 +10,17 @@ produce identical reports.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .classify import (
+    condition_B,
     condition_B_mismatches,
     condition_B_prime,
     has_trapezoidal_profile,
-    is_balanced,
     is_finite_sturmian,
     is_palindrome,
     is_rich_by_count,
@@ -41,6 +42,14 @@ class BudgetExceededError(RuntimeError):
 def word_count(alphabet_size: int, max_len: int) -> int:
     """Number of words of length 0..max_len over an alphabet of that size."""
     return sum(alphabet_size**n for n in range(max_len + 1))
+
+
+def _check_budget(words: int, budget: int, what: str) -> None:
+    """Refuse a negative budget, and an enumeration of more words than it."""
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if words > budget:
+        raise BudgetExceededError(f"{words} {what} exceeds the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +246,27 @@ def verify_claim(
     """Evaluate a named claim on every word of length 0..max_len.
 
     workers=None or 1 runs sequentially; higher values fan blocks out to
-    a process pool.  Either way the report is identical.  Raises
+    a process pool of at most min(workers, CPU count, number of blocks)
+    processes.  Either way the report is identical.  Raises
     BudgetExceededError before enumerating more than `budget` words.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     alpha = as_alphabet(alphabet)
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    total = word_count(len(alpha), max_len)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} words of length <= {max_len} over {len(alpha)} symbols "
-            f"exceeds the budget of {budget}"
-        )
+    _check_budget(
+        word_count(len(alpha), max_len),
+        budget,
+        f"words of length <= {max_len} over {len(alpha)} symbols",
+    )
     started = time.perf_counter()
     tasks = [(claim, alpha.as_string, n, prefix) for n, prefix in _blocks(alpha, max_len)]
-    if workers is not None and workers > 1:
-        with Pool(processes=workers) as pool:
+    processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             results = pool.map(_run_block, tasks)
     else:
         results = [_run_block(t) for t in tasks]
@@ -275,12 +287,6 @@ def verify_claim(
 # ---------------------------------------------------------------------------
 
 
-def _balanced_or_wide(w: str) -> bool:
-    """Balanced, with words over 3+ symbols counted as unbalanced rather
-    than rejected (enumeration sweeps mixed alphabets)."""
-    return len(set(w)) <= 2 and is_balanced(w)
-
-
 def _rich_not_trapezoidal(w: str) -> bool:
     return is_rich_by_count(w) and not is_trapezoidal(w)
 
@@ -289,18 +295,14 @@ def _trapezoidal_not_sturmian(w: str) -> bool:
     return is_trapezoidal(w) and not is_finite_sturmian(w)
 
 
-def _condition_B_pred(w: str) -> bool:
-    return not condition_B_mismatches(w)
-
-
 PREDICATES: dict[str, Callable[[str], bool]] = {
     "palindrome": is_palindrome,
     "rich": is_rich_by_count,
     "trapezoidal": is_trapezoidal,
-    "balanced": _balanced_or_wide,
+    "balanced": is_finite_sturmian,  # words over 3+ symbols count as unbalanced
     "finite_sturmian": is_finite_sturmian,
     "sturmian_palindrome": is_sturmian_palindrome,
-    "condition_B": _condition_B_pred,
+    "condition_B": condition_B,
     "condition_B_prime": condition_B_prime,
     "rich_not_trapezoidal": _rich_not_trapezoidal,
     "trapezoidal_not_sturmian": _trapezoidal_not_sturmian,
@@ -320,10 +322,7 @@ def find_class_members(
     alpha = as_alphabet(alphabet)
     if length < 0:
         raise ValueError("length must be non-negative")
-    if len(alpha) ** length > budget:
-        raise BudgetExceededError(
-            f"{len(alpha) ** length} words of length {length} exceeds the budget of {budget}"
-        )
+    _check_budget(len(alpha) ** length, budget, f"words of length {length}")
     check = PREDICATES[predicate]
     return [
         w
@@ -380,11 +379,7 @@ def census(
     alpha = as_alphabet(alphabet)
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    total_words = word_count(len(alpha), max_len)
-    if total_words > budget:
-        raise BudgetExceededError(
-            f"{total_words} words of length <= {max_len} exceeds the budget of {budget}"
-        )
+    _check_budget(word_count(len(alpha), max_len), budget, f"words of length <= {max_len}")
     lengths = list(range(1, max_len + 1))
     totals: list[int] = []
     counts: dict[str, list[int]] = {name: [] for name in CENSUS_CLASSES}

@@ -24,7 +24,6 @@ from wordlab import (
     is_trapezoidal,
     longest_border,
     minimal_period,
-    palindromic_complexity,
     palindromic_factors,
     random_words,
     sturmian_corpus,
@@ -33,6 +32,7 @@ from wordlab import (
     words_up_to,
 )
 from wordlab.cli import main as cli_main
+from wordlab.oracle import palindromic_complexity
 
 
 def report(num: int, description: str, failures, extra: str = "") -> None:

@@ -15,12 +15,13 @@ from wordlab import (
     is_rich_by_returns,
     is_sturmian_palindrome,
     is_trapezoidal,
-    palindromic_complexity,
     palindromic_factors,
     theta_palindrome_check,
     unbalance_witness,
+    word_profile,
     words_up_to,
 )
+from wordlab.oracle import palindromic_complexity
 
 binary_words = st.text(alphabet="ab", max_size=18)
 
@@ -205,6 +206,7 @@ def test_classification_report_is_consistent(w):
     assert rep.is_balanced == (rep.unbalance_witness is None)
     assert rep.is_trapezoidal == (len(w) == rep.indices.r_index + rep.indices.k_index)
     assert rep.palindrome_count == len(palindromic_factors(w))
+    assert rep.profile == word_profile(w)
 
 
 def test_classification_report_three_symbol_word():

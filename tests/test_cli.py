@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from wordlab import theorems
 from wordlab.cli import main
 
@@ -125,6 +127,23 @@ def test_verify_budget_exit_three(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "PROP1", "--alphabet", "ab", "--max-len", "2", "--parallel", "0"],
+        ["verify", "PROP1", "--alphabet", "ab", "--max-len", "2", "--parallel", "-2"],
+        ["verify", "PROP1", "--alphabet", "ab", "--max-len", "2", "--budget", "-1"],
+        ["enumerate", "rich", "--alphabet", "ab", "--len", "2", "--budget", "-1"],
+        ["census", "--alphabet", "ab", "--max-len", "2", "--budget", "-1"],
+    ],
+)
+def test_bad_parallel_and_budget_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
 
 
 def test_verify_bad_alphabet_exit_two(capsys):

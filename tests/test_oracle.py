@@ -1,0 +1,87 @@
+"""Differential tests: the linear profile kernels against wordlab.oracle."""
+
+import random
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wordlab import (
+    StructuralIndices,
+    k_index,
+    longest_border,
+    palindromic_complexity,
+    palindromic_factors,
+    r_index,
+    subword_complexity,
+    word_profile,
+    words_up_to,
+)
+from wordlab import oracle
+
+
+@st.composite
+def words_over_up_to_26_letters(draw, max_len):
+    k = draw(st.integers(1, 26))
+    n = draw(st.integers(0, max_len))
+    return draw(st.text(alphabet=string.ascii_lowercase[:k], min_size=n, max_size=n))
+
+
+def test_kernels_match_oracle_on_all_ternary_words_up_to_8():
+    for w in words_up_to("abc", 8):
+        assert subword_complexity(w) == oracle.subword_complexity(w), w
+        assert palindromic_complexity(w) == oracle.palindromic_complexity(w), w
+
+
+@settings(deadline=None)
+@given(words_over_up_to_26_letters(300))
+def test_kernels_match_oracle_on_random_words(w):
+    assert subword_complexity(w) == oracle.subword_complexity(w)
+    assert palindromic_complexity(w) == oracle.palindromic_complexity(w)
+
+
+def test_kernels_match_oracle_on_long_seeded_words():
+    rng = random.Random(2000)
+    for alphabet in ("ab", string.ascii_lowercase):
+        w = "".join(rng.choice(alphabet) for _ in range(2000))
+        assert subword_complexity(w) == oracle.subword_complexity(w), alphabet
+        assert palindromic_complexity(w) == oracle.palindromic_complexity(w), alphabet
+
+
+def _trapezoid_runs(values):
+    """(r, s) with values == 1^r 0^s (-1)^r, by trying every r."""
+    n = len(values)
+    for r in range(n // 2 + 1):
+        if values == (1,) * r + (0,) * (n - 2 * r) + (-1,) * r:
+            return (r, n - 2 * r)
+    return None
+
+
+def _assert_profile_matches_oracle(w):
+    profile = word_profile(w)
+    c = oracle.subword_complexity(w)
+    assert profile.subword == tuple(c)
+    assert profile.palindromic == tuple(oracle.palindromic_complexity(w))
+    if w:
+        values = tuple(c[n + 1] - c[n] for n in range(len(w)))
+        assert profile.difference.values == values
+        assert profile.difference.trapezoid_runs == _trapezoid_runs(values)
+    else:
+        assert profile.difference is None
+    assert profile.indices == StructuralIndices(
+        r_index(w), k_index(w), len(w) - len(longest_border(w)) if w else None
+    )
+    assert profile.palindromic_factors == tuple(
+        sorted(palindromic_factors(w), key=lambda f: (len(f), f))
+    )
+
+
+def test_word_profile_matches_oracle_on_ternary_words_up_to_6():
+    for w in words_up_to("abc", 6):
+        _assert_profile_matches_oracle(w)
+
+
+@settings(deadline=None)
+@given(words_over_up_to_26_letters(120))
+def test_word_profile_matches_oracle_on_random_words(w):
+    _assert_profile_matches_oracle(w)

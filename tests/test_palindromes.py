@@ -63,6 +63,16 @@ def test_node_count_includes_empty_word():
     assert idx.node_count == len(palindromic_factors("aabbaa"))
 
 
+def test_lengths_lists_one_node_per_palindrome():
+    idx = PalindromeIndex("aabbaa")
+    assert sorted(idx.lengths()) == sorted(len(f) for f in palindromic_factors("aabbaa"))
+
+
+def test_distinct_palindromes_of_a_long_unary_word():
+    # nested palindromes are rebuilt without recursion
+    assert PalindromeIndex("a" * 3000).distinct_palindromes() == {"a" * i for i in range(3001)}
+
+
 def test_seeded_random_words_agree_with_naive():
     # 100-word smoke version of the acceptance fuzz check
     for i, w in enumerate(random_words("ab", 120, 50, seed=7)):

@@ -1,5 +1,6 @@
 import pytest
 
+from wordlab import theorems
 from wordlab import (
     CLAIMS,
     PREDICATES,
@@ -73,12 +74,65 @@ def test_budget_guard():
     assert verify_claim("PROP1", "ab", 3, budget=word_count(2, 3)).verified
 
 
+def test_negative_budget_rejected():
+    for run in (
+        lambda: verify_claim("PROP1", "ab", 3, budget=-1),
+        lambda: find_class_members("rich", "ab", 3, budget=-1),
+        lambda: census("ab", 3, budget=-1),
+    ):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            run()
+
+
 def test_parallel_equals_sequential():
     seq = verify_claim("THM_MAIN", "ab", 9, workers=1)
     par = verify_claim("THM_MAIN", "ab", 9, workers=4)
     assert seq.to_json_dict() == par.to_json_dict()
     rerun = verify_claim("THM_MAIN", "ab", 9, workers=1)
     assert rerun.to_json_dict() == seq.to_json_dict()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_verify_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        verify_claim("PROP1", "ab", 3, workers=workers)
+
+
+class _RecordingPool:
+    """Stand-in for multiprocessing.Pool that maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,max_len,expected",
+    [
+        (64, 4, 12, [4]),  # capped by the CPU count; ab/12 has 14 blocks
+        (3, 64, 12, [3]),  # the requested count fits
+        (64, 64, 2, [3]),  # capped by the number of blocks
+        (8, None, 12, []),  # unknown CPU count: sequential, no pool
+        (1, 64, 12, []),
+    ],
+)
+def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(theorems, "Pool", _RecordingPool)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
+    report = verify_claim("PROP1", "ab", max_len, workers=workers)
+    assert _RecordingPool.sizes == expected
+    assert report.to_json_dict() == verify_claim("PROP1", "ab", max_len).to_json_dict()
 
 
 def test_report_json_shape():
