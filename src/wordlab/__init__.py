@@ -1,125 +1,32 @@
 """wordlab: complexity profiles, palindromic richness, and exhaustive
-verification for finite words."""
+verification for finite words.
 
-from .classify import (
-    THETA,
-    ClassificationReport,
-    classify,
-    condition_B,
-    condition_B_mismatches,
-    condition_B_prime,
-    condition_B_prime_mismatches,
-    has_trapezoidal_profile,
-    is_balanced,
-    is_finite_sturmian,
-    is_rich_by_count,
-    is_rich_by_returns,
-    is_sturmian_palindrome,
-    is_trapezoidal,
-    theta_palindrome_check,
-    unbalance_witness,
-)
-from .complexity import (
-    DifferenceProfile,
-    StructuralIndices,
-    WordProfile,
-    difference_profile,
-    k_index,
-    minimal_period,
-    palindromic_complexity,
-    r_index,
-    right_special_factors,
-    structural_indices,
-    subword_complexity,
-    word_profile,
-)
-from .core import (
-    Alphabet,
-    as_alphabet,
-    complete_returns,
-    is_palindrome,
-    longest_border,
-    occurrences,
-    palindromic_factors,
-)
-from .generate import (
-    all_words,
-    central_word,
-    lower_christoffel,
-    random_words,
-    sturmian_corpus,
-    words_up_to,
-)
-from .palindromes import PalindromeIndex, index_count_palindromes
-from .theorems import (
-    CLAIMS,
-    CENSUS_CLASSES,
-    DEFAULT_BUDGET,
-    PREDICATES,
-    BudgetExceededError,
-    CensusTable,
-    VerificationReport,
-    census,
-    find_class_members,
-    verify_claim,
-    word_count,
-)
+The package root re-exports the names the README and the demos use;
+everything else is imported from the module that defines it.
+"""
+
+from .classify import classify, condition_B_prime, is_sturmian_palindrome, is_trapezoidal
+from .complexity import difference_profile, palindromic_complexity, subword_complexity
+from .generate import central_word, lower_christoffel, sturmian_corpus
+from .palindromes import PalindromeIndex
+from .theorems import CLAIMS, census, find_class_members, verify_claim
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
-    "BudgetExceededError",
-    "CENSUS_CLASSES",
     "CLAIMS",
-    "CensusTable",
-    "ClassificationReport",
-    "DEFAULT_BUDGET",
-    "DifferenceProfile",
-    "PREDICATES",
     "PalindromeIndex",
-    "StructuralIndices",
-    "THETA",
-    "VerificationReport",
-    "WordProfile",
-    "all_words",
-    "as_alphabet",
     "census",
     "central_word",
     "classify",
-    "complete_returns",
-    "condition_B",
-    "condition_B_mismatches",
     "condition_B_prime",
-    "condition_B_prime_mismatches",
     "difference_profile",
     "find_class_members",
-    "has_trapezoidal_profile",
-    "index_count_palindromes",
-    "is_balanced",
-    "is_finite_sturmian",
-    "is_palindrome",
-    "is_rich_by_count",
-    "is_rich_by_returns",
     "is_sturmian_palindrome",
     "is_trapezoidal",
-    "k_index",
-    "longest_border",
     "lower_christoffel",
-    "minimal_period",
-    "occurrences",
     "palindromic_complexity",
-    "palindromic_factors",
-    "r_index",
-    "random_words",
-    "right_special_factors",
-    "structural_indices",
     "sturmian_corpus",
     "subword_complexity",
-    "theta_palindrome_check",
-    "unbalance_witness",
     "verify_claim",
-    "word_profile",
-    "word_count",
-    "words_up_to",
 ]

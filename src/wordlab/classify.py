@@ -7,25 +7,30 @@ profile).  The redundancy is the point: the exhaustive verifier pits the
 routes against each other.
 
 "Finite Sturmian" is implemented as "binary and balanced", the classical
-operational equivalent of being a factor of a Sturmian word.
+operational equivalent of being a factor of a Sturmian word.  Balance
+also has two routes: is_balanced counts symbols in equal-length
+factors, while the unbalance witness is read off the palindromic
+factors (a binary word is unbalanced iff some palindrome U has both
+aUa and bUb as factors), and classify derives its verdict from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .complexity import (
     StructuralIndices,
     WordProfile,
     difference_profile,
+    k_index,
     palindromic_complexity,
-    structural_indices,
+    r_index,
     subword_complexity,
     word_profile,
 )
 from .core import complete_returns, is_palindrome, palindromic_factors
-from .palindromes import index_count_palindromes
+from .palindromes import PalindromeIndex, index_count_palindromes
 
 # Involution used to compare a palindromic-complexity profile with its
 # own reversal: 0 and 2 swap, 1 is fixed.
@@ -52,8 +57,7 @@ def is_rich_by_returns(w: str) -> bool:
 def is_trapezoidal(w: str) -> bool:
     """True iff |w| = R + K (no-right-special length plus shortest
     unrepeated suffix length); the empty word qualifies (0 = 0 + 0)."""
-    idx = structural_indices(w)
-    return len(w) == idx.r_index + idx.k_index
+    return len(w) == r_index(w) + k_index(w)
 
 
 def has_trapezoidal_profile(w: str) -> tuple[int, int] | None:
@@ -94,6 +98,15 @@ def is_balanced(w: str) -> bool:
     return True
 
 
+def _witness_in(letters: Sequence[str], palindromes: Collection[str]) -> str | None:
+    if len(letters) < 2:
+        return None
+    a, b = letters
+    present = set(palindromes)
+    hits = (u for u in present if a + u + a in present and b + u + b in present)
+    return min(hits, key=lambda u: (len(u), u), default=None)
+
+
 def unbalance_witness(w: str) -> str | None:
     """Shortest palindrome U such that xUx and yUy are both factors of w
     for the two distinct symbols x, y; ties broken lexicographically.
@@ -102,21 +115,7 @@ def unbalance_witness(w: str) -> str | None:
     Raises ValueError when w uses three or more distinct symbols.
     """
     letters = _require_at_most_binary(w)
-    if len(letters) < 2:
-        return None
-    n = len(w)
-    for m in range(2, n + 1):
-        outer_by_core: dict[str, set[str]] = {}
-        for i in range(n - m + 1):
-            f = w[i : i + m]
-            if f[0] == f[-1]:
-                u = f[1:-1]
-                if u == u[::-1]:
-                    outer_by_core.setdefault(u, set()).add(f[0])
-        hits = sorted(u for u, outer in outer_by_core.items() if len(outer) == 2)
-        if hits:
-            return hits[0]
-    return None
+    return _witness_in(letters, PalindromeIndex(w).distinct_palindromes())
 
 
 def is_finite_sturmian(w: str) -> bool:
@@ -165,17 +164,12 @@ def _B_prime_mismatches(p: Sequence[int]) -> list[tuple[int, int]]:
     return [(i, p[i] + p[n - i]) for i in range(n + 1) if p[i] + p[n - i] != 2]
 
 
-def condition_B_prime_mismatches(w: str) -> list[tuple[int, int]]:
-    """Indices where P(n) + P(N-n) != 2, ascending (N = |w|)."""
-    return _B_prime_mismatches(palindromic_complexity(w))
-
-
 def condition_B_prime(w: str) -> bool:
     """Symmetry of the palindromic complexity: P(n) + P(N-n) = 2 for all n.
 
     Holds exactly for the Sturmian palindromes.
     """
-    return not condition_B_prime_mismatches(w)
+    return not _B_prime_mismatches(palindromic_complexity(w))
 
 
 def theta_palindrome_check(values: Sequence[int]) -> bool:
@@ -226,9 +220,10 @@ def classify(w: str) -> ClassificationReport:
     profile = word_profile(w)
     idx = profile.indices
     pal = is_palindrome(w)
-    if len(set(w)) <= 2:
-        balanced: bool | None = is_balanced(w)
-        witness = unbalance_witness(w)
+    letters = sorted(set(w))
+    if len(letters) <= 2:
+        witness = _witness_in(letters, profile.palindromic_factors)
+        balanced: bool | None = witness is None
         sturmian = bool(balanced)
     else:
         balanced = None

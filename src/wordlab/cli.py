@@ -3,7 +3,7 @@
 Subcommands: analyze one word, verify a claim exhaustively, enumerate
 class members at one length, tabulate a census, or emit a Sturmian
 corpus.  Exit codes: 0 success/verified, 1 counterexamples found,
-2 usage error, 3 word-budget refusal.
+2 usage error, 3 word-budget or word-length refusal.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# Longest word analyze accepts.  r_index is roughly cubic when R is close
+# to N, so the worst case at this length (a^(N-1) b) takes seconds.
+MAX_ANALYZE_LENGTH = 5000
+
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
@@ -43,6 +47,22 @@ def _emit_json(payload: dict) -> None:
 
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
+
+
+def _emit_words(fmt: str, header: dict, words: list[str]) -> None:
+    """A word list: JSON after the header fields, a one-column CSV, or one per line."""
+    if fmt == "json":
+        _emit_json(
+            {"schema_version": SCHEMA_VERSION, **header, "count": len(words), "words": words}
+        )
+    elif fmt == "csv":
+        writer = _csv_writer()
+        writer.writerow(["word"])
+        for w in words:
+            writer.writerow([w])
+    else:
+        for w in words:
+            print(w)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +77,10 @@ def analyze_payload(word: str) -> dict:
     alphabet = "".join(sorted(set(word)))
     if len(alphabet) > MAX_ALPHABET_SIZE:
         raise ValueError(f"word uses more than {MAX_ALPHABET_SIZE} distinct symbols")
+    if len(word) > MAX_ANALYZE_LENGTH:
+        raise BudgetExceededError(
+            f"word of length {len(word)} exceeds the analyze limit of {MAX_ANALYZE_LENGTH}"
+        )
     report = classify(word)
     profile = report.profile
     d = profile.difference
@@ -190,25 +214,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     words = find_class_members(args.predicate, args.alphabet, args.len, budget=args.budget)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "predicate": args.predicate,
-                "alphabet": args.alphabet,
-                "length": args.len,
-                "count": len(words),
-                "words": words,
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["word"])
-        for w in words:
-            writer.writerow([w])
-    else:
-        for w in words:
-            print(w)
+    header = {"predicate": args.predicate, "alphabet": args.alphabet, "length": args.len}
+    _emit_words(args.format, header, words)
     return EXIT_OK
 
 
@@ -246,24 +253,8 @@ def _cmd_corpus(args) -> int:
         sturmian_corpus(args.max_denominator, args.max_factor_len),
         key=lambda w: (len(w), w),
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "max_denominator": args.max_denominator,
-                "max_factor_len": args.max_factor_len,
-                "count": len(words),
-                "words": words,
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["word"])
-        for w in words:
-            writer.writerow([w])
-    else:
-        for w in words:
-            print(w)
+    header = {"max_denominator": args.max_denominator, "max_factor_len": args.max_factor_len}
+    _emit_words(args.format, header, words)
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ length minus-one root).  Appending a symbol creates at most one node, so
 construction is linear in the word length up to the alphabet factor.
 
 The index is the production kernel for everything palindromic about a
-word: the count behind richness, the palindromic complexity P(n) and
-the factor list that analyze reports.  The test suite checks it against
+word: the count behind richness, the palindromic complexity P(n), the
+factor list that analyze reports and the unbalance witness read off it.  The test suite checks it against
 the naive set-based palindromic_factors and wordlab.oracle.
 """
 

@@ -11,26 +11,24 @@ import math
 import random
 
 from wordlab import (
-    all_words,
     central_word,
     census,
     condition_B_prime,
     find_class_members,
-    index_count_palindromes,
-    is_finite_sturmian,
-    is_palindrome,
-    is_rich_by_count,
     is_sturmian_palindrome,
     is_trapezoidal,
-    longest_border,
-    minimal_period,
-    palindromic_factors,
-    random_words,
     sturmian_corpus,
-    theta_palindrome_check,
     verify_claim,
-    words_up_to,
 )
+from wordlab.classify import (
+    is_finite_sturmian,
+    is_rich_by_count,
+    theta_palindrome_check,
+)
+from wordlab.complexity import minimal_period
+from wordlab.core import is_palindrome, longest_border, palindromic_factors
+from wordlab.generate import all_words, random_words, words_up_to
+from wordlab.palindromes import index_count_palindromes
 from wordlab.cli import main as cli_main
 from wordlab.oracle import palindromic_complexity
 

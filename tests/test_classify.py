@@ -1,29 +1,46 @@
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordlab import (
-    classify,
+from wordlab import classify, condition_B_prime, is_sturmian_palindrome, is_trapezoidal
+from wordlab.classify import (
     condition_B,
     condition_B_mismatches,
-    condition_B_prime,
     has_trapezoidal_profile,
     is_balanced,
     is_finite_sturmian,
-    is_palindrome,
     is_rich_by_count,
     is_rich_by_returns,
-    is_sturmian_palindrome,
-    is_trapezoidal,
-    palindromic_factors,
     theta_palindrome_check,
     unbalance_witness,
-    word_profile,
-    words_up_to,
 )
+from wordlab.complexity import word_profile
+from wordlab.core import is_palindrome, palindromic_factors
+from wordlab.generate import lower_christoffel, words_up_to
 from wordlab.oracle import palindromic_complexity
 
 binary_words = st.text(alphabet="ab", max_size=18)
+
+
+def christoffel_windows(n: int, count: int, seed: int) -> list[str]:
+    """Seeded length-n factors of Christoffel words, which are balanced, each
+    followed by copies with the first, the last and one seeded letter
+    flipped; flipping an end letter often leaves a long unbalance witness."""
+    rng = random.Random(seed)
+    words: list[str] = []
+    while len(words) < 4 * count:
+        p, q = rng.randrange(1, 2 * n), rng.randrange(n, 3 * n)
+        if math.gcd(p, q) != 1:
+            continue
+        start = rng.randrange(p + q - n + 1)
+        w = lower_christoffel(p, q)[start : start + n]
+        words.append(w)
+        for j in (0, n - 1, rng.randrange(n)):
+            words.append(w[:j] + ("b" if w[j] == "a" else "a") + w[j + 1 :])
+    return words
 
 
 @pytest.mark.parametrize(
@@ -85,8 +102,20 @@ def test_witness_presence_agrees_with_balance():
         assert (unbalance_witness(w) is None) == is_balanced(w), w
 
 
+# seeds whose samples include a witness of length 100 or more
+@pytest.mark.parametrize("n,count,seed", [(300, 3, 11), (1000, 2, 28), (2000, 1, 22)])
+def test_witness_presence_agrees_with_balance_on_long_words(n, count, seed):
+    witnesses = []
+    for w in christoffel_windows(n, count, seed):
+        u = unbalance_witness(w)
+        assert (u is None) == is_balanced(w), w
+        if u is not None:
+            witnesses.append(u)
+    assert max(map(len, witnesses)) >= 100
+
+
 def test_unbalance_witness_is_shortest_and_checks_out():
-    for w in words_up_to("ab", 11):
+    for w in [*words_up_to("ab", 11), *christoffel_windows(300, 2, 11)]:
         u = unbalance_witness(w)
         if u is not None:
             assert u == u[::-1]
@@ -204,6 +233,7 @@ def test_classification_report_is_consistent(w):
     assert rep.is_rich == (rep.palindrome_count == len(w) + 1)
     assert rep.is_sturmian_palindrome == (rep.is_palindrome and rep.is_finite_sturmian)
     assert rep.is_balanced == (rep.unbalance_witness is None)
+    assert rep.is_balanced == is_balanced(w)
     assert rep.is_trapezoidal == (len(w) == rep.indices.r_index + rep.indices.k_index)
     assert rep.palindrome_count == len(palindromic_factors(w))
     assert rep.profile == word_profile(w)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wordlab import theorems
-from wordlab.cli import main
+from wordlab.cli import MAX_ANALYZE_LENGTH, main
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,16 @@ def test_analyze_rejects_unparseable_word(capsys):
     code, _, err = run_cli(capsys, "analyze", "a\tb")
     assert code == 2
     assert "error" in err
+
+
+def test_analyze_length_limit(capsys):
+    code, out, err = run_cli(capsys, "analyze", "a" * (MAX_ANALYZE_LENGTH + 1))
+    assert code == 3
+    assert out == ""
+    assert "limit" in err
+    code, out, _ = run_cli(capsys, "analyze", "a" * MAX_ANALYZE_LENGTH, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["length"] == MAX_ANALYZE_LENGTH
 
 
 def test_verify_exit_zero_and_report(capsys):

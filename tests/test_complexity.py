@@ -2,19 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordlab import (
-    difference_profile,
+from wordlab import difference_profile, palindromic_complexity, subword_complexity
+from wordlab.complexity import (
     k_index,
-    longest_border,
     minimal_period,
-    palindromic_complexity,
-    palindromic_factors,
     r_index,
     right_special_factors,
     structural_indices,
-    subword_complexity,
-    words_up_to,
 )
+from wordlab.core import longest_border, palindromic_factors
+from wordlab.generate import words_up_to
 
 binary_words = st.text(alphabet="ab", max_size=40)
 

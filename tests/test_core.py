@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordlab import (
+from wordlab.complexity import minimal_period
+from wordlab.core import (
     Alphabet,
     complete_returns,
     is_palindrome,
     longest_border,
-    minimal_period,
     occurrences,
     palindromic_factors,
-    words_up_to,
 )
+from wordlab.generate import words_up_to
 
 binary_words = st.text(alphabet="ab", max_size=30)
 

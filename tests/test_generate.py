@@ -5,19 +5,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wordlab import (
-    all_words,
     central_word,
     condition_B_prime,
-    is_finite_sturmian,
-    is_palindrome,
-    is_rich_by_count,
     is_sturmian_palindrome,
     is_trapezoidal,
     lower_christoffel,
-    random_words,
     sturmian_corpus,
-    words_up_to,
 )
+from wordlab.classify import is_finite_sturmian, is_rich_by_count
+from wordlab.core import is_palindrome
+from wordlab.generate import all_words, random_words, words_up_to
 
 
 def test_all_words_examples():

@@ -6,17 +6,10 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordlab import (
-    StructuralIndices,
-    k_index,
-    longest_border,
-    palindromic_complexity,
-    palindromic_factors,
-    r_index,
-    subword_complexity,
-    word_profile,
-    words_up_to,
-)
+from wordlab import palindromic_complexity, subword_complexity
+from wordlab.complexity import StructuralIndices, k_index, r_index, word_profile
+from wordlab.core import longest_border, palindromic_factors
+from wordlab.generate import words_up_to
 from wordlab import oracle
 
 

@@ -1,13 +1,10 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordlab import (
-    PalindromeIndex,
-    index_count_palindromes,
-    palindromic_factors,
-    random_words,
-    words_up_to,
-)
+from wordlab import PalindromeIndex
+from wordlab.core import palindromic_factors
+from wordlab.generate import random_words, words_up_to
+from wordlab.palindromes import index_count_palindromes
 
 words = st.text(alphabet="abc", max_size=60)
 

@@ -1,15 +1,8 @@
 import pytest
 
 from wordlab import theorems
-from wordlab import (
-    CLAIMS,
-    PREDICATES,
-    BudgetExceededError,
-    census,
-    find_class_members,
-    verify_claim,
-    word_count,
-)
+from wordlab import CLAIMS, census, find_class_members, verify_claim
+from wordlab.theorems import PREDICATES, BudgetExceededError, word_count
 
 
 def test_claim_registry_is_complete():
