@@ -154,9 +154,12 @@ def condition_B(w: str) -> bool:
     """Pointwise coupling of palindromic and subword complexity:
     P(n) + P(n+1) = C(n+1) - C(n) + 2 for every 0 <= n <= |w|.
 
-    Holds exactly for the words that are rich palindromes.
+    Holds exactly for the words that are rich palindromes.  Only a
+    palindrome can satisfy it: the n = N term reads P(N) + 0 = 0 - 1 + 2,
+    which forces P(N) = 1, and w is its only factor of length N.  Other
+    words are rejected before any profile is built.
     """
-    return not condition_B_mismatches(w)
+    return is_palindrome(w) and not condition_B_mismatches(w)
 
 
 def _B_prime_mismatches(p: Sequence[int]) -> list[tuple[int, int]]:
@@ -167,9 +170,12 @@ def _B_prime_mismatches(p: Sequence[int]) -> list[tuple[int, int]]:
 def condition_B_prime(w: str) -> bool:
     """Symmetry of the palindromic complexity: P(n) + P(N-n) = 2 for all n.
 
-    Holds exactly for the Sturmian palindromes.
+    Holds exactly for the Sturmian palindromes.  Only a palindrome can
+    satisfy it: the n = 0 term reads 1 + P(N) = 2, which forces P(N) = 1,
+    and w is its only factor of length N.  Other words are rejected
+    before any profile is built.
     """
-    return not _B_prime_mismatches(palindromic_complexity(w))
+    return is_palindrome(w) and not _B_prime_mismatches(palindromic_complexity(w))
 
 
 def theta_palindrome_check(values: Sequence[int]) -> bool:

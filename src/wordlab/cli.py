@@ -36,8 +36,9 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# Longest word analyze accepts.  r_index is roughly cubic when R is close
-# to N, so the worst case at this length (a^(N-1) b) takes seconds.
+# Longest word analyze accepts.  The palindromic factor list it prints is
+# quadratic in N on words with long palindromes: a^N prints 12.6 MB of
+# JSON at this length.
 MAX_ANALYZE_LENGTH = 5000
 
 

@@ -148,12 +148,27 @@ def r_index(w: str) -> int:
 
     0 for the empty word and for constant words (the empty factor is
     right special exactly when w uses two or more distinct symbols).
+    A suffix of a right special factor is right special, so the lengths
+    that have one are 0..R-1 and R is found by binary search.  The search
+    gallops up first, probing 0, 1, 3, 7, ...: a probe that finds no right
+    special factor scans every window, and galloping keeps the probes
+    below 2R + 2, where bisecting [0, N] would start at N / 2.
     """
-    n = len(w)
-    for p in range(n + 1):
-        if not _has_right_special(w, p):
-            return p
-    return n  # the full word is never right special
+    lo, hi = 0, len(w)  # the full word is never right special
+    probe = 0
+    while probe < hi:
+        if not _has_right_special(w, probe):
+            hi = probe
+            break
+        lo = probe + 1
+        probe = 2 * probe + 1
+    while lo < hi:  # lengths below lo have a right special factor, hi has none
+        mid = (lo + hi) // 2
+        if _has_right_special(w, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def k_index(w: str) -> int:

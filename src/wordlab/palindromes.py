@@ -3,7 +3,9 @@
 The index keeps one node per distinct non-empty palindromic factor of
 the processed word, plus two roots (the empty word and an imaginary
 length minus-one root).  Appending a symbol creates at most one node, so
-construction is linear in the word length up to the alphabet factor.
+construction is linear in the word length up to the alphabet factor, and
+pop undoes the last append in constant time (Rubinchik & Shur 2018), so
+one index can follow a depth-first walk of the word tree.
 
 The index is the production kernel for everything palindromic about a
 word: the count behind richness, the palindromic complexity P(n), the
@@ -26,7 +28,7 @@ class PalindromeIndex:
             non-decreasing and grows by at most 1 per symbol.
     """
 
-    __slots__ = ("_chars", "_len", "_link", "_next", "_via", "_last", "prefix_counts")
+    __slots__ = ("_chars", "_len", "_link", "_next", "_via", "_suffix", "prefix_counts")
 
     def __init__(self, word: str = "") -> None:
         self._chars: list[str] = []
@@ -35,7 +37,8 @@ class PalindromeIndex:
         self._next: list[dict[str, int]] = [{}, {}]
         # (source node, symbol) a node was created from; None for the roots
         self._via: list[tuple[int, str] | None] = [None, None]
-        self._last = _EMPTY
+        # _suffix[i] is the node of the longest palindromic suffix of word[:i]
+        self._suffix = [_EMPTY]
         self.prefix_counts = [0]
         for ch in word:
             self.append(ch)
@@ -51,26 +54,55 @@ class PalindromeIndex:
 
     def append(self, ch: str) -> bool:
         """Append one symbol; True iff a new distinct palindrome appeared."""
-        pos = len(self._chars)
-        self._chars.append(ch)
-        v = self._suffix_palindrome_for(self._last, pos, ch)
-        if ch in self._next[v]:
-            self._last = self._next[v][ch]
-            self.prefix_counts.append(self.prefix_counts[-1])
+        chars, lens, link = self._chars, self._len, self._link
+        pos = len(chars)
+        chars.append(ch)
+        # _suffix_palindrome_for from the longest palindromic suffix, inlined
+        # because every append takes this walk
+        v = self._suffix[-1]
+        while True:
+            i = pos - lens[v] - 1
+            if i >= 0 and chars[i] == ch:
+                break
+            v = link[v]
+        edges = self._next[v]
+        counts = self.prefix_counts
+        if ch in edges:
+            self._suffix.append(edges[ch])
+            counts.append(counts[-1])
             return False
-        cur = len(self._len)
-        self._len.append(self._len[v] + 2)
+        cur = len(lens)
+        lens.append(lens[v] + 2)
         self._next.append({})
         self._via.append((v, ch))
-        if self._len[cur] == 1:
-            self._link.append(_EMPTY)
+        if lens[cur] == 1:
+            link.append(_EMPTY)
         else:
-            u = self._suffix_palindrome_for(self._link[v], pos, ch)
-            self._link.append(self._next[u][ch])
-        self._next[v][ch] = cur
-        self._last = cur
-        self.prefix_counts.append(self.prefix_counts[-1] + 1)
+            u = self._suffix_palindrome_for(link[v], pos, ch)
+            link.append(self._next[u][ch])
+        edges[ch] = cur
+        self._suffix.append(cur)
+        counts.append(counts[-1] + 1)
         return True
+
+    def pop(self) -> str:
+        """Undo the last append and return its symbol.
+
+        Raises IndexError on an empty index.  An append that created a
+        node created the newest one, so undoing it drops the last node
+        and the edge that led to it.
+        """
+        if not self._chars:
+            raise IndexError("pop from an empty PalindromeIndex")
+        counts = self.prefix_counts
+        if counts.pop() != counts[-1]:
+            src, ch = self._via.pop()  # type: ignore[misc]
+            del self._next[src][ch]
+            self._len.pop()
+            self._link.pop()
+            self._next.pop()
+        self._suffix.pop()
+        return self._chars.pop()
 
     @property
     def word(self) -> str:

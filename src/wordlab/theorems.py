@@ -30,6 +30,7 @@ from .classify import (
 )
 from .complexity import minimal_period, r_index
 from .core import Alphabet, as_alphabet, palindromic_factors
+from .palindromes import PalindromeIndex
 
 DEFAULT_BUDGET = 1 << 26  # refuse enumerations beyond ~67M words
 _BLOCK_CAP = 2048  # max words enumerated per work block
@@ -375,30 +376,67 @@ class CensusTable:
 def census(
     alphabet: Alphabet | str, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> CensusTable:
-    """Count class members per length by full enumeration."""
+    """Count class members per length in one depth-first walk of the word tree.
+
+    Every word of length 1..max_len is one node of the walk.  A single
+    PalindromeIndex follows the walk: each node appends its last symbol on
+    the way down and pops it on the way back.  The columns:
+
+    - rich: the word has n distinct non-empty palindromic factors, read
+      off the index.
+    - trapezoidal and balanced: both classes are closed under factors
+      (balance by definition, trapezoidal words by de Luca 1999), so a
+      word outside one has no descendant inside it; the predicate is
+      evaluated only on children of members.
+    - sturmian_palindrome, condition_B and condition_B_prime: each holds
+      only on palindromes, so they are evaluated only on palindromes.
+
+    The walk keeps its own stack, so max_len is not bounded by Python's
+    recursion limit.
+    """
     alpha = as_alphabet(alphabet)
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     _check_budget(word_count(len(alpha), max_len), budget, f"words of length <= {max_len}")
-    lengths = list(range(1, max_len + 1))
-    totals: list[int] = []
-    counts: dict[str, list[int]] = {name: [] for name in CENSUS_CLASSES}
-    for n in lengths:
-        per_class = {name: 0 for name in CENSUS_CLASSES}
-        total = 0
-        for tail in itertools.product(alpha.symbols, repeat=n):
-            w = "".join(tail)
-            total += 1
-            for name in CENSUS_CLASSES:
-                if PREDICATES[name](w):
-                    per_class[name] += 1
-        totals.append(total)
-        for name in CENSUS_CLASSES:
-            counts[name].append(per_class[name])
+    symbols = alpha.symbols
+    total = [0] * (max_len + 1)
+    counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
+    rich, trapezoidal, balanced = counts["rich"], counts["trapezoidal"], counts["balanced"]
+    sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
+    cond_b_prime = counts["condition_B_prime"]
+    index = PalindromeIndex()
+    # One frame per prefix on the path: [next symbol to try, trapezoidal,
+    # balanced]; the empty word is both.
+    frames = [[0, True, True]] if max_len else []
+    while frames:
+        frame = frames[-1]
+        if frame[0] == len(symbols):
+            frames.pop()
+            if frames:
+                index.pop()
+            continue
+        index.append(symbols[frame[0]])
+        frame[0] += 1
+        n = len(frames)
+        w = index.word
+        total[n] += 1
+        rich[n] += index.palindrome_count == n
+        trap = frame[1] and is_trapezoidal(w)
+        bal = frame[2] and is_finite_sturmian(w)
+        trapezoidal[n] += trap
+        balanced[n] += bal
+        if is_palindrome(w):
+            sturmian_pal[n] += bal
+            cond_b[n] += condition_B(w)
+            cond_b_prime[n] += condition_B_prime(w)
+        if n < max_len:
+            frames.append([0, trap, bal])
+        else:
+            index.pop()
     return CensusTable(
         alphabet=alpha.as_string,
         max_len=max_len,
-        lengths=lengths,
-        total=totals,
-        counts=counts,
+        lengths=list(range(1, max_len + 1)),
+        total=total[1:],
+        counts={name: column[1:] for name, column in counts.items()},
     )

@@ -242,3 +242,25 @@ def test_criterion_13_verify_json_is_deterministic(capsys):
         if json.loads(out_seq)["verified"] is not True:
             failures.append((claim, "expected verified run"))
     report(13, "verify emits byte-identical JSON under --sequential and --parallel 8", failures)
+
+
+# Binary rich words of length 1..13 (OEIS A216264).
+BINARY_RICH = [2, 4, 8, 16, 32, 64, 128, 252, 488, 932, 1756, 3246, 5916]
+
+
+def test_criterion_14_census_closed_forms():
+    failures = []
+    table = census("ab", 16)
+    for n, got in zip(table.lengths, table.counts["balanced"]):
+        phi = [sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1) for k in range(n + 1)]
+        expected = 1 + sum((n - k + 1) * phi[k] for k in range(1, n + 1))
+        if got != expected:
+            failures.append(("balanced", n, got, expected))
+    rich = table.counts["rich"][: len(BINARY_RICH)]
+    if rich != BINARY_RICH:
+        failures.append(("rich", rich))
+    report(
+        14,
+        "binary census: balanced = 1 + sum (n-k+1) phi(k) to n=16, rich = A216264 to n=13",
+        failures,
+    )

@@ -20,6 +20,7 @@ from wordlab.classify import (
 from wordlab.complexity import word_profile
 from wordlab.core import is_palindrome, palindromic_factors
 from wordlab.generate import lower_christoffel, words_up_to
+from wordlab import oracle
 from wordlab.oracle import palindromic_complexity
 
 binary_words = st.text(alphabet="ab", max_size=18)
@@ -162,6 +163,17 @@ def test_condition_B_reports_first_failing_index():
 )
 def test_condition_B_prime(w, expected):
     assert condition_B_prime(w) is expected
+
+
+def test_conditions_B_match_their_definitions_on_oracle_profiles():
+    # the palindrome early-out must not change either verdict
+    for w in words_up_to("abc", 7):
+        c, p, n = oracle.subword_complexity(w), oracle.palindromic_complexity(w), len(w)
+        coupled = all(p[i] + p[i + 1] == c[i + 1] - c[i] + 2 for i in range(n + 1))
+        symmetric = all(p[i] + p[n - i] == 2 for i in range(n + 1))
+        assert condition_B(w) is coupled, w
+        assert condition_B_prime(w) is symmetric, w
+        assert (not condition_B_mismatches(w)) is coupled, w
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from wordlab.complexity import (
     structural_indices,
 )
 from wordlab.core import longest_border, palindromic_factors
-from wordlab.generate import words_up_to
+from wordlab.generate import lower_christoffel, words_up_to
 
 binary_words = st.text(alphabet="ab", max_size=40)
 
@@ -111,10 +111,17 @@ def test_structural_indices_for_empty_word():
 
 
 def test_r_index_matches_public_right_special_scan():
-    for w in words_up_to("ab", 9):
-        r = r_index(w)
-        assert not right_special_factors(w, r)
-        assert all(right_special_factors(w, p) for p in range(r))
+    # the binary search must land where the set-based scan first finds none
+    for alphabet, max_len in (("ab", 12), ("abc", 7)):
+        for w in words_up_to(alphabet, max_len):
+            r = r_index(w)
+            assert not right_special_factors(w, r), w
+            assert all(right_special_factors(w, p) for p in range(r)), w
+
+
+def test_r_index_of_a_long_right_special_run():
+    # a^4999 b: every a^p with p < 4999 is right special
+    assert r_index(lower_christoffel(1, 4999)) == 4999
 
 
 def test_profile_conventions_exhaustive():

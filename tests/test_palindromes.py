@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -76,3 +77,52 @@ def test_seeded_random_words_agree_with_naive():
         assert index_count_palindromes(w) + 1 == len(palindromic_factors(w)), (i, w)
     for i, w in enumerate(random_words("abc", 90, 50, seed=11)):
         assert index_count_palindromes(w) + 1 == len(palindromic_factors(w)), (i, w)
+
+
+def _state(idx):
+    return (
+        idx.word,
+        idx.prefix_counts,
+        idx.lengths(),
+        idx.distinct_palindromes(),
+        idx.palindrome_count,
+    )
+
+
+# None stands for a pop, a symbol for an append
+steps = st.lists(st.one_of(st.none(), st.sampled_from("abcd")), max_size=60)
+
+
+@given(steps, st.sampled_from("abcd"))
+def test_pop_undoes_append(ops, probe):
+    idx = PalindromeIndex()
+    word = ""
+    for op in ops:
+        if op is None and not word:
+            with pytest.raises(IndexError):
+                idx.pop()
+        elif op is None:
+            assert idx.pop() == word[-1]
+            word = word[:-1]
+        else:
+            idx.append(op)
+            word += op
+        fresh = PalindromeIndex(word)
+        assert _state(idx) == _state(fresh)
+        # the next append sees the same tree
+        assert idx.append(probe) == fresh.append(probe)
+        assert _state(idx) == _state(fresh)
+        idx.pop()
+        assert _state(idx) == _state(PalindromeIndex(word))
+
+
+def test_pop_on_empty_index_raises_and_leaves_it_usable():
+    idx = PalindromeIndex()
+    with pytest.raises(IndexError):
+        idx.pop()
+    assert [idx.append(ch) for ch in "abca"] == [True, True, True, False]
+    assert _state(idx) == _state(PalindromeIndex("abca"))
+    assert [idx.pop() for _ in range(4)] == ["a", "c", "b", "a"]
+    with pytest.raises(IndexError):
+        idx.pop()
+    assert _state(idx) == _state(PalindromeIndex())

@@ -1,8 +1,11 @@
+import itertools
+import sys
+
 import pytest
 
 from wordlab import theorems
 from wordlab import CLAIMS, census, find_class_members, verify_claim
-from wordlab.theorems import PREDICATES, BudgetExceededError, word_count
+from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
 
 
 def test_claim_registry_is_complete():
@@ -188,6 +191,36 @@ def test_census_internal_consistency():
             == len(b_prime_words)
             == len(trap_palindromes)
         )
+
+
+def _brute_force_census(alphabet: str, max_len: int) -> dict:
+    """Every predicate on every word, one length at a time: no walk, no pruning."""
+    out: dict = {"lengths": list(range(1, max_len + 1)), "total": []}
+    out.update({name: [] for name in CENSUS_CLASSES})
+    for n in out["lengths"]:
+        words = ["".join(t) for t in itertools.product(alphabet, repeat=n)]
+        out["total"].append(len(words))
+        for name in CENSUS_CLASSES:
+            out[name].append(sum(1 for w in words if PREDICATES[name](w)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "alphabet,max_len",
+    [("ab", 12), ("abc", 7), ("abcd", 5), ("ba", 8), ("a", 6), ("ab", 0)],
+)
+def test_census_walk_matches_brute_force(alphabet, max_len):
+    table = census(alphabet, max_len).to_json_dict()
+    expected = _brute_force_census(alphabet, max_len)
+    assert {key: table[key] for key in expected} == expected
+
+
+def test_census_walk_is_not_bounded_by_the_recursion_limit():
+    max_len = sys.getrecursionlimit() + 10
+    table = census("a", max_len)
+    assert table.total == [1] * max_len
+    for name in CENSUS_CLASSES:
+        assert table.counts[name] == [1] * max_len, name
 
 
 def test_census_budget_guard():
