@@ -29,7 +29,7 @@ from .complexity import (
     subword_complexity,
     word_profile,
 )
-from .core import complete_returns, is_palindrome, palindromic_factors
+from .core import _palindrome_spans, is_palindrome
 from .palindromes import PalindromeIndex, index_count_palindromes
 
 # Involution used to compare a palindromic-complexity profile with its
@@ -44,13 +44,22 @@ def is_rich_by_count(w: str) -> bool:
 
 def is_rich_by_returns(w: str) -> bool:
     """Richness via returns: every complete return to a palindromic factor
-    of w must itself be a palindrome.  Independent of the counting route."""
-    for u in palindromic_factors(w):
-        if not u:
-            continue
-        for ret in complete_returns(w, u):
+    of w must itself be a palindrome.  Independent of the counting route.
+
+    One centre-expansion scan yields the occurrences of each palindrome u
+    in ascending start order, so an occurrence and the last one seen of
+    the same u bound a complete return.  Stops at the first return that
+    is not a palindrome.
+    """
+    last: dict[str, int] = {}
+    for i, j in _palindrome_spans(w):
+        u = w[i:j]
+        prev = last.get(u)
+        if prev is not None:
+            ret = w[prev:j]
             if ret != ret[::-1]:
                 return False
+        last[u] = i
     return True
 
 

@@ -2,15 +2,16 @@
 
 A word is a plain Python string over a small alphabet of printable ASCII
 symbols; the empty string is the empty word.  Everything here is a pure
-function of its inputs.  palindromic_factors is a direct
-enumerate-and-filter scan, deliberately independent of the palindromic
-tree: richness by complete returns and the PAL_BOUND claim use it, so
-they do not check the tree against itself.
+function of its inputs.  The palindromic occurrences of a word are found
+by expanding around each of its 2N - 1 centres (_palindrome_spans).
+palindromic_factors and richness by complete returns read that scan, so
+neither depends on the palindromic tree, and the PROP1 and PAL_BOUND
+claims do not check the tree against itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 MAX_ALPHABET_SIZE = 26
 
@@ -102,21 +103,38 @@ def complete_returns(w: str, u: str) -> set[str]:
     return {w[i : j + len(u)] for i, j in zip(occ, occ[1:])}
 
 
+def _palindrome_spans(w: str) -> Iterator[tuple[int, int]]:
+    """(start, end) of every non-empty palindromic occurrence w[start:end].
+
+    Centres are visited in ascending order (letter k, then the gap after
+    it) and each is expanded while its two ends match.  An occurrence of
+    a palindrome u at start s has centre 2s + |u| - 1, so the occurrences
+    of any one u come out in ascending start order, as consecutive
+    occurrences.  The a^N word has N(N+1)/2 of them.
+    """
+    n = len(w)
+    for k in range(n):
+        lo, hi = k, k + 1
+        yield lo, hi
+        while lo and hi < n and w[lo - 1] == w[hi]:
+            lo -= 1
+            hi += 1
+            yield lo, hi
+        lo = hi = k + 1
+        while lo and hi < n and w[lo - 1] == w[hi]:
+            lo -= 1
+            hi += 1
+            yield lo, hi
+
+
 def palindromic_factors(w: str) -> set[str]:
     """The distinct palindromic factors of w, the empty word included.
 
-    Naive enumerate-and-filter over all factors, independent of
-    PalindromeIndex.  A word of length N never has more than N + 1
-    distinct palindromic factors.
+    Read off the centre-expansion scan, independent of PalindromeIndex.
+    A word of length N never has more than N + 1 distinct palindromic
+    factors.
     """
-    out = {""}
-    n = len(w)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            f = w[i:j]
-            if f == f[::-1]:
-                out.add(f)
-    return out
+    return {w[i:j] for i, j in _palindrome_spans(w)} | {""}
 
 
 def longest_border(w: str) -> str:

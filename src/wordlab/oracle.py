@@ -1,9 +1,11 @@
-"""Naive set-based complexity profiles, the reference for the test suite.
+"""Naive set-based profiles and palindromic factors, the reference for
+the test suite.
 
-Each routine collects the set of length-n slices for every n, so it is
-cubic in |w| and obviously correct.  The suffix-automaton C(n) and the
-palindromic-tree P(n) in wordlab.complexity are checked against it.
-Nothing in the package imports this module.
+Each routine slices every factor of w, so it is cubic in |w| and
+obviously correct.  The suffix-automaton C(n) and the palindromic-tree
+P(n) in wordlab.complexity, the palindromic tree itself and the
+centre-expansion scan in wordlab.core are checked against it.  Nothing
+in the package imports this module.
 """
 
 from __future__ import annotations
@@ -32,3 +34,20 @@ def palindromic_complexity(w: str) -> list[int]:
                 seen.add(f)
         values[m] = len(seen)
     return values
+
+
+def palindromic_factors(w: str) -> set[str]:
+    """The distinct palindromic factors of w, the empty word included.
+
+    Naive enumerate-and-filter over all factors, independent of
+    PalindromeIndex.  A word of length N never has more than N + 1
+    distinct palindromic factors.
+    """
+    out = {""}
+    n = len(w)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            f = w[i:j]
+            if f == f[::-1]:
+                out.add(f)
+    return out

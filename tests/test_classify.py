@@ -18,10 +18,10 @@ from wordlab.classify import (
     unbalance_witness,
 )
 from wordlab.complexity import word_profile
-from wordlab.core import is_palindrome, palindromic_factors
+from wordlab.core import is_palindrome
 from wordlab.generate import lower_christoffel, words_up_to
 from wordlab import oracle
-from wordlab.oracle import palindromic_complexity
+from wordlab.oracle import palindromic_complexity, palindromic_factors
 
 binary_words = st.text(alphabet="ab", max_size=18)
 

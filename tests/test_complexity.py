@@ -10,8 +10,9 @@ from wordlab.complexity import (
     right_special_factors,
     structural_indices,
 )
-from wordlab.core import longest_border, palindromic_factors
+from wordlab.core import longest_border
 from wordlab.generate import lower_christoffel, words_up_to
+from wordlab.oracle import palindromic_factors
 
 binary_words = st.text(alphabet="ab", max_size=40)
 

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordlab import PalindromeIndex
-from wordlab.core import palindromic_factors
+from wordlab.oracle import palindromic_factors
 from wordlab.generate import random_words, words_up_to
 from wordlab.palindromes import index_count_palindromes
 
