@@ -3,7 +3,8 @@
 Subcommands: analyze one word, verify a claim exhaustively, enumerate
 class members at one length, tabulate a census, or emit a Sturmian
 corpus.  Exit codes: 0 success/verified, 1 counterexamples found,
-2 usage error, 3 word-budget or word-length refusal.
+2 usage error, 3 word-budget or word-length refusal, 4 internal error
+(a traceback on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 
 from .classify import classify
 from .core import MAX_ALPHABET_SIZE
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 # Longest word analyze accepts.  The palindromic factor list it prints is
 # quadratic in N on words with long palindromes: a^N prints 12.6 MB of
@@ -345,6 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a fault in the program, not a finding: exit 1 would read as counterexamples
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

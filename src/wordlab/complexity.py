@@ -123,16 +123,6 @@ def difference_profile(w: str) -> DifferenceProfile:
     return _difference_of(subword_complexity(w))
 
 
-def right_special_factors(w: str, n: int) -> set[str]:
-    """Length-n factors of w that extend to the right by two or more symbols."""
-    if n > len(w):
-        raise ValueError("length exceeds word")
-    ext: dict[str, set[str]] = {}
-    for i in range(len(w) - n):
-        ext.setdefault(w[i : i + n], set()).add(w[i + n])
-    return {f for f, succ in ext.items() if len(succ) >= 2}
-
-
 def _has_right_special(w: str, p: int) -> bool:
     first: dict[str, str] = {}
     for i in range(len(w) - p):
@@ -187,7 +177,7 @@ def k_index(w: str) -> int:
 def minimal_period(w: str) -> int:
     """Smallest p >= 1 with w[i] == w[i+p] wherever both sides are defined.
 
-    Direct shift-and-compare scan; equals |w| - |longest_border(w)|.
+    Direct shift-and-compare scan; equals |w| - |oracle.longest_border(w)|.
     """
     if not w:
         raise ValueError("period undefined for the empty word")

@@ -136,14 +136,3 @@ def palindromic_factors(w: str) -> set[str]:
     """
     return {w[i:j] for i, j in _palindrome_spans(w)} | {""}
 
-
-def longest_border(w: str) -> str:
-    """Longest word that is both a proper prefix and a proper suffix of w.
-
-    Returns the empty word when |w| <= 1 or no nonempty border exists.
-    """
-    n = len(w)
-    for k in range(n - 1, 0, -1):
-        if w[:k] == w[n - k :]:
-            return w[:k]
-    return ""

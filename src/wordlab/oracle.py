@@ -1,11 +1,11 @@
-"""Naive set-based profiles and palindromic factors, the reference for
-the test suite.
+"""Naive set-based profiles, palindromic factors, right special factors
+and borders, the reference for the test suite.
 
-Each routine slices every factor of w, so it is cubic in |w| and
-obviously correct.  The suffix-automaton C(n) and the palindromic-tree
-P(n) in wordlab.complexity, the palindromic tree itself and the
-centre-expansion scan in wordlab.core are checked against it.  Nothing
-in the package imports this module.
+Each routine slices factors of w directly, so it is obviously correct.
+The suffix-automaton C(n) and the palindromic-tree P(n) in
+wordlab.complexity, the palindromic tree itself, the centre-expansion
+scan in wordlab.core and the R, K and period scans are checked against
+it.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -51,3 +51,25 @@ def palindromic_factors(w: str) -> set[str]:
             if f == f[::-1]:
                 out.add(f)
     return out
+
+
+def right_special_factors(w: str, n: int) -> set[str]:
+    """Length-n factors of w that extend to the right by two or more symbols."""
+    if n > len(w):
+        raise ValueError("length exceeds word")
+    ext: dict[str, set[str]] = {}
+    for i in range(len(w) - n):
+        ext.setdefault(w[i : i + n], set()).add(w[i + n])
+    return {f for f, succ in ext.items() if len(succ) >= 2}
+
+
+def longest_border(w: str) -> str:
+    """Longest word that is both a proper prefix and a proper suffix of w.
+
+    Returns the empty word when |w| <= 1 or no nonempty border exists.
+    """
+    n = len(w)
+    for k in range(n - 1, 0, -1):
+        if w[:k] == w[n - k :]:
+            return w[:k]
+    return ""

@@ -113,11 +113,6 @@ class PalindromeIndex:
         """Number of distinct non-empty palindromic factors seen so far."""
         return len(self._len) - 2
 
-    @property
-    def node_count(self) -> int:
-        """Nodes representing actual palindromes (empty word included)."""
-        return len(self._len) - 1
-
     def lengths(self) -> list[int]:
         """Length of the palindrome each node stands for, empty word included."""
         return self._len[_EMPTY:]

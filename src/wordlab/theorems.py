@@ -1,15 +1,14 @@
 """Exhaustive verification of word-class identities at desk scale.
 
 Each claim is a per-word predicate evaluated over every word up to a
-length bound; violations are collected with a pointwise diagnostic.  The
-word space is partitioned into fixed prefix blocks, so parallel and
-sequential runs visit the same blocks in the same canonical order and
-produce identical reports.
+length bound; violations are collected with a pointwise diagnostic.  One
+prefix-order walk of the word tree (_walk) serves verify, enumerate and
+census.  verify splits the word space into fixed subtree blocks and sorts
+the counterexamples, so parallel and sequential reports are identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from collections.abc import Callable
@@ -200,39 +199,46 @@ class VerificationReport:
         }
 
 
-def _split_head(alphabet_size: int, n: int) -> int:
-    """Prefix length that keeps each enumeration block at or under _BLOCK_CAP."""
-    head = 0
-    while alphabet_size ** (n - head) > _BLOCK_CAP:
-        head += 1
-    return head
+def _walk(symbols: str, prefix: str, depth: int):
+    """Yield prefix, then each extension of it by 1..depth symbols, in prefix order.
 
-
-def _blocks(alphabet: Alphabet, max_len: int):
-    """Fixed (length, prefix) partition of the word space, canonical order.
-
-    The partition depends only on the alphabet and bound, never on the
-    worker count, which is what makes parallel runs deterministic.
+    Children come in alphabet order, so the words of one length come out
+    in lexicographic order.  The walk keeps its own stack, so depth is not
+    bounded by Python's recursion limit.
     """
-    for n in range(max_len + 1):
-        head = _split_head(len(alphabet), n)
-        if head == 0:
-            yield (n, "")
-        else:
-            for prefix in itertools.product(alphabet.symbols, repeat=head):
-                yield (n, "".join(prefix))
+    children = symbols[::-1]  # pushed in reverse, so popped in alphabet order
+    limit = len(prefix) + depth
+    stack = [prefix]
+    while stack:
+        w = stack.pop()
+        yield w
+        if len(w) < limit:
+            for s in children:
+                stack.append(w + s)
 
 
-def _run_block(task: tuple[str, str, int, str]) -> tuple[int, list[tuple[str, str]]]:
-    claim, symbols, n, prefix = task
+def _blocks(symbols: str, max_len: int) -> list[tuple[str, int]]:
+    """Fixed partition of the words of length <= max_len into (prefix, depth) subtrees.
+
+    Each head-length prefix heads one subtree of at most _BLOCK_CAP words;
+    one head block holds the shorter words.  The partition depends only on
+    the alphabet and bound, never on the worker count.
+    """
+    depth, size = 0, 1  # the deepest subtree under the cap, and its word count
+    while depth < max_len and size + len(symbols) ** (depth + 1) <= _BLOCK_CAP:
+        depth += 1
+        size += len(symbols) ** depth
+    head = max_len - depth
+    subtrees = [(p, depth) for p in _walk(symbols, "", head) if len(p) == head]
+    return [("", head - 1), *subtrees] if head else subtrees
+
+
+def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, str]]]:
+    claim, symbols, prefix, depth = task
     checker = CLAIMS[claim].checker
-    checked = 0
-    bad: list[tuple[str, str]] = []
-    for tail in itertools.product(symbols, repeat=n - len(prefix)):
-        w = prefix + "".join(tail)
-        checked += 1
-        diag = checker(w)
-        if diag is not None:
+    checked, bad = 0, []
+    for checked, w in enumerate(_walk(symbols, prefix, depth), 1):
+        if (diag := checker(w)) is not None:
             bad.append((w, diag))
     return checked, bad
 
@@ -264,21 +270,24 @@ def verify_claim(
         f"words of length <= {max_len} over {len(alpha)} symbols",
     )
     started = time.perf_counter()
-    tasks = [(claim, alpha.as_string, n, prefix) for n, prefix in _blocks(alpha, max_len)]
+    symbols = alpha.as_string
+    tasks = [(claim, symbols, prefix, depth) for prefix, depth in _blocks(symbols, max_len)]
     processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         with Pool(processes=processes) as pool:
             results = pool.map(_run_block, tasks)
     else:
         results = [_run_block(t) for t in tasks]
-    checked = sum(c for c, _ in results)
-    counterexamples = [hit for _, bad in results for hit in bad]
+    rank = {s: i for i, s in enumerate(symbols)}
     return VerificationReport(
         claim=claim,
-        alphabet=alpha.as_string,
+        alphabet=symbols,
         max_len=max_len,
-        words_checked=checked,
-        counterexamples=counterexamples,
+        words_checked=sum(c for c, _ in results),
+        counterexamples=sorted(
+            (hit for _, bad in results for hit in bad),
+            key=lambda hit: (len(hit[0]), [rank[s] for s in hit[0]]),
+        ),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -325,11 +334,7 @@ def find_class_members(
         raise ValueError("length must be non-negative")
     _check_budget(len(alpha) ** length, budget, f"words of length {length}")
     check = PREDICATES[predicate]
-    return [
-        w
-        for tail in itertools.product(alpha.symbols, repeat=length)
-        if check(w := "".join(tail))
-    ]
+    return [w for w in _walk(alpha.as_string, "", length) if len(w) == length and check(w)]
 
 
 CENSUS_CLASSES = (
@@ -376,11 +381,10 @@ class CensusTable:
 def census(
     alphabet: Alphabet | str, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> CensusTable:
-    """Count class members per length in one depth-first walk of the word tree.
+    """Count class members per length in one walk of the word tree.
 
-    Every word of length 1..max_len is one node of the walk.  A single
-    PalindromeIndex follows the walk: each node appends its last symbol on
-    the way down and pops it on the way back.  The columns:
+    A single PalindromeIndex follows _walk: before each word it pops back
+    to the word's parent, then appends the word's last symbol.  The columns:
 
     - rich: the word has n distinct non-empty palindromic factors, read
       off the index.
@@ -390,49 +394,36 @@ def census(
       evaluated only on children of members.
     - sturmian_palindrome, condition_B and condition_B_prime: each holds
       only on palindromes, so they are evaluated only on palindromes.
-
-    The walk keeps its own stack, so max_len is not bounded by Python's
-    recursion limit.
     """
     alpha = as_alphabet(alphabet)
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     _check_budget(word_count(len(alpha), max_len), budget, f"words of length <= {max_len}")
-    symbols = alpha.symbols
     total = [0] * (max_len + 1)
     counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
     rich, trapezoidal, balanced = counts["rich"], counts["trapezoidal"], counts["balanced"]
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    # One frame per prefix on the path: [next symbol to try, trapezoidal,
-    # balanced]; the empty word is both.
-    frames = [[0, True, True]] if max_len else []
-    while frames:
-        frame = frames[-1]
-        if frame[0] == len(symbols):
-            frames.pop()
-            if frames:
-                index.pop()
-            continue
-        index.append(symbols[frame[0]])
-        frame[0] += 1
-        n = len(frames)
-        w = index.word
+    # trapezoidal and balanced flags of the path's words by length; the empty word is both
+    trap_at, bal_at = [True] * (max_len + 1), [True] * (max_len + 1)
+    walk = _walk(alpha.as_string, "", max_len)
+    next(walk)  # skip the empty word
+    for w in walk:
+        n = len(w)
+        for _ in range(len(index.prefix_counts) - n):  # back to the parent w[:-1]
+            index.pop()
+        index.append(w[-1])
         total[n] += 1
         rich[n] += index.palindrome_count == n
-        trap = frame[1] and is_trapezoidal(w)
-        bal = frame[2] and is_finite_sturmian(w)
+        trap = trap_at[n] = trap_at[n - 1] and is_trapezoidal(w)
+        bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
         trapezoidal[n] += trap
         balanced[n] += bal
         if is_palindrome(w):
             sturmian_pal[n] += bal
             cond_b[n] += condition_B(w)
             cond_b_prime[n] += condition_B_prime(w)
-        if n < max_len:
-            frames.append([0, trap, bal])
-        else:
-            index.pop()
     return CensusTable(
         alphabet=alpha.as_string,
         max_len=max_len,

@@ -26,11 +26,11 @@ from wordlab.classify import (
     theta_palindrome_check,
 )
 from wordlab.complexity import minimal_period
-from wordlab.core import is_palindrome, longest_border
+from wordlab.core import is_palindrome
 from wordlab.generate import all_words, random_words, words_up_to
 from wordlab.palindromes import index_count_palindromes
 from wordlab.cli import main as cli_main
-from wordlab.oracle import palindromic_complexity, palindromic_factors
+from wordlab.oracle import longest_border, palindromic_complexity, palindromic_factors
 
 
 def report(num: int, description: str, failures, extra: str = "") -> None:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -122,6 +124,25 @@ def test_verify_counterexample_exit_code(capsys, monkeypatch):
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))
     assert rows == [["word", "diagnostic"], ["ab", "made up"]]
+
+
+def _crash(w):
+    raise RuntimeError("checker fault")
+
+
+@pytest.mark.parametrize("mode", [["--sequential"], ["--parallel", "2"]])
+def test_verify_internal_error_exit_four(capsys, monkeypatch, mode):
+    spec = theorems.CLAIMS["PROP1"]
+    monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, checker=_crash))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(
+        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "11",
+        "--format", "json", *mode,
+    )
+    assert code == 4
+    assert out == ""
+    assert "RuntimeError: checker fault" in err
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_unknown_claim_exit_two(capsys):

@@ -7,12 +7,10 @@ from wordlab.complexity import (
     k_index,
     minimal_period,
     r_index,
-    right_special_factors,
     structural_indices,
 )
-from wordlab.core import longest_border
 from wordlab.generate import lower_christoffel, words_up_to
-from wordlab.oracle import palindromic_factors
+from wordlab.oracle import longest_border, palindromic_factors, right_special_factors
 
 binary_words = st.text(alphabet="ab", max_size=40)
 

@@ -7,10 +7,10 @@ from wordlab.core import (
     Alphabet,
     complete_returns,
     is_palindrome,
-    longest_border,
     occurrences,
     palindromic_factors,
 )
+from wordlab.oracle import longest_border
 from wordlab.generate import words_up_to
 
 binary_words = st.text(alphabet="ab", max_size=30)

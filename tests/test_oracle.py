@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from wordlab import palindromic_complexity, subword_complexity
 from wordlab.complexity import StructuralIndices, k_index, r_index, word_profile
-from wordlab.core import longest_border
 from wordlab.generate import words_up_to
 from wordlab import oracle
-from wordlab.oracle import palindromic_factors
+from wordlab.oracle import longest_border, palindromic_factors
 
 
 @st.composite

@@ -58,7 +58,7 @@ def test_incremental_append_matches_batch():
 
 def test_node_count_includes_empty_word():
     idx = PalindromeIndex("aabbaa")
-    assert idx.node_count == len(palindromic_factors("aabbaa"))
+    assert len(idx.lengths()) == len(palindromic_factors("aabbaa"))
 
 
 def test_lengths_lists_one_node_per_palindrome():

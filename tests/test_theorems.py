@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from wordlab import theorems
 from wordlab import CLAIMS, census, find_class_members, verify_claim
+from wordlab.generate import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
 
 
@@ -115,9 +117,9 @@ class _RecordingPool:
 @pytest.mark.parametrize(
     "workers,cpus,max_len,expected",
     [
-        (64, 4, 12, [4]),  # capped by the CPU count; ab/12 has 14 blocks
+        (64, 4, 12, [4]),  # capped by the CPU count; ab/12 has 5 blocks
         (3, 64, 12, [3]),  # the requested count fits
-        (64, 64, 2, [3]),  # capped by the number of blocks
+        (64, 64, 12, [5]),  # capped by the number of blocks: 1 head block + 4 subtrees
         (8, None, 12, []),  # unknown CPU count: sequential, no pool
         (1, 64, 12, []),
     ],
@@ -129,6 +131,36 @@ def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
     report = verify_claim("PROP1", "ab", max_len, workers=workers)
     assert _RecordingPool.sizes == expected
     assert report.to_json_dict() == verify_claim("PROP1", "ab", max_len).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "symbols,max_len", [("ab", 0), ("ab", 9), ("ab", 10), ("ab", 11), ("ab", 13), ("abc", 8)]
+)
+def test_blocks_cover_every_word_once(symbols, max_len):
+    walks = [
+        list(theorems._walk(symbols, prefix, depth))
+        for prefix, depth in theorems._blocks(symbols, max_len)
+    ]
+    assert sorted(w for walk in walks for w in walk) == sorted(words_up_to(symbols, max_len))
+    assert max(map(len, walks)) <= theorems._BLOCK_CAP
+
+
+def _planted(w):
+    # fails on a scattered set of words, in every block
+    return "planted" if (7 * w.count(w[:1]) + len(w)) % 5 == 1 else None
+
+
+# ba/10 and cab/6 are one block each; ba/12 and cab/8 merge 5 and 10 blocks
+@pytest.mark.parametrize("symbols,max_len", [("ba", 10), ("cab", 6), ("ba", 12), ("cab", 8)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_counterexamples_in_length_then_alphabet_order(monkeypatch, symbols, max_len, workers):
+    spec = theorems.CLAIMS["PROP1"]
+    monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, checker=_planted))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    report = verify_claim("PROP1", symbols, max_len, workers=workers)
+    expected = [(w, "planted") for w in words_up_to(symbols, max_len) if _planted(w)]
+    assert len(expected) > 100
+    assert report.counterexamples == expected
 
 
 def test_report_json_shape():
