@@ -105,10 +105,6 @@ class PalindromeIndex:
         return self._chars.pop()
 
     @property
-    def word(self) -> str:
-        return "".join(self._chars)
-
-    @property
     def palindrome_count(self) -> int:
         """Number of distinct non-empty palindromic factors seen so far."""
         return len(self._len) - 2

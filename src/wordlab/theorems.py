@@ -3,8 +3,9 @@
 Each claim is a per-word predicate evaluated over every word up to a
 length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk of the word tree (_walk) serves verify, enumerate and
-census.  verify splits the word space into fixed subtree blocks and sorts
-the counterexamples, so parallel and sequential reports are identical.
+census; census, PROP1, PROP2 and THM_FGC read the PalindromeIndex it carries.
+Fixed subtree blocks and sorted counterexamples make parallel and
+sequential verify reports identical.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .classify import (
+    _B_mismatches,
     condition_B,
-    condition_B_mismatches,
     condition_B_prime,
     has_trapezoidal_profile,
     is_finite_sturmian,
@@ -27,7 +28,7 @@ from .classify import (
     is_sturmian_palindrome,
     is_trapezoidal,
 )
-from .complexity import minimal_period, r_index
+from .complexity import _palindromic_profile, minimal_period, r_index, subword_complexity
 from .core import Alphabet, as_alphabet, palindromic_factors
 from .palindromes import PalindromeIndex
 
@@ -57,23 +58,23 @@ def _check_budget(words: int, budget: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_prop1(w: str) -> str | None:
-    by_count = is_rich_by_count(w)
+def _check_prop1(w: str, index: PalindromeIndex) -> str | None:
+    by_count = index.palindrome_count == len(w)
     by_returns = is_rich_by_returns(w)
     if by_count != by_returns:
         return f"rich by count={by_count}, rich by returns={by_returns}"
     return None
 
 
-def _check_prop2(w: str) -> str | None:
-    if is_trapezoidal(w) and not is_rich_by_count(w):
+def _check_prop2(w: str, index: PalindromeIndex) -> str | None:
+    if index.palindrome_count != len(w) and is_trapezoidal(w):
         return "trapezoidal but not rich"
     return None
 
 
-def _check_thm_fgc(w: str) -> str | None:
-    rich_palindrome = is_palindrome(w) and is_rich_by_count(w)
-    mismatches = condition_B_mismatches(w)
+def _check_thm_fgc(w: str, index: PalindromeIndex) -> str | None:
+    rich_palindrome = is_palindrome(w) and index.palindrome_count == len(w)
+    mismatches = _B_mismatches(subword_complexity(w), _palindromic_profile(index, len(w)))
     if rich_palindrome and mismatches:
         n, lhs, rhs = mismatches[0]
         return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
@@ -82,7 +83,7 @@ def _check_thm_fgc(w: str) -> str | None:
     return None
 
 
-def _check_thm_main(w: str) -> str | None:
+def _check_thm_main(w: str, index: None) -> str | None:
     sturmian_pal = is_sturmian_palindrome(w)
     symmetric = condition_B_prime(w)
     trapezoidal_pal = is_palindrome(w) and is_trapezoidal(w)
@@ -94,14 +95,14 @@ def _check_thm_main(w: str) -> str | None:
     return None
 
 
-def _check_pal_bound(w: str) -> str | None:
+def _check_pal_bound(w: str, index: None) -> str | None:
     count = len(palindromic_factors(w))
     if count > len(w) + 1:
         return f"{count} distinct palindromic factors, bound is {len(w) + 1}"
     return None
 
 
-def _check_period_ineq(w: str) -> str | None:
+def _check_period_ineq(w: str, index: None) -> str | None:
     if not w:
         return None
     period = minimal_period(w)
@@ -111,14 +112,14 @@ def _check_period_ineq(w: str) -> str | None:
     return None
 
 
-def _check_binary_trap(w: str) -> str | None:
+def _check_binary_trap(w: str, index: None) -> str | None:
     symbols = len(set(w))
     if symbols >= 3 and is_trapezoidal(w):
         return f"trapezoidal word over {symbols} distinct symbols"
     return None
 
 
-def _check_profile_equiv(w: str) -> str | None:
+def _check_profile_equiv(w: str, index: None) -> str | None:
     if not w:
         return None  # difference profile undefined for the empty word
     by_indices = is_trapezoidal(w)
@@ -130,19 +131,25 @@ def _check_profile_equiv(w: str) -> str | None:
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """checker(w, index) returns a diagnostic or None.  Only indexed claims get the
+    walk's PalindromeIndex of w: PAL_BOUND and PROP1's returns route are the scans
+    it is checked against, and the rest would pay its upkeep for little or no use."""
     description: str
-    checker: Callable[[str], str | None]
+    checker: Callable[[str, PalindromeIndex | None], str | None]
+    indexed: bool = False
 
 
 CLAIMS: dict[str, ClaimSpec] = {
     "PROP1": ClaimSpec(
         "richness by palindrome count agrees with richness by complete returns",
         _check_prop1,
+        indexed=True,
     ),
-    "PROP2": ClaimSpec("every trapezoidal word is rich", _check_prop2),
+    "PROP2": ClaimSpec("every trapezoidal word is rich", _check_prop2, indexed=True),
     "THM_FGC": ClaimSpec(
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
+        indexed=True,
     ),
     "THM_MAIN": ClaimSpec(
         "Sturmian palindrome == symmetric palindromic complexity == trapezoidal palindrome",
@@ -199,18 +206,26 @@ class VerificationReport:
         }
 
 
-def _walk(symbols: str, prefix: str, depth: int):
+def _walk(symbols: str, prefix: str, depth: int, index: PalindromeIndex | None = None):
     """Yield prefix, then each extension of it by 1..depth symbols, in prefix order.
 
     Children come in alphabet order, so the words of one length come out
     in lexicographic order.  The walk keeps its own stack, so depth is not
-    bounded by Python's recursion limit.
+    bounded by Python's recursion limit.  A given index must start empty; it
+    is then the palindromic tree of each word yielded (pop to parent, append).
     """
     children = symbols[::-1]  # pushed in reverse, so popped in alphabet order
     limit = len(prefix) + depth
+    if index is not None:
+        for s in prefix[:-1]:
+            index.append(s)
     stack = [prefix]
     while stack:
         w = stack.pop()
+        if index is not None and w:
+            while len(index.prefix_counts) > len(w):  # back to the parent w[:-1]
+                index.pop()
+            index.append(w[-1])
         yield w
         if len(w) < limit:
             for s in children:
@@ -235,11 +250,14 @@ def _blocks(symbols: str, max_len: int) -> list[tuple[str, int]]:
 
 def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, str]]]:
     claim, symbols, prefix, depth = task
-    checker = CLAIMS[claim].checker
+    checker, index = CLAIMS[claim].checker, PalindromeIndex() if CLAIMS[claim].indexed else None
     checked, bad = 0, []
-    for checked, w in enumerate(_walk(symbols, prefix, depth), 1):
-        if (diag := checker(w)) is not None:
-            bad.append((w, diag))
+    try:
+        for checked, w in enumerate(_walk(symbols, prefix, depth, index), 1):
+            if (diag := checker(w, index)) is not None:
+                bad.append((w, diag))
+    except ValueError as exc:  # the CLI reads ValueError as a usage error; here it is a fault
+        raise RuntimeError(f"claim {claim} raised ValueError: {exc}") from exc
     return checked, bad
 
 
@@ -334,7 +352,10 @@ def find_class_members(
         raise ValueError("length must be non-negative")
     _check_budget(len(alpha) ** length, budget, f"words of length {length}")
     check = PREDICATES[predicate]
-    return [w for w in _walk(alpha.as_string, "", length) if len(w) == length and check(w)]
+    try:
+        return [w for w in _walk(alpha.as_string, "", length) if len(w) == length and check(w)]
+    except ValueError as exc:  # a fault, as in _run_block
+        raise RuntimeError(f"predicate {predicate} raised ValueError: {exc}") from exc
 
 
 CENSUS_CLASSES = (
@@ -383,8 +404,7 @@ def census(
 ) -> CensusTable:
     """Count class members per length in one walk of the word tree.
 
-    A single PalindromeIndex follows _walk: before each word it pops back
-    to the word's parent, then appends the word's last symbol.  The columns:
+    _walk carries one PalindromeIndex along the tree.  The columns:
 
     - rich: the word has n distinct non-empty palindromic factors, read
       off the index.
@@ -407,23 +427,23 @@ def census(
     index = PalindromeIndex()
     # trapezoidal and balanced flags of the path's words by length; the empty word is both
     trap_at, bal_at = [True] * (max_len + 1), [True] * (max_len + 1)
-    walk = _walk(alpha.as_string, "", max_len)
+    walk = _walk(alpha.as_string, "", max_len, index)
     next(walk)  # skip the empty word
-    for w in walk:
-        n = len(w)
-        for _ in range(len(index.prefix_counts) - n):  # back to the parent w[:-1]
-            index.pop()
-        index.append(w[-1])
-        total[n] += 1
-        rich[n] += index.palindrome_count == n
-        trap = trap_at[n] = trap_at[n - 1] and is_trapezoidal(w)
-        bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
-        trapezoidal[n] += trap
-        balanced[n] += bal
-        if is_palindrome(w):
-            sturmian_pal[n] += bal
-            cond_b[n] += condition_B(w)
-            cond_b_prime[n] += condition_B_prime(w)
+    try:
+        for w in walk:
+            n = len(w)
+            total[n] += 1
+            rich[n] += index.palindrome_count == n
+            trap = trap_at[n] = trap_at[n - 1] and is_trapezoidal(w)
+            bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
+            trapezoidal[n] += trap
+            balanced[n] += bal
+            if is_palindrome(w):
+                sturmian_pal[n] += bal
+                cond_b[n] += condition_B(w)
+                cond_b_prime[n] += condition_B_prime(w)
+    except ValueError as exc:  # a fault, as in _run_block
+        raise RuntimeError(f"census raised ValueError: {exc}") from exc
     return CensusTable(
         alphabet=alpha.as_string,
         max_len=max_len,

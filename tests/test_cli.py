@@ -3,6 +3,10 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -126,22 +130,77 @@ def test_verify_counterexample_exit_code(capsys, monkeypatch):
     assert rows == [["word", "diagnostic"], ["ab", "made up"]]
 
 
-def _crash(w):
+def _crash(w, index=None):
     raise RuntimeError("checker fault")
+
+
+def _value_fault(w, index=None):
+    raise ValueError("checker fault")
+
+
+def _verify_with_checker(capsys, monkeypatch, checker, mode):
+    spec = theorems.CLAIMS["PROP1"]
+    monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, checker=checker))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    return run_cli(
+        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "11",
+        "--format", "json", *mode,
+    )
 
 
 @pytest.mark.parametrize("mode", [["--sequential"], ["--parallel", "2"]])
 def test_verify_internal_error_exit_four(capsys, monkeypatch, mode):
-    spec = theorems.CLAIMS["PROP1"]
-    monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, checker=_crash))
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
-    code, out, err = run_cli(
-        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "11",
-        "--format", "json", *mode,
-    )
+    code, out, err = _verify_with_checker(capsys, monkeypatch, _crash, mode)
     assert code == 4
     assert out == ""
     assert "RuntimeError: checker fault" in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mode", [["--sequential"], ["--parallel", "2"]])
+def test_verify_checker_value_error_exit_four(capsys, monkeypatch, mode):
+    # a ValueError raised inside the walk is a fault, not a usage error
+    code, out, err = _verify_with_checker(capsys, monkeypatch, _value_fault, mode)
+    assert code == 4
+    assert out == ""
+    assert "ValueError: checker fault" in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "rich", "--alphabet", "ab", "--len", "3"],
+        ["census", "--alphabet", "ab", "--max-len", "3"],
+    ],
+)
+def test_predicate_value_error_exit_four(capsys, monkeypatch, argv):
+    monkeypatch.setitem(theorems.PREDICATES, "rich", _value_fault)
+    monkeypatch.setattr(theorems, "is_trapezoidal", _value_fault)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "ValueError: checker fault" in err
+
+
+def _slow(w, index=None):
+    time.sleep(0.001)  # ab/12 is 8191 words, ~4 s on two workers: finite if nothing stops them
+    return None
+
+
+def test_verify_ctrl_c_propagates_and_leaves_no_children(capsys, monkeypatch):
+    spec = theorems.CLAIMS["PROP1"]
+    monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, checker=_slow))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    pid = os.getpid()  # this process only: the pool's workers get no SIGINT
+    timer = threading.Timer(0.5, os.kill, (pid, signal.SIGINT))
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "PROP1", "--alphabet", "ab", "--max-len", "12", "--parallel", "2"])
+    finally:
+        timer.cancel()
+    assert capsys.readouterr().out == ""
     assert multiprocessing.active_children() == []
 
 
@@ -181,6 +240,13 @@ def test_verify_bad_alphabet_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "PROP1", "--alphabet", "aa", "--max-len", "2")
     assert code == 2
     assert "duplicate" in err
+
+
+def test_verify_negative_max_len_exit_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
 
 
 def test_enumerate_witnesses(capsys):

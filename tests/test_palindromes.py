@@ -52,7 +52,7 @@ def test_incremental_append_matches_batch():
     idx = PalindromeIndex()
     for ch in "abbaabba":
         idx.append(ch)
-    assert idx.word == "abbaabba"
+    assert idx.distinct_palindromes() == PalindromeIndex("abbaabba").distinct_palindromes()
     assert idx.palindrome_count == PalindromeIndex("abbaabba").palindrome_count
 
 
@@ -81,7 +81,7 @@ def test_seeded_random_words_agree_with_naive():
 
 def _state(idx):
     return (
-        idx.word,
+        "".join(idx._chars),
         idx.prefix_counts,
         idx.lengths(),
         idx.distinct_palindromes(),

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from wordlab import theorems
-from wordlab import CLAIMS, census, find_class_members, verify_claim
+from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
 from wordlab.generate import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
 
@@ -145,7 +145,32 @@ def test_blocks_cover_every_word_once(symbols, max_len):
     assert max(map(len, walks)) <= theorems._BLOCK_CAP
 
 
-def _planted(w):
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
+def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
+    blocks = theorems._blocks(symbols, max_len)
+    assert blocks[0][0] == "" and all(prefix for prefix, _ in blocks[1:])  # head and subtrees
+    for prefix, depth in blocks:
+        index = PalindromeIndex()
+        for w in theorems._walk(symbols, prefix, depth, index):
+            fresh = PalindromeIndex(w)
+            assert index.palindrome_count == fresh.palindrome_count, w
+            assert index.prefix_counts == fresh.prefix_counts, w
+            assert index.lengths() == fresh.lengths(), w
+
+
+def test_prop1_catches_a_pop_that_keeps_the_node(monkeypatch):
+    def leaky_pop(self):
+        # undoes the append but leaves any node it created in the tree
+        self.prefix_counts.pop()
+        self._suffix.pop()
+        return self._chars.pop()
+
+    assert verify_claim("PROP1", "ab", 8).verified
+    monkeypatch.setattr(PalindromeIndex, "pop", leaky_pop)
+    assert not verify_claim("PROP1", "ab", 8).verified
+
+
+def _planted(w, index=None):
     # fails on a scattered set of words, in every block
     return "planted" if (7 * w.count(w[:1]) + len(w)) % 5 == 1 else None
 
