@@ -63,6 +63,31 @@ def is_rich_by_returns(w: str) -> bool:
     return True
 
 
+def _end_returns_are_palindromes(w: str) -> bool:
+    """True iff every complete return to a palindromic factor of w that
+    ends at w's last symbol is a palindrome.
+
+    Such a return ends with a palindromic suffix u of w and starts at the
+    previous occurrence of u.  Every other complete return of w is one of
+    w[:-1], so is_rich_by_returns(w) equals is_rich_by_returns(w[:-1])
+    and this: a walk of the word tree can carry richness by returns from
+    parent to child.  Plain string search, no palindromic tree.
+    """
+    n = len(w)
+    if not n:
+        return True
+    last, rev = w[-1], w[::-1]  # w[i:] is a palindrome iff rev starts with it
+    i = n - 1  # start of a candidate suffix; a palindromic suffix starts with the last symbol
+    while i != -1:
+        u = w[i:]
+        if rev.startswith(u):
+            prev = w.rfind(u, 0, n - 1)
+            if prev != -1 and not rev.startswith(w[prev:]):
+                return False
+        i = w.rfind(last, 0, i)
+    return True
+
+
 def is_trapezoidal(w: str) -> bool:
     """True iff |w| = R + K (no-right-special length plus shortest
     unrepeated suffix length); the empty word qualifies (0 = 0 + 0)."""

@@ -4,9 +4,9 @@ A word is a plain Python string over a small alphabet of printable ASCII
 symbols; the empty string is the empty word.  Everything here is a pure
 function of its inputs.  The palindromic occurrences of a word are found
 by expanding around each of its 2N - 1 centres (_palindrome_spans).
-palindromic_factors and richness by complete returns read that scan, so
-neither depends on the palindromic tree, and the PROP1 and PAL_BOUND
-claims do not check the tree against itself.
+palindromic_factors and is_rich_by_returns read that scan, so neither
+depends on the palindromic tree, and the PAL_BOUND claim does not check
+the tree against itself.
 """
 
 from __future__ import annotations
@@ -111,6 +111,12 @@ def _palindrome_spans(w: str) -> Iterator[tuple[int, int]]:
     a palindrome u at start s has centre 2s + |u| - 1, so the occurrences
     of any one u come out in ascending start order, as consecutive
     occurrences.  The a^N word has N(N+1)/2 of them.
+
+    Read by palindromic_factors and by is_rich_by_returns, the single-word
+    richness-by-returns test and the tests' reference.  The verify walk
+    does not rescan: PROP1 carries richness by returns from each word to
+    its children, checking only the returns that end at the new symbol
+    (classify._end_returns_are_palindromes).
     """
     n = len(w)
     for k in range(n):

@@ -3,9 +3,13 @@
 Each claim is a per-word predicate evaluated over every word up to a
 length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk of the word tree (_walk) serves verify, enumerate and
-census; census, PROP1, PROP2 and THM_FGC read the PalindromeIndex it carries.
-Fixed subtree blocks and sorted counterexamples make parallel and
-sequential verify reports identical.
+census; census, PROP1 and THM_FGC read the PalindromeIndex it carries.
+A verify walk also carries a per-claim flag of a prefix-closed property
+from each word to its children (ClaimSpec.step): richness by complete
+returns for PROP1, and for PROP2 and BINARY_TRAP the trapezoidal flag,
+outside which their checkers never run (TRAP_CLOSED guards that
+pruning).  Fixed subtree blocks and sorted counterexamples make
+parallel and sequential verify reports identical.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from multiprocessing import Pool
 
 from .classify import (
     _B_mismatches,
+    _end_returns_are_palindromes,
     condition_B,
     condition_B_prime,
     has_trapezoidal_profile,
     is_finite_sturmian,
     is_palindrome,
     is_rich_by_count,
-    is_rich_by_returns,
     is_sturmian_palindrome,
     is_trapezoidal,
 )
@@ -58,21 +62,20 @@ def _check_budget(words: int, budget: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_prop1(w: str, index: PalindromeIndex) -> str | None:
+def _check_prop1(w: str, index: PalindromeIndex, by_returns: bool) -> str | None:
     by_count = index.palindrome_count == len(w)
-    by_returns = is_rich_by_returns(w)
     if by_count != by_returns:
         return f"rich by count={by_count}, rich by returns={by_returns}"
     return None
 
 
-def _check_prop2(w: str, index: PalindromeIndex) -> str | None:
-    if index.palindrome_count != len(w) and is_trapezoidal(w):
+def _check_prop2(w: str, index: None, trapezoidal: bool) -> str | None:
+    if not is_rich_by_count(w):
         return "trapezoidal but not rich"
     return None
 
 
-def _check_thm_fgc(w: str, index: PalindromeIndex) -> str | None:
+def _check_thm_fgc(w: str, index: PalindromeIndex, flag: None) -> str | None:
     rich_palindrome = is_palindrome(w) and index.palindrome_count == len(w)
     mismatches = _B_mismatches(subword_complexity(w), _palindromic_profile(index, len(w)))
     if rich_palindrome and mismatches:
@@ -83,7 +86,7 @@ def _check_thm_fgc(w: str, index: PalindromeIndex) -> str | None:
     return None
 
 
-def _check_thm_main(w: str, index: None) -> str | None:
+def _check_thm_main(w: str, index: None, flag: None) -> str | None:
     sturmian_pal = is_sturmian_palindrome(w)
     symmetric = condition_B_prime(w)
     trapezoidal_pal = is_palindrome(w) and is_trapezoidal(w)
@@ -95,14 +98,14 @@ def _check_thm_main(w: str, index: None) -> str | None:
     return None
 
 
-def _check_pal_bound(w: str, index: None) -> str | None:
+def _check_pal_bound(w: str, index: None, flag: None) -> str | None:
     count = len(palindromic_factors(w))
     if count > len(w) + 1:
         return f"{count} distinct palindromic factors, bound is {len(w) + 1}"
     return None
 
 
-def _check_period_ineq(w: str, index: None) -> str | None:
+def _check_period_ineq(w: str, index: None, flag: None) -> str | None:
     if not w:
         return None
     period = minimal_period(w)
@@ -112,14 +115,14 @@ def _check_period_ineq(w: str, index: None) -> str | None:
     return None
 
 
-def _check_binary_trap(w: str, index: None) -> str | None:
+def _check_binary_trap(w: str, index: None, trapezoidal: bool) -> str | None:
     symbols = len(set(w))
-    if symbols >= 3 and is_trapezoidal(w):
+    if symbols >= 3:
         return f"trapezoidal word over {symbols} distinct symbols"
     return None
 
 
-def _check_profile_equiv(w: str, index: None) -> str | None:
+def _check_profile_equiv(w: str, index: None, flag: None) -> str | None:
     if not w:
         return None  # difference profile undefined for the empty word
     by_indices = is_trapezoidal(w)
@@ -129,14 +132,41 @@ def _check_profile_equiv(w: str, index: None) -> str | None:
     return None
 
 
+def _check_trap_closed(w: str, index: None, flag: None) -> str | None:
+    if not is_trapezoidal(w):
+        return None
+    for part, v in (("w[:-1]", w[:-1]), ("w[1:]", w[1:]), ("the reversal", w[::-1])):
+        if not is_trapezoidal(v):
+            return f"trapezoidal, but {part} = {v!r} is not"
+    return None
+
+
+def _trapezoidal_step(w: str) -> bool:
+    # is_trapezoidal looked up per call, so a traced or patched one reaches the walk
+    return is_trapezoidal(w)
+
+
 @dataclass(frozen=True)
 class ClaimSpec:
-    """checker(w, index) returns a diagnostic or None.  Only indexed claims get the
-    walk's PalindromeIndex of w: PAL_BOUND and PROP1's returns route are the scans
-    it is checked against, and the rest would pay its upkeep for little or no use."""
+    """checker(w, index, flag) returns a diagnostic or None.
+
+    Only indexed claims get the walk's PalindromeIndex of w, else None:
+    PAL_BOUND's scan and PROP1's returns route are what it is checked
+    against, and the rest would pay its upkeep for little or no use.
+
+    A claim with a step gets the carried flag of w, else None: the walk
+    carries flag(w) = flag(w[:-1]) and step(w), taking the empty word's
+    parent flag as True, and runs step only where the parent's flag
+    holds.  The flag equals a property of w alone only if that property
+    is closed under prefixes.  With inside set, the checker runs only on
+    words whose flag holds; every word is still walked and counted.
+    These are fixed properties of each claim, not options.
+    """
     description: str
-    checker: Callable[[str, PalindromeIndex | None], str | None]
+    checker: Callable[[str, PalindromeIndex | None, bool | None], str | None]
     indexed: bool = False
+    step: Callable[[str], bool] | None = None
+    inside: bool = False
 
 
 CLAIMS: dict[str, ClaimSpec] = {
@@ -144,8 +174,14 @@ CLAIMS: dict[str, ClaimSpec] = {
         "richness by palindrome count agrees with richness by complete returns",
         _check_prop1,
         indexed=True,
+        step=_end_returns_are_palindromes,  # a complete return in w[:-1] is one in w
     ),
-    "PROP2": ClaimSpec("every trapezoidal word is rich", _check_prop2, indexed=True),
+    "PROP2": ClaimSpec(
+        "every trapezoidal word is rich",
+        _check_prop2,
+        step=_trapezoidal_step,  # closed under factors (de Luca 1999); see TRAP_CLOSED
+        inside=True,
+    ),
     "THM_FGC": ClaimSpec(
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
@@ -162,11 +198,18 @@ CLAIMS: dict[str, ClaimSpec] = {
         "the minimal period is at least R+1 for every nonempty word", _check_period_ineq
     ),
     "BINARY_TRAP": ClaimSpec(
-        "no trapezoidal word uses three or more distinct symbols", _check_binary_trap
+        "no trapezoidal word uses three or more distinct symbols",
+        _check_binary_trap,
+        step=_trapezoidal_step,
+        inside=True,
     ),
     "PROFILE_EQUIV": ClaimSpec(
         "|w| = R+K agrees with the 1^r 0^s (-1)^r difference-profile shape",
         _check_profile_equiv,
+    ),
+    "TRAP_CLOSED": ClaimSpec(
+        "if w is trapezoidal, so are w[:-1], w[1:] and the reversal of w",
+        _check_trap_closed,
     ),
 }
 
@@ -250,11 +293,23 @@ def _blocks(symbols: str, max_len: int) -> list[tuple[str, int]]:
 
 def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, str]]]:
     claim, symbols, prefix, depth = task
-    checker, index = CLAIMS[claim].checker, PalindromeIndex() if CLAIMS[claim].indexed else None
+    spec = CLAIMS[claim]
+    checker, step, inside = spec.checker, spec.step, spec.inside
+    index = PalindromeIndex() if spec.indexed else None
+    # flag_at[n + 1] is the carried flag of the path's word of length n
+    flag_at, flag = [True] * (len(prefix) + depth + 2), None
     checked, bad = 0, []
     try:
+        if step is not None:
+            for n in range(len(prefix)):  # the prefix's proper ancestors, which the walk skips
+                flag_at[n + 1] = flag_at[n] and step(prefix[:n])
         for checked, w in enumerate(_walk(symbols, prefix, depth, index), 1):
-            if (diag := checker(w, index)) is not None:
+            if step is not None:
+                n = len(w)
+                flag = flag_at[n + 1] = flag_at[n] and step(w)
+                if inside and not flag:
+                    continue
+            if (diag := checker(w, index, flag)) is not None:
                 bad.append((w, diag))
     except ValueError as exc:  # the CLI reads ValueError as a usage error; here it is a fault
         raise RuntimeError(f"claim {claim} raised ValueError: {exc}") from exc

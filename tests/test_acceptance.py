@@ -76,7 +76,7 @@ def test_criterion_03_sturmian_palindrome_three_way():
 
 
 def test_criterion_04_trapezoidal_implies_rich_with_witnesses():
-    rep = verify_claim("PROP2", "ab", 16)
+    rep = verify_claim("PROP2", "ab", 20)
     failures = list(rep.counterexamples)
     rich_not_trap = find_class_members("rich_not_trapezoidal", "ab", 6)
     if "aabbaa" not in rich_not_trap:
@@ -86,7 +86,7 @@ def test_criterion_04_trapezoidal_implies_rich_with_witnesses():
         failures.append(("aaabab", "missing from trapezoidal-but-not-Sturmian enumeration"))
     report(
         4,
-        "no trapezoidal-but-not-rich word, binary <=16; length-6 witnesses found",
+        "no trapezoidal-but-not-rich word, binary <=20; length-6 witnesses found",
         failures,
         f"{rep.words_checked} words",
     )
@@ -263,4 +263,17 @@ def test_criterion_14_census_closed_forms():
         14,
         "binary census: balanced = 1 + sum (n-k+1) phi(k) to n=16, rich = A216264 to n=13",
         failures,
+    )
+
+
+def test_criterion_15_trapezoidal_words_are_closed_under_factors():
+    # PROP2 and BINARY_TRAP check only the trapezoidal subtree, which this justifies
+    binary = verify_claim("TRAP_CLOSED", "ab", 16)
+    ternary = verify_claim("TRAP_CLOSED", "abc", 10)
+    report(
+        15,
+        "w[:-1], w[1:] and the reversal of a trapezoidal word are trapezoidal, "
+        "binary <=16 and ternary <=10",
+        binary.counterexamples + ternary.counterexamples,
+        f"{binary.words_checked + ternary.words_checked} words",
     )

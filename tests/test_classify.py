@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wordlab import classify, condition_B_prime, is_sturmian_palindrome, is_trapezoidal
 from wordlab.classify import (
+    _end_returns_are_palindromes,
     condition_B,
     condition_B_mismatches,
     has_trapezoidal_profile,
@@ -56,6 +57,22 @@ def test_is_rich_by_count(w, expected):
 )
 def test_is_rich_by_returns(w, expected):
     assert is_rich_by_returns(w) is expected
+
+
+@pytest.mark.parametrize(
+    "w,expected",
+    [
+        ("", True),
+        ("aaa", True),  # the returns to a and aa overlap their occurrences
+        ("abca", False),  # the return abca to a
+        ("abcaa", True),  # abca is not rich, but its bad return does not end at the end
+        ("acbcab", False),  # the return bcab to b
+        ("aababbaa", False),  # the return aa to a is fine; the return to aa is the whole word
+        ("abaccaba", True),
+    ],
+)
+def test_end_returns_are_palindromes(w, expected):
+    assert _end_returns_are_palindromes(w) is expected
 
 
 @pytest.mark.parametrize(

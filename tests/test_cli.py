@@ -130,17 +130,17 @@ def test_verify_counterexample_exit_code(capsys, monkeypatch):
     assert rows == [["word", "diagnostic"], ["ab", "made up"]]
 
 
-def _crash(w, index=None):
+def _crash(w, index=None, flag=None):
     raise RuntimeError("checker fault")
 
 
-def _value_fault(w, index=None):
+def _value_fault(w, index=None, flag=None):
     raise ValueError("checker fault")
 
 
-def _verify_with_checker(capsys, monkeypatch, checker, mode):
+def _verify_with_checker(capsys, monkeypatch, checker, mode, field="checker"):
     spec = theorems.CLAIMS["PROP1"]
-    monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, checker=checker))
+    monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, **{field: checker}))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     return run_cli(
         capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "11",
@@ -167,6 +167,16 @@ def test_verify_checker_value_error_exit_four(capsys, monkeypatch, mode):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("mode", [["--sequential"], ["--parallel", "2"]])
+def test_verify_carried_step_value_error_exit_four(capsys, monkeypatch, mode):
+    # the step that carries PROP1's flag runs inside the walk too
+    code, out, err = _verify_with_checker(capsys, monkeypatch, _value_fault, mode, "step")
+    assert code == 4
+    assert out == ""
+    assert "ValueError: checker fault" in err
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -183,7 +193,7 @@ def test_predicate_value_error_exit_four(capsys, monkeypatch, argv):
     assert "ValueError: checker fault" in err
 
 
-def _slow(w, index=None):
+def _slow(w, index=None, flag=None):
     time.sleep(0.001)  # ab/12 is 8191 words, ~4 s on two workers: finite if nothing stops them
     return None
 

@@ -6,6 +6,7 @@ import pytest
 
 from wordlab import theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
+from wordlab.classify import is_rich_by_returns, is_trapezoidal
 from wordlab.generate import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
 
@@ -20,6 +21,7 @@ def test_claim_registry_is_complete():
         "PERIOD_INEQ",
         "BINARY_TRAP",
         "PROFILE_EQUIV",
+        "TRAP_CLOSED",
     ]
 
 
@@ -158,6 +160,75 @@ def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
             assert index.lengths() == fresh.lengths(), w
 
 
+def _flags_seen(monkeypatch, claim, symbols, prefix, depth):
+    """(word, carried flag) for every word of one block, checker restriction lifted."""
+    seen = []
+    spec = dataclasses.replace(
+        theorems.CLAIMS[claim], checker=lambda w, index, flag: seen.append((w, flag)), inside=False
+    )
+    monkeypatch.setitem(theorems.CLAIMS, claim, spec)
+    checked, _ = theorems._run_block((claim, symbols, prefix, depth))
+    assert checked == len(seen)
+    return seen
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
+def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_len):
+    for prefix, depth in theorems._blocks(symbols, max_len):
+        for w, flag in _flags_seen(monkeypatch, "PROP1", symbols, prefix, depth):
+            assert flag is is_rich_by_returns(w), w
+        for w, flag in _flags_seen(monkeypatch, "PROP2", symbols, prefix, depth):
+            assert flag is is_trapezoidal(w), w
+
+
+def test_carried_flag_starts_from_the_prefix_ancestors(monkeypatch):
+    # abca is not rich; abcaa ends in no bad return, so only its parent's flag says so
+    seen = _flags_seen(monkeypatch, "PROP1", "abc", "abcaa", 2)
+    assert seen[0] == ("abcaa", False)
+    assert [flag for _, flag in seen] == [False] * 13
+
+
+def _trapezoidal_only(claim):
+    original = theorems.CLAIMS[claim].checker
+
+    def checker(w, index, flag):
+        assert flag is True and is_trapezoidal(w), w
+        return original(w, index, flag)
+
+    return checker
+
+
+@pytest.mark.parametrize("claim", ["PROP2", "BINARY_TRAP"])
+@pytest.mark.parametrize("symbols,max_len", [("ab", 10), ("abc", 7)])
+def test_restricted_checkers_see_only_trapezoidal_words(monkeypatch, claim, symbols, max_len):
+    spec = theorems.CLAIMS[claim]
+    monkeypatch.setitem(
+        theorems.CLAIMS, claim, dataclasses.replace(spec, checker=_trapezoidal_only(claim))
+    )
+    report = verify_claim(claim, symbols, max_len)
+    assert report.verified and report.words_checked == word_count(len(symbols), max_len)
+
+
+def _planted_everywhere(w, index=None, flag=None):
+    return "planted"
+
+
+# ba/12 and cab/8 merge 5 and 10 blocks; abc/10 seeds each block's flag from a length-4 prefix
+@pytest.mark.parametrize("symbols,max_len", [("ba", 12), ("cab", 8), ("abc", 10)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_restricted_claim_reports_every_trapezoidal_word_in_order(
+    monkeypatch, symbols, max_len, workers
+):
+    spec = theorems.CLAIMS["BINARY_TRAP"]
+    planted = dataclasses.replace(spec, checker=_planted_everywhere)
+    monkeypatch.setitem(theorems.CLAIMS, "BINARY_TRAP", planted)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    report = verify_claim("BINARY_TRAP", symbols, max_len, workers=workers)
+    expected = [(w, "planted") for w in words_up_to(symbols, max_len) if is_trapezoidal(w)]
+    assert report.counterexamples == expected
+    assert report.words_checked == word_count(len(symbols), max_len)
+
+
 def test_prop1_catches_a_pop_that_keeps_the_node(monkeypatch):
     def leaky_pop(self):
         # undoes the append but leaves any node it created in the tree
@@ -170,7 +241,7 @@ def test_prop1_catches_a_pop_that_keeps_the_node(monkeypatch):
     assert not verify_claim("PROP1", "ab", 8).verified
 
 
-def _planted(w, index=None):
+def _planted(w, index=None, flag=None):
     # fails on a scattered set of words, in every block
     return "planted" if (7 * w.count(w[:1]) + len(w)) % 5 == 1 else None
 
