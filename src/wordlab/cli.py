@@ -3,8 +3,8 @@
 Subcommands: analyze one word, verify a claim exhaustively, enumerate
 class members at one length, tabulate a census, or emit a Sturmian
 corpus.  Exit codes: 0 success/verified, 1 counterexamples found,
-2 usage error, 3 word-budget or word-length refusal, 4 internal error
-(a traceback on stderr, nothing on stdout).
+2 usage error (core.UsageError), 3 word-budget or word-length refusal,
+4 any other exception, in any command (traceback on stderr, no stdout).
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ import sys
 import traceback
 
 from .classify import classify
-from .core import MAX_ALPHABET_SIZE
+from .core import DEFAULT_BUDGET, Alphabet, BudgetExceededError, UsageError
 from .generate import sturmian_corpus
 from .theorems import (
     CENSUS_CLASSES,
     CLAIMS,
-    DEFAULT_BUDGET,
     PREDICATES,
-    BudgetExceededError,
     VerificationReport,
     census,
     find_class_members,
@@ -76,11 +74,7 @@ def _emit_words(fmt: str, header: dict, words: list[str]) -> None:
 
 def analyze_payload(word: str) -> dict:
     """Flat JSON-ready record with profiles, indices, factors, and verdicts."""
-    if not (word.isascii() and (word == "" or word.isprintable())):
-        raise ValueError("word must consist of printable ASCII symbols")
-    alphabet = "".join(sorted(set(word)))
-    if len(alphabet) > MAX_ALPHABET_SIZE:
-        raise ValueError(f"word uses more than {MAX_ALPHABET_SIZE} distinct symbols")
+    alphabet = Alphabet(sorted(set(word))).as_string if word else ""  # printable, <= 26 symbols
     if len(word) > MAX_ANALYZE_LENGTH:
         raise BudgetExceededError(
             f"word of length {len(word)} exceeds the analyze limit of {MAX_ANALYZE_LENGTH}"
@@ -342,12 +336,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception:
         # a fault in the program, not a finding: exit 1 would read as counterexamples
         traceback.print_exc()

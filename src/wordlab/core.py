@@ -1,12 +1,13 @@
-"""Basic operations on finite words.
+"""Basic operations on finite words, and the package's error boundary.
 
 A word is a plain Python string over a small alphabet of printable ASCII
-symbols; the empty string is the empty word.  Everything here is a pure
-function of its inputs.  The palindromic occurrences of a word are found
-by expanding around each of its 2N - 1 centres (_palindrome_spans).
-palindromic_factors and is_rich_by_returns read that scan, so neither
-depends on the palindromic tree, and the PAL_BOUND claim does not check
-the tree against itself.
+symbols; the empty string is the empty word.  The palindromic occurrences
+of a word are found by expanding around each of its 2N - 1 centres
+(_palindrome_spans).  palindromic_factors and is_rich_by_returns read
+that scan, so neither depends on the palindromic tree, and the PAL_BOUND
+claim does not check the tree against itself.  Only a check of caller
+input raises UsageError, and check_budget raises BudgetExceededError;
+any other exception is a fault.  The CLI exits 2, 3 and 4 on these.
 """
 
 from __future__ import annotations
@@ -14,6 +15,23 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 MAX_ALPHABET_SIZE = 26
+DEFAULT_BUDGET = 1 << 26  # refuse enumerations beyond ~67M words
+
+
+class UsageError(ValueError):
+    """Invalid caller input: the only error the CLI reports as a usage error."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration would exceed the configured word budget."""
+
+
+def check_budget(words: int, budget: int, what: str) -> None:
+    """Refuse a negative budget, and an enumeration of more words than it."""
+    if budget < 0:
+        raise UsageError(f"budget must be non-negative, got {budget}")
+    if words > budget:
+        raise BudgetExceededError(f"{words} {what} exceeds the budget of {budget}")
 
 
 class Alphabet:
@@ -28,15 +46,15 @@ class Alphabet:
     def __init__(self, symbols: Iterable[str]) -> None:
         syms = tuple(symbols)
         if not 1 <= len(syms) <= MAX_ALPHABET_SIZE:
-            raise ValueError(
+            raise UsageError(
                 f"alphabet must have 1..{MAX_ALPHABET_SIZE} symbols, got {len(syms)}"
             )
         seen: set[str] = set()
         for s in syms:
             if len(s) != 1 or not (s.isascii() and s.isprintable()):
-                raise ValueError(f"not a printable ASCII symbol: {s!r}")
+                raise UsageError(f"not a printable ASCII symbol: {s!r}")
             if s in seen:
-                raise ValueError(f"duplicate symbol: {s!r}")
+                raise UsageError(f"duplicate symbol: {s!r}")
             seen.add(s)
         self.symbols = syms
 
@@ -48,7 +66,7 @@ class Alphabet:
         """Return w unchanged, or raise if it uses symbols outside the alphabet."""
         for ch in w:
             if ch not in self.symbols:
-                raise ValueError(f"symbol {ch!r} not in alphabet {self.as_string!r}")
+                raise UsageError(f"symbol {ch!r} not in alphabet {self.as_string!r}")
         return w
 
     def __len__(self) -> int:

@@ -1,5 +1,5 @@
-"""Word sources: exhaustive enumeration, seeded random sampling, and a
-Sturmian corpus built from rational-slope Christoffel words.
+"""Word sources: seeded random sampling and a Sturmian corpus built
+from rational-slope Christoffel words.
 
 Christoffel words are computed with exact integer arithmetic (no
 floating-point slopes), and every factor of one is a finite Sturmian
@@ -8,27 +8,10 @@ word, which is what makes them a safe corpus generator.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from collections.abc import Iterator
 
-from .core import Alphabet, as_alphabet
-
-
-def all_words(alphabet: Alphabet | str, n: int) -> Iterator[str]:
-    """Yield every length-n word once, in the alphabet's lexicographic order."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    alpha = as_alphabet(alphabet)
-    for tail in itertools.product(alpha.symbols, repeat=n):
-        yield "".join(tail)
-
-
-def words_up_to(alphabet: Alphabet | str, max_len: int) -> Iterator[str]:
-    """Yield every word of length 0..max_len, shortest first, lexicographic."""
-    for n in range(max_len + 1):
-        yield from all_words(alphabet, n)
+from .core import DEFAULT_BUDGET, Alphabet, UsageError, as_alphabet, check_budget
 
 
 def lower_christoffel(p: int, q: int) -> str:
@@ -57,16 +40,21 @@ def central_word(p: int, q: int) -> str:
 def sturmian_corpus(max_denominator: int, max_factor_len: int) -> set[str]:
     """Factors (up to max_factor_len) of every lower Christoffel word with
     p + q <= max_denominator.  Every member is a finite Sturmian word.
+    Refuses, before building, a loop of more than DEFAULT_BUDGET slices.
     """
     if max_denominator < 1 or max_factor_len < 1:
-        raise ValueError("bounds must be positive")
+        raise UsageError("bounds must be positive")
+    slices = 0
+    for n in range(2, max_denominator + 1):
+        words = sum(math.gcd(p, n) == 1 for p in range(1, n))  # phi(n) words of length n
+        slices += words * sum(min(max_factor_len, m) for m in range(1, n + 1))
+        check_budget(slices, DEFAULT_BUDGET, f"Christoffel factor slices up to length {n}")
     out: set[str] = set()
     for n in range(2, max_denominator + 1):
         for p in range(1, n):
-            q = n - p
-            if math.gcd(p, q) != 1:
+            if math.gcd(p, n) != 1:
                 continue
-            w = lower_christoffel(p, q)
+            w = lower_christoffel(p, n - p)
             out.add("")
             for i in range(len(w)):
                 for j in range(i + 1, min(i + max_factor_len, len(w)) + 1):

@@ -1,14 +1,32 @@
-"""Naive set-based profiles, palindromic factors, right special factors
-and borders, the reference for the test suite.
+"""Product-loop word enumeration and naive set-based profiles,
+palindromic factors, right special factors and borders: the reference
+for the test suite, so obviously correct.
 
-Each routine slices factors of w directly, so it is obviously correct.
-The suffix-automaton C(n) and the palindromic-tree P(n) in
-wordlab.complexity, the palindromic tree itself, the centre-expansion
-scan in wordlab.core and the R, K and period scans are checked against
-it.  Nothing in the package imports this module.
+The word-tree walk, the suffix-automaton C(n) and the palindromic-tree
+P(n) in wordlab.complexity, the palindromic tree itself, the
+centre-expansion scan in wordlab.core and the R, K and period scans are
+checked against it.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Iterator
+
+from .core import Alphabet, as_alphabet
+
+
+def all_words(alphabet: Alphabet | str, n: int) -> Iterator[str]:
+    """Yield every length-n word once, in lexicographic order; n < 0 raises ValueError."""
+    alpha = as_alphabet(alphabet)
+    for tail in itertools.product(alpha.symbols, repeat=n):
+        yield "".join(tail)
+
+
+def words_up_to(alphabet: Alphabet | str, max_len: int) -> Iterator[str]:
+    """Yield every word of length 0..max_len, shortest first, lexicographic."""
+    for n in range(max_len + 1):
+        yield from all_words(alphabet, n)
 
 
 def subword_complexity(w: str) -> list[int]:

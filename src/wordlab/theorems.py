@@ -9,7 +9,8 @@ from each word to its children (ClaimSpec.step): richness by complete
 returns for PROP1, and for PROP2 and BINARY_TRAP the trapezoidal flag,
 outside which their checkers never run (TRAP_CLOSED guards that
 pruning).  Fixed subtree blocks and sorted counterexamples make
-parallel and sequential verify reports identical.
+parallel and sequential verify reports identical.  Bad arguments raise
+core.UsageError before any walk; nothing raised inside a walk is caught.
 """
 
 from __future__ import annotations
@@ -33,28 +34,16 @@ from .classify import (
     is_trapezoidal,
 )
 from .complexity import _palindromic_profile, minimal_period, r_index, subword_complexity
-from .core import Alphabet, as_alphabet, palindromic_factors
+from .core import DEFAULT_BUDGET, Alphabet, UsageError, as_alphabet, check_budget
+from .core import BudgetExceededError, palindromic_factors  # the error stays importable here
 from .palindromes import PalindromeIndex
 
-DEFAULT_BUDGET = 1 << 26  # refuse enumerations beyond ~67M words
 _BLOCK_CAP = 2048  # max words enumerated per work block
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configured word budget."""
 
 
 def word_count(alphabet_size: int, max_len: int) -> int:
     """Number of words of length 0..max_len over an alphabet of that size."""
     return sum(alphabet_size**n for n in range(max_len + 1))
-
-
-def _check_budget(words: int, budget: int, what: str) -> None:
-    """Refuse a negative budget, and an enumeration of more words than it."""
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    if words > budget:
-        raise BudgetExceededError(f"{words} {what} exceeds the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +288,17 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
     # flag_at[n + 1] is the carried flag of the path's word of length n
     flag_at, flag = [True] * (len(prefix) + depth + 2), None
     checked, bad = 0, []
-    try:
+    if step is not None:
+        for n in range(len(prefix)):  # the prefix's proper ancestors, which the walk skips
+            flag_at[n + 1] = flag_at[n] and step(prefix[:n])
+    for checked, w in enumerate(_walk(symbols, prefix, depth, index), 1):
         if step is not None:
-            for n in range(len(prefix)):  # the prefix's proper ancestors, which the walk skips
-                flag_at[n + 1] = flag_at[n] and step(prefix[:n])
-        for checked, w in enumerate(_walk(symbols, prefix, depth, index), 1):
-            if step is not None:
-                n = len(w)
-                flag = flag_at[n + 1] = flag_at[n] and step(w)
-                if inside and not flag:
-                    continue
-            if (diag := checker(w, index, flag)) is not None:
-                bad.append((w, diag))
-    except ValueError as exc:  # the CLI reads ValueError as a usage error; here it is a fault
-        raise RuntimeError(f"claim {claim} raised ValueError: {exc}") from exc
+            n = len(w)
+            flag = flag_at[n + 1] = flag_at[n] and step(w)
+            if inside and not flag:
+                continue
+        if (diag := checker(w, index, flag)) is not None:
+            bad.append((w, diag))
     return checked, bad
 
 
@@ -331,13 +317,13 @@ def verify_claim(
     BudgetExceededError before enumerating more than `budget` words.
     """
     if claim not in CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
+        raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
     if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise UsageError(f"workers must be at least 1, got {workers}")
     alpha = as_alphabet(alphabet)
     if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    _check_budget(
+        raise UsageError("max_len must be non-negative")
+    check_budget(
         word_count(len(alpha), max_len),
         budget,
         f"words of length <= {max_len} over {len(alpha)} symbols",
@@ -401,16 +387,13 @@ def find_class_members(
     """All words of exactly the given length satisfying a named predicate,
     in lexicographic order."""
     if predicate not in PREDICATES:
-        raise ValueError(f"unknown predicate {predicate!r}; known: {', '.join(PREDICATES)}")
+        raise UsageError(f"unknown predicate {predicate!r}; known: {', '.join(PREDICATES)}")
     alpha = as_alphabet(alphabet)
     if length < 0:
-        raise ValueError("length must be non-negative")
-    _check_budget(len(alpha) ** length, budget, f"words of length {length}")
+        raise UsageError("length must be non-negative")
+    check_budget(len(alpha) ** length, budget, f"words of length {length}")
     check = PREDICATES[predicate]
-    try:
-        return [w for w in _walk(alpha.as_string, "", length) if len(w) == length and check(w)]
-    except ValueError as exc:  # a fault, as in _run_block
-        raise RuntimeError(f"predicate {predicate} raised ValueError: {exc}") from exc
+    return [w for w in _walk(alpha.as_string, "", length) if len(w) == length and check(w)]
 
 
 CENSUS_CLASSES = (
@@ -472,8 +455,8 @@ def census(
     """
     alpha = as_alphabet(alphabet)
     if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    _check_budget(word_count(len(alpha), max_len), budget, f"words of length <= {max_len}")
+        raise UsageError("max_len must be non-negative")
+    check_budget(word_count(len(alpha), max_len), budget, f"words of length <= {max_len}")
     total = [0] * (max_len + 1)
     counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
     rich, trapezoidal, balanced = counts["rich"], counts["trapezoidal"], counts["balanced"]
@@ -484,21 +467,18 @@ def census(
     trap_at, bal_at = [True] * (max_len + 1), [True] * (max_len + 1)
     walk = _walk(alpha.as_string, "", max_len, index)
     next(walk)  # skip the empty word
-    try:
-        for w in walk:
-            n = len(w)
-            total[n] += 1
-            rich[n] += index.palindrome_count == n
-            trap = trap_at[n] = trap_at[n - 1] and is_trapezoidal(w)
-            bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
-            trapezoidal[n] += trap
-            balanced[n] += bal
-            if is_palindrome(w):
-                sturmian_pal[n] += bal
-                cond_b[n] += condition_B(w)
-                cond_b_prime[n] += condition_B_prime(w)
-    except ValueError as exc:  # a fault, as in _run_block
-        raise RuntimeError(f"census raised ValueError: {exc}") from exc
+    for w in walk:
+        n = len(w)
+        total[n] += 1
+        rich[n] += index.palindrome_count == n
+        trap = trap_at[n] = trap_at[n - 1] and is_trapezoidal(w)
+        bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
+        trapezoidal[n] += trap
+        balanced[n] += bal
+        if is_palindrome(w):
+            sturmian_pal[n] += bal
+            cond_b[n] += condition_B(w)
+            cond_b_prime[n] += condition_B_prime(w)
     return CensusTable(
         alphabet=alpha.as_string,
         max_len=max_len,

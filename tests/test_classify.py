@@ -20,9 +20,9 @@ from wordlab.classify import (
 )
 from wordlab.complexity import word_profile
 from wordlab.core import is_palindrome
-from wordlab.generate import lower_christoffel, words_up_to
+from wordlab.generate import lower_christoffel
 from wordlab import oracle
-from wordlab.oracle import palindromic_complexity, palindromic_factors
+from wordlab.oracle import palindromic_complexity, palindromic_factors, words_up_to
 
 binary_words = st.text(alphabet="ab", max_size=18)
 

@@ -10,8 +10,11 @@ import time
 
 import pytest
 
-from wordlab import theorems
-from wordlab.cli import MAX_ANALYZE_LENGTH, main
+from wordlab import census, difference_profile, find_class_members, lower_christoffel
+from wordlab import sturmian_corpus, theorems, verify_claim
+from wordlab.classify import is_balanced
+from wordlab.cli import MAX_ANALYZE_LENGTH, analyze_payload, main
+from wordlab.core import Alphabet, UsageError
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +80,41 @@ def test_analyze_rejects_unparseable_word(capsys):
     code, _, err = run_cli(capsys, "analyze", "a\tb")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Alphabet(""),
+        lambda: Alphabet("a\tb"),
+        lambda: Alphabet("aa"),
+        lambda: Alphabet("ab").validate_word("abc"),
+        lambda: verify_claim("NOPE", "ab", 2),
+        lambda: verify_claim("PROP1", "ab", 2, workers=0),
+        lambda: verify_claim("PROP1", "ab", -1),
+        lambda: find_class_members("nope", "ab", 2),
+        lambda: find_class_members("rich", "ab", -1),
+        lambda: census("ab", -1),
+        lambda: census("ab", 2, budget=-1),
+        lambda: analyze_payload("a\tb"),
+        lambda: analyze_payload("abcdefghijklmnopqrstuvwxyz0"),
+        lambda: sturmian_corpus(0, 3),
+    ],
+)
+def test_caller_input_raises_usage_error(call):
+    with pytest.raises(UsageError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: is_balanced("abc"), lambda: difference_profile(""), lambda: lower_christoffel(2, 4)],
+)
+def test_domain_errors_are_not_usage_errors(call):
+    # raised inside a command, these are faults (exit 4), not usage errors
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, UsageError)
 
 
 def test_analyze_length_limit(capsys):
@@ -193,6 +231,25 @@ def test_predicate_value_error_exit_four(capsys, monkeypatch, argv):
     assert "ValueError: checker fault" in err
 
 
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("wordlab.cli.classify", ["analyze", "abaab"]),
+        (
+            "wordlab.generate.lower_christoffel",
+            ["corpus", "--max-denominator", "5", "--max-factor-len", "3"],
+        ),
+    ],
+)
+def test_plain_value_error_is_a_fault_in_every_command(capsys, monkeypatch, target, argv):
+    # only core.UsageError, raised where caller input is checked, exits 2
+    monkeypatch.setattr(target, _value_fault)
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "ValueError: checker fault" in err
+
+
 def _slow(w, index=None, flag=None):
     time.sleep(0.001)  # ab/12 is 8191 words, ~4 s on two workers: finite if nothing stops them
     return None
@@ -302,6 +359,15 @@ def test_census_json(capsys):
     payload = json.loads(out)
     assert payload["lengths"] == [1, 2, 3]
     assert payload["rich"] == [2, 4, 8]
+
+
+def test_corpus_over_the_budget_exit_three(capsys):
+    code, out, err = run_cli(
+        capsys, "corpus", "--max-denominator", "200", "--max-factor-len", "200"
+    )
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
 
 
 def test_corpus_output(capsys):

@@ -9,8 +9,13 @@ from wordlab.complexity import (
     r_index,
     structural_indices,
 )
-from wordlab.generate import lower_christoffel, words_up_to
-from wordlab.oracle import longest_border, palindromic_factors, right_special_factors
+from wordlab.generate import lower_christoffel
+from wordlab.oracle import (
+    longest_border,
+    palindromic_factors,
+    right_special_factors,
+    words_up_to,
+)
 
 binary_words = st.text(alphabet="ab", max_size=40)
 

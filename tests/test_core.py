@@ -10,8 +10,7 @@ from wordlab.core import (
     occurrences,
     palindromic_factors,
 )
-from wordlab.oracle import longest_border
-from wordlab.generate import words_up_to
+from wordlab.oracle import longest_border, words_up_to
 
 binary_words = st.text(alphabet="ab", max_size=30)
 

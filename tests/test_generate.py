@@ -12,25 +12,11 @@ from wordlab import (
     lower_christoffel,
     sturmian_corpus,
 )
+from wordlab import generate
 from wordlab.classify import is_finite_sturmian, is_rich_by_count
-from wordlab.core import is_palindrome
-from wordlab.generate import all_words, random_words, words_up_to
-
-
-def test_all_words_examples():
-    assert list(all_words("ab", 2)) == ["aa", "ab", "ba", "bb"]
-    assert len(list(all_words("ab", 5))) == 32
-    assert list(all_words("a", 3)) == ["aaa"]
-    assert list(all_words("ab", 0)) == [""]
-
-
-def test_all_words_respects_alphabet_order():
-    assert list(all_words("ba", 2)) == ["bb", "ba", "ab", "aa"]
-
-
-def test_words_up_to():
-    got = list(words_up_to("ab", 2))
-    assert got == ["", "a", "b", "aa", "ab", "ba", "bb"]
+from wordlab.core import BudgetExceededError, is_palindrome
+from wordlab.generate import random_words
+from wordlab.oracle import words_up_to
 
 
 @pytest.mark.parametrize(
@@ -98,6 +84,45 @@ def test_corpus_rejects_non_positive_bounds():
         sturmian_corpus(0, 3)
     with pytest.raises(ValueError):
         sturmian_corpus(3, 0)
+
+
+def _loop_slices(max_denominator, max_factor_len):
+    """The factor slices sturmian_corpus's build loop takes, counted by running it."""
+    slices = 0
+    for total in range(2, max_denominator + 1):
+        for p in range(1, total):
+            if math.gcd(p, total - p) == 1:
+                w = lower_christoffel(p, total - p)
+                slices += sum(min(max_factor_len, len(w) - i) for i in range(len(w)))
+    return slices
+
+
+@pytest.mark.parametrize(
+    "max_denominator,max_factor_len", [(2, 1), (3, 2), (9, 4), (12, 30), (17, 5)]
+)
+def test_corpus_budget_counts_the_loop_slices(monkeypatch, max_denominator, max_factor_len):
+    slices = _loop_slices(max_denominator, max_factor_len)
+    monkeypatch.setattr(generate, "DEFAULT_BUDGET", slices)
+    assert sturmian_corpus(max_denominator, max_factor_len)
+    monkeypatch.setattr(generate, "DEFAULT_BUDGET", slices - 1)
+    with pytest.raises(BudgetExceededError, match="factor slices"):
+        sturmian_corpus(max_denominator, max_factor_len)
+
+
+def test_corpus_budget_refuses_before_building(monkeypatch):
+    def unreachable(p, q):
+        raise AssertionError("built a word before refusing")
+
+    monkeypatch.setattr(generate, "lower_christoffel", unreachable)
+    with pytest.raises(BudgetExceededError, match="length 172 exceeds the budget of 67108864"):
+        sturmian_corpus(200, 200)
+    with pytest.raises(BudgetExceededError):
+        sturmian_corpus(10**9, 1)
+
+
+def test_corpus_under_the_budget_still_runs():
+    corpus = sturmian_corpus(40, 40)
+    assert max(len(w) for w in corpus) == 40
 
 
 def test_corpus_covers_all_short_sturmian_binary_words():

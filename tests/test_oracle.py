@@ -1,4 +1,5 @@
-"""Differential tests: the linear profile kernels against wordlab.oracle."""
+"""Differential tests: the linear profile kernels against wordlab.oracle,
+and the oracle's own word enumeration."""
 
 import random
 import string
@@ -8,9 +9,8 @@ from hypothesis import strategies as st
 
 from wordlab import palindromic_complexity, subword_complexity
 from wordlab.complexity import StructuralIndices, k_index, r_index, word_profile
-from wordlab.generate import words_up_to
 from wordlab import oracle
-from wordlab.oracle import longest_border, palindromic_factors
+from wordlab.oracle import all_words, longest_border, palindromic_factors, words_up_to
 
 
 @st.composite
@@ -18,6 +18,22 @@ def words_over_up_to_26_letters(draw, max_len):
     k = draw(st.integers(1, 26))
     n = draw(st.integers(0, max_len))
     return draw(st.text(alphabet=string.ascii_lowercase[:k], min_size=n, max_size=n))
+
+
+def test_all_words_examples():
+    assert list(all_words("ab", 2)) == ["aa", "ab", "ba", "bb"]
+    assert len(list(all_words("ab", 5))) == 32
+    assert list(all_words("a", 3)) == ["aaa"]
+    assert list(all_words("ab", 0)) == [""]
+
+
+def test_all_words_respects_alphabet_order():
+    assert list(all_words("ba", 2)) == ["bb", "ba", "ab", "aa"]
+
+
+def test_words_up_to():
+    got = list(words_up_to("ab", 2))
+    assert got == ["", "a", "b", "aa", "ab", "ba", "bb"]
 
 
 def test_kernels_match_oracle_on_all_ternary_words_up_to_8():

@@ -18,8 +18,9 @@ from wordlab.core import (
     occurrences,
     palindromic_factors,
 )
-from wordlab.generate import lower_christoffel, words_up_to
+from wordlab.generate import lower_christoffel
 from wordlab import oracle
+from wordlab.oracle import words_up_to
 
 
 def palindromic_closure(u: str) -> str:

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordlab import PalindromeIndex
-from wordlab.oracle import palindromic_factors
-from wordlab.generate import random_words, words_up_to
+from wordlab.oracle import palindromic_factors, words_up_to
+from wordlab.generate import random_words
 from wordlab.palindromes import index_count_palindromes
 
 words = st.text(alphabet="abc", max_size=60)

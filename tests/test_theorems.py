@@ -7,7 +7,7 @@ import pytest
 from wordlab import theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
 from wordlab.classify import is_rich_by_returns, is_trapezoidal
-from wordlab.generate import words_up_to
+from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
 
 
