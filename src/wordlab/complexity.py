@@ -11,7 +11,9 @@ tree PalindromeIndex gives P(n).  word_profile computes C, P, D, the
 structural indices and the palindromic factor list of a word once.  The
 indices R, K and the minimal period keep their own direct scans, so the
 claims that compare them with the profiles compare independent
-algorithms.  The naive set-based C and P live in wordlab.oracle.
+algorithms.  _r_index_from and _minimal_period_from run the R and period
+scans from a lower bound, the parent's value in a walk of the word tree.
+The naive set-based C and P live in wordlab.oracle.
 
 The records here are NamedTuples, not frozen dataclasses: each class is
 built when the module is imported, and a frozen dataclass costs about
@@ -161,6 +163,19 @@ def r_index(w: str) -> int:
     return lo
 
 
+def _r_index_from(w: str, start: int) -> int:
+    """r_index(w) for any start <= r_index(w): the first p >= start at
+    which w has no right special factor.
+
+    A right special factor of w[:-1] stays right special in w, so R never
+    decreases along a word's prefixes and R(w[:-1]) is such a start; a
+    walk of the word tree then probes one or two lengths per word.
+    """
+    while _has_right_special(w, start):
+        start += 1
+    return start
+
+
 def k_index(w: str) -> int:
     """Length of the shortest suffix occurring exactly once in w; 0 for the empty word.
 
@@ -181,8 +196,18 @@ def minimal_period(w: str) -> int:
     """
     if not w:
         raise ValueError("period undefined for the empty word")
+    return _minimal_period_from(w, 1)
+
+
+def _minimal_period_from(w: str, start: int) -> int:
+    """minimal_period(w) for any 1 <= start <= minimal_period(w), w non-empty.
+
+    Every period of w is a period of w[:-1], so the minimal period never
+    decreases along a word's prefixes and minimal_period(w[:-1]) is such
+    a start.
+    """
     n = len(w)
-    for p in range(1, n):
+    for p in range(start, n):
         if w[p:] == w[: n - p]:
             return p
     return n

@@ -4,10 +4,12 @@ A word is a plain Python string over a small alphabet of printable ASCII
 symbols; the empty string is the empty word.  The palindromic occurrences
 of a word are found by expanding around each of its 2N - 1 centres
 (_palindrome_spans).  palindromic_factors and is_rich_by_returns read
-that scan, so neither depends on the palindromic tree, and the PAL_BOUND
-claim does not check the tree against itself.  Only a check of caller
-input raises UsageError, and check_budget raises BudgetExceededError;
-any other exception is a fault.  The CLI exits 2, 3 and 4 on these.
+that scan, so neither depends on the palindromic tree.  The PAL_BOUND
+claim counts palindromic factors by string search along the verify walk
+(_new_palindromic_suffixes), so it does not check the tree against
+itself either.  Only a check of caller input raises UsageError, and
+check_budget raises BudgetExceededError; any other exception is a
+fault.  The CLI exits 2, 3 and 4 on these.
 """
 
 from __future__ import annotations
@@ -61,13 +63,6 @@ class Alphabet:
     @property
     def as_string(self) -> str:
         return "".join(self.symbols)
-
-    def validate_word(self, w: str) -> str:
-        """Return w unchanged, or raise if it uses symbols outside the alphabet."""
-        for ch in w:
-            if ch not in self.symbols:
-                raise UsageError(f"symbol {ch!r} not in alphabet {self.as_string!r}")
-        return w
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -160,3 +155,22 @@ def palindromic_factors(w: str) -> set[str]:
     """
     return {w[i:j] for i, j in _palindrome_spans(w)} | {""}
 
+
+def _new_palindromic_suffixes(w: str) -> int:
+    """Number of palindromic suffixes of w that do not occur in w[:-1].
+
+    These are the palindromic factors of w that w[:-1] lacks, so a walk
+    of the word tree carries the count of distinct palindromic factors
+    from parent to child.  Every palindromic suffix is tested, not only
+    the longest: the count must not assume the at-most-one-new bound
+    (Droubay, Justin & Pirillo 2001) that the PAL_BOUND claim checks.
+    Plain string search, no palindromic tree.
+    """
+    rev = w[::-1]  # w[i:] is a palindrome iff rev starts with it
+    new = 0
+    i = len(w) - 1  # a non-empty palindromic suffix starts with the last symbol
+    while i > -1:
+        u = w[i:]
+        new += rev.startswith(u) and w.find(u) == i
+        i = w.rfind(w[-1], 0, i)
+    return new

@@ -4,13 +4,16 @@ Each claim is a per-word predicate evaluated over every word up to a
 length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk of the word tree (_walk) serves verify, enumerate and
 census; census, PROP1 and THM_FGC read the PalindromeIndex it carries.
-A verify walk also carries a per-claim flag of a prefix-closed property
-from each word to its children (ClaimSpec.step): richness by complete
-returns for PROP1, and for PROP2 and BINARY_TRAP the trapezoidal flag,
-outside which their checkers never run (TRAP_CLOSED guards that
-pruning).  Fixed subtree blocks and sorted counterexamples make
-parallel and sequential verify reports identical.  Bad arguments raise
-core.UsageError before any walk; nothing raised inside a walk is caught.
+A verify walk also carries a per-claim state from each word to its
+children (ClaimSpec.step).  A state is either the flag of a prefix-closed
+property, richness by complete returns for PROP1 and trapezoidality for
+PROP2 and BINARY_TRAP, outside which their checkers never run
+(TRAP_CLOSED guards that pruning), or a per-word value updated from the
+parent's: C for THM_FGC, the palindromic factor count for PAL_BOUND, and
+(R, K, minimal period) for PERIOD_INEQ and PROFILE_EQUIV.  Fixed subtree
+blocks and sorted counterexamples make parallel and sequential verify
+reports identical.  Bad arguments raise core.UsageError before any walk;
+nothing raised inside a walk is caught.
 """
 
 from __future__ import annotations
@@ -33,9 +36,16 @@ from .classify import (
     is_sturmian_palindrome,
     is_trapezoidal,
 )
-from .complexity import _palindromic_profile, minimal_period, r_index, subword_complexity
-from .core import DEFAULT_BUDGET, Alphabet, UsageError, as_alphabet, check_budget
-from .core import BudgetExceededError, palindromic_factors  # the error stays importable here
+from .complexity import (
+    StructuralIndices,
+    _minimal_period_from,
+    _palindromic_profile,
+    _r_index_from,
+    k_index,
+)
+from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
+from .core import DEFAULT_BUDGET, Alphabet, UsageError, _new_palindromic_suffixes, as_alphabet
+from .core import BudgetExceededError, check_budget  # the error stays importable here
 from .palindromes import PalindromeIndex
 
 _BLOCK_CAP = 2048  # max words enumerated per work block
@@ -64,9 +74,9 @@ def _check_prop2(w: str, index: None, trapezoidal: bool) -> str | None:
     return None
 
 
-def _check_thm_fgc(w: str, index: PalindromeIndex, flag: None) -> str | None:
+def _check_thm_fgc(w: str, index: PalindromeIndex, complexity: list[int]) -> str | None:
     rich_palindrome = is_palindrome(w) and index.palindrome_count == len(w)
-    mismatches = _B_mismatches(subword_complexity(w), _palindromic_profile(index, len(w)))
+    mismatches = _B_mismatches(complexity, _palindromic_profile(index, len(w)))
     if rich_palindrome and mismatches:
         n, lhs, rhs = mismatches[0]
         return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
@@ -87,18 +97,17 @@ def _check_thm_main(w: str, index: None, flag: None) -> str | None:
     return None
 
 
-def _check_pal_bound(w: str, index: None, flag: None) -> str | None:
-    count = len(palindromic_factors(w))
+def _check_pal_bound(w: str, index: None, count: int) -> str | None:
     if count > len(w) + 1:
         return f"{count} distinct palindromic factors, bound is {len(w) + 1}"
     return None
 
 
-def _check_period_ineq(w: str, index: None, flag: None) -> str | None:
+def _check_period_ineq(w: str, index: None, indices: StructuralIndices) -> str | None:
     if not w:
         return None
-    period = minimal_period(w)
-    bound = r_index(w) + 1
+    period = indices.min_period
+    bound = indices.r_index + 1
     if period < bound:
         return f"minimal period {period} < R+1 = {bound}"
     return None
@@ -111,10 +120,10 @@ def _check_binary_trap(w: str, index: None, trapezoidal: bool) -> str | None:
     return None
 
 
-def _check_profile_equiv(w: str, index: None, flag: None) -> str | None:
+def _check_profile_equiv(w: str, index: None, indices: StructuralIndices) -> str | None:
     if not w:
         return None  # difference profile undefined for the empty word
-    by_indices = is_trapezoidal(w)
+    by_indices = len(w) == indices.r_index + indices.k_index
     runs = has_trapezoidal_profile(w)
     if by_indices != (runs is not None):
         return f"index trapezoidal={by_indices}, difference-profile runs={runs}"
@@ -130,31 +139,75 @@ def _check_trap_closed(w: str, index: None, flag: None) -> str | None:
     return None
 
 
-def _trapezoidal_step(w: str) -> bool:
+# Steps: step(w, state of w[:-1]) is the state of w, and of "" the empty word's.
+
+
+def _returns_step(w: str, rich: bool) -> bool:
+    return _end_returns_are_palindromes(w)  # a complete return in w[:-1] is one in w
+
+
+def _trapezoidal_step(w: str, trapezoidal: bool) -> bool:
     # is_trapezoidal looked up per call, so a traced or patched one reaches the walk
     return is_trapezoidal(w)
 
 
+def _complexity_step(w: str, c: list[int]) -> list[int]:
+    # the new factors of w are its unrepeated suffixes, one of each length K..|w|
+    if not w:
+        return [1, 0]
+    k = k_index(w)
+    return [*c[:k], *[x + 1 for x in c[k:]], 0]
+
+
+def _palindrome_count_step(w: str, count: int) -> int:
+    return count + _new_palindromic_suffixes(w) if w else 1
+
+
+def _indices_step(w: str, parent: StructuralIndices) -> StructuralIndices:
+    # R and the minimal period never decrease along prefixes, so each scan starts at the parent's
+    if not w:
+        return StructuralIndices(0, 0, None)
+    return StructuralIndices(
+        _r_index_from(w, parent.r_index),
+        k_index(w),
+        _minimal_period_from(w, parent.min_period or 1),
+    )
+
+
 @dataclass(frozen=True)
 class ClaimSpec:
-    """checker(w, index, flag) returns a diagnostic or None.
+    """checker(w, index, state) returns a diagnostic or None.
 
     Only indexed claims get the walk's PalindromeIndex of w, else None:
-    PAL_BOUND's scan and PROP1's returns route are what it is checked
+    PAL_BOUND's count and PROP1's returns route are what it is checked
     against, and the rest would pay its upkeep for little or no use.
 
-    A claim with a step gets the carried flag of w, else None: the walk
-    carries flag(w) = flag(w[:-1]) and step(w), taking the empty word's
-    parent flag as True, and runs step only where the parent's flag
-    holds.  The flag equals a property of w alone only if that property
-    is closed under prefixes.  With inside set, the checker runs only on
-    words whose flag holds; every word is still walked and counted.
+    A claim with a step gets the carried state of w, else None: the walk
+    carries state(w) = state(w[:-1]) and step(w, state(w[:-1])), taking
+    the empty word's parent state as True, so step runs only under a
+    truthy parent state and a falsy one passes to every descendant.
+    step("", True) is the empty word's state.  Two kinds of state:
+
+    - A flag of a property closed under prefixes, which then equals the
+      property of w alone: richness by complete returns (PROP1) and
+      trapezoidality (PROP2, BINARY_TRAP).  With inside set, the checker
+      runs only on words whose flag holds; every word is still walked
+      and counted.
+    - A value, never falsy, each from a fact about appending a symbol:
+      C for THM_FGC (one new factor at each length from K(w) to |w|);
+      the number of distinct palindromic factors, the empty word
+      included, for PAL_BOUND (the new ones are palindromic suffixes);
+      and StructuralIndices for PERIOD_INEQ and PROFILE_EQUIV (R and the
+      minimal period never decrease, so their scans start at the
+      parent's; K is k_index).  PROFILE_EQUIV's D still comes from a
+      suffix automaton per word, independent of the carried R and K.
+
     These are fixed properties of each claim, not options.
     """
     description: str
-    checker: Callable[[str, PalindromeIndex | None, bool | None], str | None]
+    checker: Callable[[str, PalindromeIndex | None, object], str | None]
     indexed: bool = False
-    step: Callable[[str], bool] | None = None
+    step: Callable[[str, object], object] | None = None
     inside: bool = False
 
 
@@ -163,7 +216,7 @@ CLAIMS: dict[str, ClaimSpec] = {
         "richness by palindrome count agrees with richness by complete returns",
         _check_prop1,
         indexed=True,
-        step=_end_returns_are_palindromes,  # a complete return in w[:-1] is one in w
+        step=_returns_step,
     ),
     "PROP2": ClaimSpec(
         "every trapezoidal word is rich",
@@ -175,16 +228,21 @@ CLAIMS: dict[str, ClaimSpec] = {
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
         indexed=True,
+        step=_complexity_step,  # ties C to K, so PROFILE_EQUIV must not use it
     ),
     "THM_MAIN": ClaimSpec(
         "Sturmian palindrome == symmetric palindromic complexity == trapezoidal palindrome",
         _check_thm_main,
     ),
     "PAL_BOUND": ClaimSpec(
-        "no word has more than |w|+1 distinct palindromic factors", _check_pal_bound
+        "no word has more than |w|+1 distinct palindromic factors",
+        _check_pal_bound,
+        step=_palindrome_count_step,
     ),
     "PERIOD_INEQ": ClaimSpec(
-        "the minimal period is at least R+1 for every nonempty word", _check_period_ineq
+        "the minimal period is at least R+1 for every nonempty word",
+        _check_period_ineq,
+        step=_indices_step,
     ),
     "BINARY_TRAP": ClaimSpec(
         "no trapezoidal word uses three or more distinct symbols",
@@ -195,6 +253,7 @@ CLAIMS: dict[str, ClaimSpec] = {
     "PROFILE_EQUIV": ClaimSpec(
         "|w| = R+K agrees with the 1^r 0^s (-1)^r difference-profile shape",
         _check_profile_equiv,
+        step=_indices_step,
     ),
     "TRAP_CLOSED": ClaimSpec(
         "if w is trapezoidal, so are w[:-1], w[1:] and the reversal of w",
@@ -285,19 +344,21 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
     spec = CLAIMS[claim]
     checker, step, inside = spec.checker, spec.step, spec.inside
     index = PalindromeIndex() if spec.indexed else None
-    # flag_at[n + 1] is the carried flag of the path's word of length n
-    flag_at, flag = [True] * (len(prefix) + depth + 2), None
+    # state_at[n + 1] is the carried state of the path's word of length n
+    state_at, state = [True] * (len(prefix) + depth + 2), None
     checked, bad = 0, []
     if step is not None:
         for n in range(len(prefix)):  # the prefix's proper ancestors, which the walk skips
-            flag_at[n + 1] = flag_at[n] and step(prefix[:n])
+            parent = state_at[n]
+            state_at[n + 1] = parent and step(prefix[:n], parent)
     for checked, w in enumerate(_walk(symbols, prefix, depth, index), 1):
         if step is not None:
             n = len(w)
-            flag = flag_at[n + 1] = flag_at[n] and step(w)
-            if inside and not flag:
+            parent = state_at[n]
+            state = state_at[n + 1] = parent and step(w, parent)
+            if inside and not state:
                 continue
-        if (diag := checker(w, index, flag)) is not None:
+        if (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
     return checked, bad
 

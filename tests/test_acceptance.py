@@ -62,10 +62,10 @@ def test_criterion_01_richness_routes_agree():
 
 
 def test_criterion_02_rich_palindrome_identity():
-    rep = verify_claim("THM_FGC", "ab", 14)
+    rep = verify_claim("THM_FGC", "ab", 16)
     report(
         2,
-        "rich palindrome <=> P(n)+P(n+1) = C(n+1)-C(n)+2 pointwise, binary <=14",
+        "rich palindrome <=> P(n)+P(n+1) = C(n+1)-C(n)+2 pointwise, binary <=16",
         rep.counterexamples,
         f"{rep.words_checked} words",
     )
@@ -101,6 +101,10 @@ def test_criterion_04_trapezoidal_implies_rich_with_witnesses():
 def test_criterion_05_palindromic_factor_bound_characterizes_richness():
     failures = []
     checked = 0
+    for alphabet, max_len in (("ab", 16), ("abc", 10)):  # the claim's carried count
+        rep = verify_claim("PAL_BOUND", alphabet, max_len)
+        failures += rep.counterexamples
+        checked += rep.words_checked
     for alphabet, max_len in (("ab", 14), ("abc", 9)):
         for w in words_up_to(alphabet, max_len):
             checked += 1
@@ -111,14 +115,15 @@ def test_criterion_05_palindromic_factor_bound_characterizes_richness():
                 failures.append((w, "bound equality disagrees with is_rich"))
     report(
         5,
-        "palindromic factor count <= |w|+1, equality exactly on rich words",
+        "palindromic factor count <= |w|+1 (binary <=16, ternary <=10), equality exactly "
+        "on rich words (binary <=14, ternary <=9)",
         failures,
         f"{checked} words",
     )
 
 
 def test_criterion_06_period_inequality_and_border_identity():
-    rep = verify_claim("PERIOD_INEQ", "ab", 14)
+    rep = verify_claim("PERIOD_INEQ", "ab", 16)
     failures = list(rep.counterexamples)
     for w in words_up_to("ab", 14):
         if not w:
@@ -128,7 +133,7 @@ def test_criterion_06_period_inequality_and_border_identity():
             failures.append((w, "border identity violated"))
     report(
         6,
-        "minimal period >= R+1 and equals |w| - |longest border|, binary <=14",
+        "minimal period >= R+1 (binary <=16) and equals |w| - |longest border| (binary <=14)",
         failures,
         f"{rep.words_checked} words",
     )

@@ -88,7 +88,6 @@ def test_analyze_rejects_unparseable_word(capsys):
         lambda: Alphabet(""),
         lambda: Alphabet("a\tb"),
         lambda: Alphabet("aa"),
-        lambda: Alphabet("ab").validate_word("abc"),
         lambda: verify_claim("NOPE", "ab", 2),
         lambda: verify_claim("PROP1", "ab", 2, workers=0),
         lambda: verify_claim("PROP1", "ab", -1),

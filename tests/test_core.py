@@ -33,12 +33,6 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet("a\n")
 
-    def test_validate_word(self):
-        ab = Alphabet("ab")
-        assert ab.validate_word("abba") == "abba"
-        with pytest.raises(ValueError):
-            ab.validate_word("abc")
-
 
 @pytest.mark.parametrize(
     "w,expected",

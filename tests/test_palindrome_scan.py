@@ -1,8 +1,10 @@
 """The centre-expansion scan of palindromic occurrences against the
 definitions: core.palindromic_factors against the naive oracle, and
 richness by returns against every complete return to every palindromic
-factor.  Neither route may touch the palindromic tree."""
+factor.  Neither route, nor PAL_BOUND's carried count, may touch the
+palindromic tree."""
 
+import dataclasses
 import string
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordlab import theorems
 from wordlab.classify import is_rich_by_count, is_rich_by_returns, unbalance_witness
 from wordlab.core import (
     _palindrome_spans,
@@ -21,6 +24,7 @@ from wordlab.core import (
 from wordlab.generate import lower_christoffel
 from wordlab import oracle
 from wordlab.oracle import words_up_to
+from wordlab.theorems import verify_claim
 
 
 def palindromic_closure(u: str) -> str:
@@ -130,12 +134,19 @@ def test_scan_matches_definitions_on_structured_words():
 def test_routes_do_not_use_the_palindromic_tree(monkeypatch):
     words = [*words_up_to("abc", 5), *structured_words()]
     expected = [(is_rich_by_returns(w), palindromic_factors(w)) for w in words]
+    counts = {}
+
+    def record(w, index, count):
+        counts[w] = count
+
+    pal_bound = dataclasses.replace(theorems.CLAIMS["PAL_BOUND"], checker=record)
+    monkeypatch.setitem(theorems.CLAIMS, "PAL_BOUND", pal_bound)
 
     class Refused:
         def __init__(self, *args, **kwargs):
             raise AssertionError("PalindromeIndex used")
 
-    for name in ("wordlab.palindromes", "wordlab.classify"):
+    for name in ("wordlab.palindromes", "wordlab.classify", "wordlab.theorems"):
         monkeypatch.setattr(sys.modules[name], "PalindromeIndex", Refused)
     # the patch bites: the counting route and the witness need the tree
     with pytest.raises(AssertionError):
@@ -143,3 +154,6 @@ def test_routes_do_not_use_the_palindromic_tree(monkeypatch):
     with pytest.raises(AssertionError):
         unbalance_witness("ab")
     assert [(is_rich_by_returns(w), palindromic_factors(w)) for w in words] == expected
+    # PAL_BOUND's carried count, through the sequential walk
+    assert verify_claim("PAL_BOUND", "abc", 7).verified
+    assert counts == {w: len(palindromic_factors(w)) for w in words_up_to("abc", 7)}

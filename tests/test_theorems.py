@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from wordlab import theorems
+from wordlab import oracle, theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
 from wordlab.classify import is_rich_by_returns, is_trapezoidal
+from wordlab.complexity import structural_indices
+from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
 
@@ -160,11 +162,11 @@ def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
             assert index.lengths() == fresh.lengths(), w
 
 
-def _flags_seen(monkeypatch, claim, symbols, prefix, depth):
-    """(word, carried flag) for every word of one block, checker restriction lifted."""
+def _states_seen(monkeypatch, claim, symbols, prefix, depth):
+    """(word, carried state) for every word of one block, checker restriction lifted."""
     seen = []
     spec = dataclasses.replace(
-        theorems.CLAIMS[claim], checker=lambda w, index, flag: seen.append((w, flag)), inside=False
+        theorems.CLAIMS[claim], checker=lambda w, index, state: seen.append((w, state)), inside=False
     )
     monkeypatch.setitem(theorems.CLAIMS, claim, spec)
     checked, _ = theorems._run_block((claim, symbols, prefix, depth))
@@ -175,17 +177,82 @@ def _flags_seen(monkeypatch, claim, symbols, prefix, depth):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_len):
     for prefix, depth in theorems._blocks(symbols, max_len):
-        for w, flag in _flags_seen(monkeypatch, "PROP1", symbols, prefix, depth):
+        for w, flag in _states_seen(monkeypatch, "PROP1", symbols, prefix, depth):
             assert flag is is_rich_by_returns(w), w
-        for w, flag in _flags_seen(monkeypatch, "PROP2", symbols, prefix, depth):
+        for w, flag in _states_seen(monkeypatch, "PROP2", symbols, prefix, depth):
             assert flag is is_trapezoidal(w), w
+
+
+# the carried values against direct computations of each word
+INVARIANTS = {
+    "THM_FGC": oracle.subword_complexity,
+    "PAL_BOUND": lambda w: len(oracle.palindromic_factors(w)),
+    "PERIOD_INEQ": structural_indices,
+    "PROFILE_EQUIV": structural_indices,
+}
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
+def test_walk_states_are_the_invariants_of_each_word(monkeypatch, symbols, max_len):
+    for prefix, depth in theorems._blocks(symbols, max_len):
+        for claim, direct in INVARIANTS.items():
+            for w, state in _states_seen(monkeypatch, claim, symbols, prefix, depth):
+                assert state == direct(w), (claim, w)
+
+
+def _long_prefixes():
+    rng_word = random_words("ab", 300, 1, seed=0x5EED)[0]
+    quaternary = random_words("abcd", 300, 1, seed=0xC0DE)[0]
+    window = lower_christoffel(89, 233)[5:305]  # balanced, R and the period in the hundreds
+    return [("ab", rng_word), ("abcd", quaternary), ("ab", window), ("ab", "a" * 299 + "b")]
+
+
+@pytest.mark.parametrize(
+    "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
+)
+def test_walk_states_from_a_long_prefix(monkeypatch, symbols, prefix):
+    # the 300 ancestors are stepped before the block, so the seeded scans run at N = 300
+    assert len(prefix) == 300
+    for claim, direct in INVARIANTS.items():
+        seen = _states_seen(monkeypatch, claim, symbols, prefix, 2)
+        assert len(seen) == 1 + len(symbols) + len(symbols) ** 2
+        for w, state in seen:
+            assert state == direct(w), (claim, w)
 
 
 def test_carried_flag_starts_from_the_prefix_ancestors(monkeypatch):
     # abca is not rich; abcaa ends in no bad return, so only its parent's flag says so
-    seen = _flags_seen(monkeypatch, "PROP1", "abc", "abcaa", 2)
+    seen = _states_seen(monkeypatch, "PROP1", "abc", "abcaa", 2)
     assert seen[0] == ("abcaa", False)
     assert [flag for _, flag in seen] == [False] * 13
+
+
+@pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if spec.step])
+def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
+    spec = theorems.CLAIMS[claim]
+    states = []
+
+    def step(w, parent):
+        assert parent, (w, parent)
+        states.append(spec.step(w, parent))
+        return states[-1]
+
+    monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
+    assert verify_claim(claim, "abc", 7).verified
+    theorems._run_block((claim, "abc", "abcaa", 2))  # ancestors of a prefix under the same rule
+    ancestors = sum(len(prefix) for prefix, _ in theorems._blocks("abc", 7)) + 5
+    walked = word_count(3, 7) + 13 + ancestors
+    if claim in ("PROP1", "PROP2", "BINARY_TRAP"):  # false flags prune the steps below them
+        assert False in states and len(states) < walked
+    else:  # values are never falsy, so every word is stepped
+        assert all(states) and len(states) == walked
+
+
+def test_pal_bound_reports_a_count_above_the_bound():
+    assert theorems._check_pal_bound("abab", None, 5) is None
+    assert theorems._check_pal_bound("abab", None, 6) == (
+        "6 distinct palindromic factors, bound is 5"
+    )
 
 
 def _trapezoidal_only(claim):
