@@ -6,8 +6,9 @@ identities between subword and palindromic complexity rely on that
 convention, so callers should not truncate it away.
 
 Each profile has one kernel, linear in N up to the alphabet factor: the
-suffix automaton (Blumer et al. 1985) gives C(n) and the palindromic
-tree PalindromeIndex gives P(n).  word_profile computes C, P, D, the
+suffix automaton SuffixAutomaton (Blumer et al. 1985) gives D and C(n),
+the palindromic tree PalindromeIndex gives P(n), and a walk of the word
+tree carries either, undoing appends.  word_profile computes C, P, D, the
 structural indices and the palindromic factor list of a word once.  The
 indices R, K and the minimal period keep their own direct scans, so the
 claims that compare them with the profiles compare independent
@@ -28,32 +29,44 @@ from typing import NamedTuple
 from .palindromes import PalindromeIndex
 
 
-def subword_complexity(w: str) -> list[int]:
-    """C[n] = number of distinct factors of w of length n, for n = 0..N+1.
+class SuffixAutomaton:
+    """Suffix automaton (Blumer et al. 1985), built one symbol at a time; pop undoes an append.
 
-    Each non-root state of the suffix automaton of w stands for exactly
-    one factor of each length len(link)+1 .. len, so C is the prefix sum
-    of a difference array over those intervals.
+    State v stands for the factors of lengths length[link[v]]+1 .. length[v]
+    with one set of end positions.  difference is D: the new factors of wa
+    are its suffixes longer than L = length[link[last]], so D(wa) is D(w)
+    with -1 appended, then +1 at index L.  pop re-walks the suffix links from
+    the previous last state, so an append records only the state it cloned.
     """
-    length = [0]
-    link = [-1]
-    trans: list[dict[str, int]] = [{}]
-    last = 0
-    for ch in w:
+
+    __slots__ = ("length", "link", "trans", "difference", "_last", "_cloned")
+
+    def __init__(self, word: str = "") -> None:
+        self.length, self.link, self.trans = [0], [-1], [{}]
+        self.difference: list[int] = []
+        # _last[i] is the state of word[:i]; _cloned, per append, the state it cloned or -1
+        self._last, self._cloned = [0], []
+        for ch in word:
+            self.append(ch)
+
+    def append(self, ch: str) -> int:
+        """Append one symbol; return L, the length of the longest suffix seen before."""
+        length, link, trans = self.length, self.link, self.trans
+        p = self._last[-1]
         cur = len(length)
-        length.append(length[last] + 1)
+        length.append(length[p] + 1)
         link.append(0)
         trans.append({})
-        p = last
         while p != -1 and ch not in trans[p]:
             trans[p][ch] = cur
             p = link[p]
+        cloned = -1
         if p != -1:
             q = trans[p][ch]
             if length[p] + 1 == length[q]:
                 link[cur] = q
             else:
-                clone = len(length)
+                cloned, clone = q, len(length)
                 length.append(length[p] + 1)
                 link.append(link[q])
                 trans.append(trans[q].copy())
@@ -61,14 +74,35 @@ def subword_complexity(w: str) -> list[int]:
                     trans[p][ch] = clone
                     p = link[p]
                 link[q] = link[cur] = clone
-        last = cur
-    delta = [0] * (len(w) + 2)
-    delta[0] = 1  # the root: the empty word
-    delta[1] = -1
-    for v in range(1, len(length)):
-        delta[length[link[v]] + 1] += 1
-        delta[length[v] + 1] -= 1
-    return list(accumulate(delta))
+        self._last.append(cur)
+        self._cloned.append(cloned)
+        self.difference.append(-1)
+        self.difference[length[link[cur]]] += 1
+        return length[link[cur]]
+
+    def pop(self) -> str:
+        """Undo the last append and return its symbol; IndexError when empty."""
+        length, link, trans = self.length, self.link, self.trans
+        q, cur = self._cloned.pop(), self._last.pop()
+        self.difference[length[link[cur]]] -= 1
+        self.difference.pop()
+        p = self._last[-1]
+        (ch,) = trans[p]  # the last state has no edges before an append adds one
+        if q != -1:
+            link[q] = link[cur + 1]  # q may lie on the chain below
+        while p != -1 and trans[p].get(ch) == cur:
+            del trans[p][ch]
+            p = link[p]
+        while q != -1 and p != -1 and trans[p].get(ch) == cur + 1:
+            trans[p][ch] = q
+            p = link[p]
+        del length[cur:], link[cur:], trans[cur:]
+        return ch
+
+
+def subword_complexity(w: str) -> list[int]:
+    """C[n] = number of distinct factors of w of length n, n = 0..N+1: the sums of 1, D, -1."""
+    return list(accumulate([1, *SuffixAutomaton(w).difference, -1]))
 
 
 def _palindromic_profile(index: PalindromeIndex, n: int) -> list[int]:
@@ -99,7 +133,7 @@ class DifferenceProfile(NamedTuple):
     trapezoid_runs: tuple[int, int] | None
 
 
-def _run_decomposition(values: tuple[int, ...]) -> tuple[int, int] | None:
+def _run_decomposition(values: tuple[int, ...] | list[int]) -> tuple[int, int] | None:
     n = len(values)
     r = 0
     while r < n and values[r] == 1:

@@ -3,14 +3,12 @@
 Each claim is a per-word predicate evaluated over every word up to a
 length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk of the word tree (_walk) serves verify, enumerate and
-census; census, PROP1 and THM_FGC read the PalindromeIndex it carries.
-A verify walk also carries a per-claim state from each word to its
-children (ClaimSpec.step).  A state is either the flag of a prefix-closed
-property, richness by complete returns for PROP1 and trapezoidality for
-PROP2 and BINARY_TRAP, outside which their checkers never run
+census; census, PROP1 and THM_FGC read the PalindromeIndex it carries,
+PROFILE_EQUIV a SuffixAutomaton.  A verify walk also carries a per-claim
+state from each word to its children (ClaimSpec.step): the flag of a
+prefix-closed property, outside which PROP2 and BINARY_TRAP never run
 (TRAP_CLOSED guards that pruning), or a per-word value updated from the
-parent's: C for THM_FGC, the palindromic factor count for PAL_BOUND, and
-(R, K, minimal period) for PERIOD_INEQ and PROFILE_EQUIV.  Fixed subtree
+parent's, such as C for THM_FGC or (R, K) for PROFILE_EQUIV.  Fixed subtree
 blocks and sorted counterexamples make parallel and sequential verify
 reports identical.  Bad arguments raise core.UsageError before any walk;
 nothing raised inside a walk is caught.
@@ -29,7 +27,6 @@ from .classify import (
     _end_returns_are_palindromes,
     condition_B,
     condition_B_prime,
-    has_trapezoidal_profile,
     is_finite_sturmian,
     is_palindrome,
     is_rich_by_count,
@@ -37,10 +34,11 @@ from .classify import (
     is_trapezoidal,
 )
 from .complexity import (
-    StructuralIndices,
+    SuffixAutomaton,
     _minimal_period_from,
     _palindromic_profile,
     _r_index_from,
+    _run_decomposition,
     k_index,
 )
 from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
@@ -49,6 +47,7 @@ from .core import BudgetExceededError, check_budget  # the error stays importabl
 from .palindromes import PalindromeIndex
 
 _BLOCK_CAP = 2048  # max words enumerated per work block
+Undoable = PalindromeIndex | SuffixAutomaton  # what a walk can carry: append, and pop to undo it
 
 
 def word_count(alphabet_size: int, max_len: int) -> int:
@@ -103,11 +102,11 @@ def _check_pal_bound(w: str, index: None, count: int) -> str | None:
     return None
 
 
-def _check_period_ineq(w: str, index: None, indices: StructuralIndices) -> str | None:
+def _check_period_ineq(w: str, index: None, r_and_period: tuple[int, int | None]) -> str | None:
     if not w:
         return None
-    period = indices.min_period
-    bound = indices.r_index + 1
+    r, period = r_and_period
+    bound = r + 1
     if period < bound:
         return f"minimal period {period} < R+1 = {bound}"
     return None
@@ -120,20 +119,23 @@ def _check_binary_trap(w: str, index: None, trapezoidal: bool) -> str | None:
     return None
 
 
-def _check_profile_equiv(w: str, index: None, indices: StructuralIndices) -> str | None:
+def _check_profile_equiv(w: str, automaton: SuffixAutomaton, rk: tuple[int, int]) -> str | None:
     if not w:
         return None  # difference profile undefined for the empty word
-    by_indices = len(w) == indices.r_index + indices.k_index
-    runs = has_trapezoidal_profile(w)
+    by_indices = len(w) == sum(rk)
+    runs = _run_decomposition(automaton.difference)
     if by_indices != (runs is not None):
         return f"index trapezoidal={by_indices}, difference-profile runs={runs}"
     return None
 
 
-def _check_trap_closed(w: str, index: None, flag: None) -> str | None:
-    if not is_trapezoidal(w):
+def _check_trap_closed(w: str, index: None, state: tuple[int, int, bool]) -> str | None:
+    r, k, parent_trapezoidal = state
+    if len(w) != r + k:
         return None
-    for part, v in (("w[:-1]", w[:-1]), ("w[1:]", w[1:]), ("the reversal", w[::-1])):
+    if not parent_trapezoidal:
+        return f"trapezoidal, but w[:-1] = {w[:-1]!r} is not"
+    for part, v in (("w[1:]", w[1:]), ("the reversal", w[::-1])):
         if not is_trapezoidal(v):
             return f"trapezoidal, but {part} = {v!r} is not"
     return None
@@ -163,24 +165,30 @@ def _palindrome_count_step(w: str, count: int) -> int:
     return count + _new_palindromic_suffixes(w) if w else 1
 
 
-def _indices_step(w: str, parent: StructuralIndices) -> StructuralIndices:
+def _r_and_period_step(w: str, parent: tuple[int, int | None]) -> tuple[int, int | None]:
     # R and the minimal period never decrease along prefixes, so each scan starts at the parent's
     if not w:
-        return StructuralIndices(0, 0, None)
-    return StructuralIndices(
-        _r_index_from(w, parent.r_index),
-        k_index(w),
-        _minimal_period_from(w, parent.min_period or 1),
-    )
+        return (0, None)
+    return (_r_index_from(w, parent[0]), _minimal_period_from(w, parent[1] or 1))
+
+
+def _r_and_k_step(w: str, parent: tuple[int, ...]) -> tuple[int, int]:
+    return (_r_index_from(w, parent[0]), k_index(w)) if w else (0, 0)
+
+
+def _trap_closed_step(w: str, parent: tuple[int, int, bool]) -> tuple[int, int, bool]:
+    # the parent's R and K give its own verdict, which answers w[:-1]
+    return (*_r_and_k_step(w, parent), len(w) - 1 == parent[0] + parent[1]) if w else (0, 0, True)
 
 
 @dataclass(frozen=True)
 class ClaimSpec:
     """checker(w, index, state) returns a diagnostic or None.
 
-    Only indexed claims get the walk's PalindromeIndex of w, else None:
-    PAL_BOUND's count and PROP1's returns route are what it is checked
-    against, and the rest would pay its upkeep for little or no use.
+    A claim with an index class gets the one the walk carries, holding w,
+    else None: a PalindromeIndex for PROP1 and THM_FGC, a SuffixAutomaton
+    for PROFILE_EQUIV.  PAL_BOUND's count and PROP1's returns route are
+    what the tree is checked against, and the rest would pay for upkeep.
 
     A claim with a step gets the carried state of w, else None: the walk
     carries state(w) = state(w[:-1]) and step(w, state(w[:-1])), taking
@@ -197,16 +205,15 @@ class ClaimSpec:
       C for THM_FGC (one new factor at each length from K(w) to |w|);
       the number of distinct palindromic factors, the empty word
       included, for PAL_BOUND (the new ones are palindromic suffixes);
-      and StructuralIndices for PERIOD_INEQ and PROFILE_EQUIV (R and the
-      minimal period never decrease, so their scans start at the
-      parent's; K is k_index).  PROFILE_EQUIV's D still comes from a
-      suffix automaton per word, independent of the carried R and K.
+      (R, minimal period) for PERIOD_INEQ; (R, K) for PROFILE_EQUIV; and
+      (R, K) with the parent's verdict for TRAP_CLOSED, which guards the
+      flags' pruning and so carries no flag.
 
     These are fixed properties of each claim, not options.
     """
     description: str
-    checker: Callable[[str, PalindromeIndex | None, object], str | None]
-    indexed: bool = False
+    checker: Callable[[str, Undoable | None, object], str | None]
+    index: type[Undoable] | None = None
     step: Callable[[str, object], object] | None = None
     inside: bool = False
 
@@ -215,7 +222,7 @@ CLAIMS: dict[str, ClaimSpec] = {
     "PROP1": ClaimSpec(
         "richness by palindrome count agrees with richness by complete returns",
         _check_prop1,
-        indexed=True,
+        index=PalindromeIndex,
         step=_returns_step,
     ),
     "PROP2": ClaimSpec(
@@ -227,7 +234,7 @@ CLAIMS: dict[str, ClaimSpec] = {
     "THM_FGC": ClaimSpec(
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
-        indexed=True,
+        index=PalindromeIndex,
         step=_complexity_step,  # ties C to K, so PROFILE_EQUIV must not use it
     ),
     "THM_MAIN": ClaimSpec(
@@ -242,7 +249,7 @@ CLAIMS: dict[str, ClaimSpec] = {
     "PERIOD_INEQ": ClaimSpec(
         "the minimal period is at least R+1 for every nonempty word",
         _check_period_ineq,
-        step=_indices_step,
+        step=_r_and_period_step,
     ),
     "BINARY_TRAP": ClaimSpec(
         "no trapezoidal word uses three or more distinct symbols",
@@ -253,11 +260,13 @@ CLAIMS: dict[str, ClaimSpec] = {
     "PROFILE_EQUIV": ClaimSpec(
         "|w| = R+K agrees with the 1^r 0^s (-1)^r difference-profile shape",
         _check_profile_equiv,
-        step=_indices_step,
+        index=SuffixAutomaton,
+        step=_r_and_k_step,
     ),
     "TRAP_CLOSED": ClaimSpec(
         "if w is trapezoidal, so are w[:-1], w[1:] and the reversal of w",
         _check_trap_closed,
+        step=_trap_closed_step,
     ),
 }
 
@@ -297,16 +306,17 @@ class VerificationReport:
         }
 
 
-def _walk(symbols: str, prefix: str, depth: int, index: PalindromeIndex | None = None):
+def _walk(symbols: str, prefix: str, depth: int, index: Undoable | None = None):
     """Yield prefix, then each extension of it by 1..depth symbols, in prefix order.
 
     Children come in alphabet order, so the words of one length come out
     in lexicographic order.  The walk keeps its own stack, so depth is not
     bounded by Python's recursion limit.  A given index must start empty; it
-    is then the palindromic tree of each word yielded (pop to parent, append).
+    then holds each word yielded (pop to the parent, append).
     """
     children = symbols[::-1]  # pushed in reverse, so popped in alphabet order
     limit = len(prefix) + depth
+    held = max(len(prefix) - 1, 0)  # length of the word the index holds
     if index is not None:
         for s in prefix[:-1]:
             index.append(s)
@@ -314,9 +324,10 @@ def _walk(symbols: str, prefix: str, depth: int, index: PalindromeIndex | None =
     while stack:
         w = stack.pop()
         if index is not None and w:
-            while len(index.prefix_counts) > len(w):  # back to the parent w[:-1]
+            for _ in range(held - len(w) + 1):  # back to the parent w[:-1]
                 index.pop()
             index.append(w[-1])
+            held = len(w)
         yield w
         if len(w) < limit:
             for s in children:
@@ -343,7 +354,7 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
     claim, symbols, prefix, depth = task
     spec = CLAIMS[claim]
     checker, step, inside = spec.checker, spec.step, spec.inside
-    index = PalindromeIndex() if spec.indexed else None
+    index = spec.index() if spec.index else None
     # state_at[n + 1] is the carried state of the path's word of length n
     state_at, state = [True] * (len(prefix) + depth + 2), None
     checked, bad = 0, []

@@ -214,10 +214,10 @@ def test_criterion_10_christoffel_pipeline():
 
 
 def test_criterion_11_trapezoid_routes_agree():
-    rep = verify_claim("PROFILE_EQUIV", "ab", 14)
+    rep = verify_claim("PROFILE_EQUIV", "ab", 16)
     report(
         11,
-        "|w| = R+K classification matches 1^r 0^s (-1)^r profile shape, binary <=14",
+        "|w| = R+K classification matches 1^r 0^s (-1)^r profile shape, binary <=16",
         rep.counterexamples,
         f"{rep.words_checked} words, discrepancies reported as findings",
     )

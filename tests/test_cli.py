@@ -82,22 +82,24 @@ def test_analyze_rejects_unparseable_word(capsys):
     assert "error" in err
 
 
+# Each row pins its own id, so deleting a row renames no other row; the ids
+# are the positional names pytest gave the rows before they were pinned.
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: Alphabet(""),
-        lambda: Alphabet("a\tb"),
-        lambda: Alphabet("aa"),
-        lambda: verify_claim("NOPE", "ab", 2),
-        lambda: verify_claim("PROP1", "ab", 2, workers=0),
-        lambda: verify_claim("PROP1", "ab", -1),
-        lambda: find_class_members("nope", "ab", 2),
-        lambda: find_class_members("rich", "ab", -1),
-        lambda: census("ab", -1),
-        lambda: census("ab", 2, budget=-1),
-        lambda: analyze_payload("a\tb"),
-        lambda: analyze_payload("abcdefghijklmnopqrstuvwxyz0"),
-        lambda: sturmian_corpus(0, 3),
+        pytest.param(lambda: Alphabet(""), id="<lambda>0"),
+        pytest.param(lambda: Alphabet("a\tb"), id="<lambda>1"),
+        pytest.param(lambda: Alphabet("aa"), id="<lambda>2"),
+        pytest.param(lambda: verify_claim("NOPE", "ab", 2), id="<lambda>3"),
+        pytest.param(lambda: verify_claim("PROP1", "ab", 2, workers=0), id="<lambda>4"),
+        pytest.param(lambda: verify_claim("PROP1", "ab", -1), id="<lambda>5"),
+        pytest.param(lambda: find_class_members("nope", "ab", 2), id="<lambda>6"),
+        pytest.param(lambda: find_class_members("rich", "ab", -1), id="<lambda>7"),
+        pytest.param(lambda: census("ab", -1), id="<lambda>8"),
+        pytest.param(lambda: census("ab", 2, budget=-1), id="<lambda>9"),
+        pytest.param(lambda: analyze_payload("a\tb"), id="<lambda>10"),
+        pytest.param(lambda: analyze_payload("abcdefghijklmnopqrstuvwxyz0"), id="<lambda>11"),
+        pytest.param(lambda: sturmian_corpus(0, 3), id="<lambda>12"),
     ],
 )
 def test_caller_input_raises_usage_error(call):
@@ -105,9 +107,13 @@ def test_caller_input_raises_usage_error(call):
         call()
 
 
-@pytest.mark.parametrize(
+@pytest.mark.parametrize(  # ids pinned as above
     "call",
-    [lambda: is_balanced("abc"), lambda: difference_profile(""), lambda: lower_christoffel(2, 4)],
+    [
+        pytest.param(lambda: is_balanced("abc"), id="<lambda>0"),
+        pytest.param(lambda: difference_profile(""), id="<lambda>1"),
+        pytest.param(lambda: lower_christoffel(2, 4), id="<lambda>2"),
+    ],
 )
 def test_domain_errors_are_not_usage_errors(call):
     # raised inside a command, these are faults (exit 4), not usage errors

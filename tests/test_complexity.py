@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wordlab import difference_profile, palindromic_complexity, subword_complexity
 from wordlab.complexity import (
+    SuffixAutomaton,
     k_index,
     minimal_period,
     r_index,
@@ -141,6 +144,34 @@ def test_profile_conventions_exhaustive():
         assert all(p[m] <= c[m] for m in range(n + 2))
         assert sum(p) == len(palindromic_factors(w))
         assert all(c[m] <= min(2**m, n - m + 1) for m in range(n + 1))
+
+
+def _automaton(a):
+    return a.length, a.link, a.trans, a.difference
+
+
+def test_suffix_automaton_pop_on_empty_raises():
+    automaton = SuffixAutomaton("ab")
+    assert automaton.pop() == "b" and automaton.pop() == "a"
+    assert _automaton(automaton) == _automaton(SuffixAutomaton())
+    with pytest.raises(IndexError):
+        automaton.pop()
+
+
+def test_suffix_automaton_deep_one_symbol_walk():
+    # a^3000 up and back down: every append and pop is O(1) here, about 5 ms in all
+    automaton, elapsed = SuffixAutomaton(), 0.0
+    for n in [*range(1, 3001), *range(2999, -1, -1)]:
+        started = time.perf_counter()
+        if n > len(automaton.difference):
+            assert automaton.append("a") == n - 1  # a^(n-1) is the longest repeated suffix
+        else:
+            assert automaton.pop() == "a"
+        elapsed += time.perf_counter() - started
+        if n % 500 == 0:
+            assert _automaton(automaton) == _automaton(SuffixAutomaton("a" * n)), n
+    assert elapsed < 0.5
+    assert _automaton(automaton) == _automaton(SuffixAutomaton())
 
 
 def test_difference_values_sum_to_zero_exhaustive():

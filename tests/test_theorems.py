@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import sys
+import time
 
 import pytest
 
 from wordlab import oracle, theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
 from wordlab.classify import is_rich_by_returns, is_trapezoidal
-from wordlab.complexity import structural_indices
+from wordlab.complexity import SuffixAutomaton, structural_indices
 from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
@@ -162,6 +163,24 @@ def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
             assert index.lengths() == fresh.lengths(), w
 
 
+def _automaton(a):
+    return a.length, a.link, a.trans, a.difference
+
+
+def _differences(w):
+    c = oracle.subword_complexity(w)
+    return [c[n + 1] - c[n] for n in range(len(w))]
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 6)])
+def test_walk_automaton_is_the_automaton_of_each_word(symbols, max_len):
+    for prefix, depth in theorems._blocks(symbols, max_len):
+        automaton = SuffixAutomaton()
+        for w in theorems._walk(symbols, prefix, depth, automaton):
+            assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
+            assert automaton.difference == _differences(w), w
+
+
 def _states_seen(monkeypatch, claim, symbols, prefix, depth):
     """(word, carried state) for every word of one block, checker restriction lifted."""
     seen = []
@@ -183,12 +202,18 @@ def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_le
             assert flag is is_trapezoidal(w), w
 
 
+def _indices(w, *names):
+    indices = structural_indices(w)
+    return tuple(getattr(indices, name) for name in names)
+
+
 # the carried values against direct computations of each word
 INVARIANTS = {
     "THM_FGC": oracle.subword_complexity,
     "PAL_BOUND": lambda w: len(oracle.palindromic_factors(w)),
-    "PERIOD_INEQ": structural_indices,
-    "PROFILE_EQUIV": structural_indices,
+    "PERIOD_INEQ": lambda w: _indices(w, "r_index", "min_period"),
+    "PROFILE_EQUIV": lambda w: _indices(w, "r_index", "k_index"),
+    "TRAP_CLOSED": lambda w: (*_indices(w, "r_index", "k_index"), is_trapezoidal(w[:-1])),
 }
 
 
@@ -218,6 +243,22 @@ def test_walk_states_from_a_long_prefix(monkeypatch, symbols, prefix):
         assert len(seen) == 1 + len(symbols) + len(symbols) ** 2
         for w, state in seen:
             assert state == direct(w), (claim, w)
+
+
+@pytest.mark.parametrize(
+    "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
+)
+def test_walk_automaton_under_a_long_prefix(symbols, prefix):
+    # pop re-walks a suffix-link chain instead of replaying a journal; it must stay cheap at N = 300
+    started = time.perf_counter()
+    for _ in theorems._walk(symbols, prefix, 6, SuffixAutomaton()):
+        pass
+    assert time.perf_counter() - started < 0.5  # about 10 ms; a rebuild per pop takes seconds
+    automaton = SuffixAutomaton()
+    for w in theorems._walk(symbols, prefix, 6, automaton):
+        if w.endswith(symbols[0]):  # each first child, reached by popping back from a sibling
+            assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
+    assert _automaton(automaton) == _automaton(SuffixAutomaton(w))
 
 
 def test_carried_flag_starts_from_the_prefix_ancestors(monkeypatch):
@@ -306,6 +347,40 @@ def test_prop1_catches_a_pop_that_keeps_the_node(monkeypatch):
     assert verify_claim("PROP1", "ab", 8).verified
     monkeypatch.setattr(PalindromeIndex, "pop", leaky_pop)
     assert not verify_claim("PROP1", "ab", 8).verified
+
+
+def test_profile_equiv_reads_the_carried_automaton(monkeypatch):
+    append, pop = SuffixAutomaton.append, SuffixAutomaton.pop
+
+    def shift(d, repeated, by):  # move the +1 of an append at index L to L + 1, or back
+        if repeated + 1 < len(d):
+            d[repeated] -= by
+            d[repeated + 1] += by
+
+    def shifted_append(self, ch):
+        repeated = append(self, ch)
+        shift(self.difference, repeated, 1)
+        return repeated
+
+    def shifted_pop(self):
+        shift(self.difference, self.length[self.link[self._last[-1]]], -1)
+        return pop(self)
+
+    assert verify_claim("PROFILE_EQUIV", "ab", 8).verified
+    monkeypatch.setattr(SuffixAutomaton, "append", shifted_append)
+    monkeypatch.setattr(SuffixAutomaton, "pop", shifted_pop)
+    report = verify_claim("PROFILE_EQUIV", "ab", 8)
+    assert ("aab", "index trapezoidal=True, difference-profile runs=None") in report.counterexamples
+
+
+def test_trap_closed_reports_each_non_trapezoidal_part():
+    check = theorems._check_trap_closed
+    assert check("ab", None, (1, 1, True)) is None
+    assert check("abc", None, (1, 1, False)) is None  # not trapezoidal: nothing to check
+    assert check("ab", None, (1, 1, False)) == "trapezoidal, but w[:-1] = 'a' is not"
+    # planted states: the checker trusts the carried verdicts and rechecks the other two parts
+    assert check("abca", None, (2, 2, True)) == "trapezoidal, but w[1:] = 'bca' is not"
+    assert check("cab", None, (1, 2, True)) == "trapezoidal, but the reversal = 'bac' is not"
 
 
 def _planted(w, index=None, flag=None):
