@@ -101,7 +101,7 @@ class SuffixAutomaton:
 
 
 def subword_complexity(w: str) -> list[int]:
-    """C[n] = number of distinct factors of w of length n, n = 0..N+1: the sums of 1, D, -1."""
+    """C[n] = number of distinct factors of w of length n, n = 0..N+1: running sums of 1, D, -1."""
     return list(accumulate([1, *SuffixAutomaton(w).difference, -1]))
 
 
