@@ -324,10 +324,11 @@ def _walk(symbols: str, prefix: str, depth: int, index: Undoable | None = None):
     while stack:
         w = stack.pop()
         if index is not None and w:
-            for _ in range(held - len(w) + 1):  # back to the parent w[:-1]
+            while held >= len(w):  # back to the parent w[:-1]
                 index.pop()
+                held -= 1
             index.append(w[-1])
-            held = len(w)
+            held += 1
         yield w
         if len(w) < limit:
             for s in children:
