@@ -16,17 +16,17 @@ aUa and bUb as factors), and classify derives its verdict from it.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .complexity import (
     StructuralIndices,
+    SuffixAutomaton,
     WordProfile,
     difference_profile,
     k_index,
     palindromic_complexity,
     r_index,
-    subword_complexity,
     word_profile,
 )
 from .core import _palindrome_spans, is_palindrome
@@ -164,14 +164,13 @@ def is_sturmian_palindrome(w: str) -> bool:
     return is_palindrome(w) and is_finite_sturmian(w)
 
 
-def _B_mismatches(c: Sequence[int], p: Sequence[int]) -> list[tuple[int, int, int]]:
-    out = []
+def _B_mismatches(d: Sequence[int], p: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    # lazily, in ascending n; d[n] = C(n+1) - C(n) for n = 0..|w|
     for n in range(len(p) - 1):
         lhs = p[n] + p[n + 1]
-        rhs = c[n + 1] - c[n] + 2
+        rhs = d[n] + 2
         if lhs != rhs:
-            out.append((n, lhs, rhs))
-    return out
+            yield n, lhs, rhs
 
 
 def condition_B_mismatches(w: str) -> list[tuple[int, int, int]]:
@@ -181,7 +180,8 @@ def condition_B_mismatches(w: str) -> list[tuple[int, int, int]]:
     returns (n, lhs, rhs) triples in ascending n, so diagnostics can
     point at the first failure.
     """
-    return _B_mismatches(subword_complexity(w), palindromic_complexity(w))
+    d = [*SuffixAutomaton(w).difference, -1]  # the automaton's D, then C(N+1) - C(N)
+    return list(_B_mismatches(d, palindromic_complexity(w)))
 
 
 def condition_B(w: str) -> bool:
@@ -259,6 +259,7 @@ def classify(w: str) -> ClassificationReport:
     """Compute the full classification of one word from its profile."""
     profile = word_profile(w)
     idx = profile.indices
+    d = [*profile.difference.values, -1] if w else [-1]
     pal = is_palindrome(w)
     letters = sorted(set(w))
     if len(letters) <= 2:
@@ -277,7 +278,7 @@ def classify(w: str) -> ClassificationReport:
         is_balanced=balanced,
         is_finite_sturmian=sturmian,
         is_sturmian_palindrome=pal and sturmian,
-        condition_B=not _B_mismatches(profile.subword, profile.palindromic),
+        condition_B=next(_B_mismatches(d, profile.palindromic), None) is None,
         condition_B_prime=not _B_prime_mismatches(profile.palindromic),
         profile=profile,
         unbalance_witness=witness,

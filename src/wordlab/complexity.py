@@ -12,8 +12,8 @@ tree carries either, undoing appends.  word_profile computes C, P, D, the
 structural indices and the palindromic factor list of a word once.  The
 indices R, K and the minimal period keep their own direct scans, so the
 claims that compare them with the profiles compare independent
-algorithms.  _r_index_from and _minimal_period_from run the R and period
-scans from a lower bound, the parent's value in a walk of the word tree.
+algorithms.  A walk of the word tree steps them from the parent's values
+(_r_index_step, _k_index_step and _minimal_period_from).
 The naive set-based C and P live in wordlab.oracle.
 
 The records here are NamedTuples, not frozen dataclasses: each class is
@@ -197,30 +197,45 @@ def r_index(w: str) -> int:
     return lo
 
 
-def _r_index_from(w: str, start: int) -> int:
-    """r_index(w) for any start <= r_index(w): the first p >= start at
-    which w has no right special factor.
+def _r_index_step(w: str, r: int) -> int:
+    """r_index(w) from r = r_index(w[:-1]), w non-empty: for p >= r, w has a right special
+    factor of length p iff the length-p suffix u of w[:-1] occurs earlier followed by a symbol
+    other than w[-1]; all earlier u share one follower, so the first decides, in one find."""
+    n, a = len(w) - 1, w[-1]
+    while r < n and (i := w.find(w[n - r : n], 0, n - 1)) != -1 and w[i + r] != a:
+        r += 1
+    return r
 
-    A right special factor of w[:-1] stays right special in w, so R never
-    decreases along a word's prefixes and R(w[:-1]) is such a start; a
-    walk of the word tree then probes one or two lengths per word.
-    """
-    while _has_right_special(w, start):
-        start += 1
-    return start
+
+def _shortest_unrepeated_suffix(w: str, lo: int, hi: int) -> int:
+    # bisects for k_index(w) given lo <= k_index(w) <= hi, one find per probe
+    n = len(w)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if w.find(w[n - mid :]) == n - mid:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def k_index(w: str) -> int:
     """Length of the shortest suffix occurring exactly once in w; 0 for the empty word.
 
     Occurrences are counted with overlaps, so the length-k suffix is
-    unrepeated iff its first occurrence starts at |w| - k.
+    unrepeated iff its first occurrence starts at |w| - k.  A suffix of a
+    repeated suffix is repeated, so the search gallops up through the
+    lengths 1, 2, 4, ... to the first unrepeated one, then bisects below it.
     """
-    n = len(w)
-    for k in range(1, n + 1):
-        if w.find(w[n - k :]) == n - k:
-            return k
-    return 0
+    n, lo, probe = len(w), min(len(w), 1), 1
+    while probe < n and w.find(w[n - probe :]) != n - probe:
+        lo, probe = probe + 1, 2 * probe
+    return _shortest_unrepeated_suffix(w, lo, min(probe, n))
+
+
+def _k_index_step(w: str, k: int) -> int:
+    # k = k_index(w[:-1]): w's length-(k+1) suffix extends that unrepeated suffix
+    return _shortest_unrepeated_suffix(w, 1, k + 1)
 
 
 def minimal_period(w: str) -> int:

@@ -5,10 +5,10 @@ length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk of the word tree (_walk) serves verify, enumerate and
 census; census, PROP1 and THM_FGC read the PalindromeIndex it carries,
 PROFILE_EQUIV a SuffixAutomaton.  A verify walk also carries a per-claim
-state from each word to its children (ClaimSpec.step): the flag of a
-prefix-closed property, outside which PROP2 and BINARY_TRAP never run
-(TRAP_CLOSED guards that pruning), or a per-word value updated from the
-parent's, such as C for THM_FGC or (R, K) for PROFILE_EQUIV.  Fixed subtree
+state from each word to its children (ClaimSpec.step): a state that is
+falsy outside a prefix-closed property, outside which PROP2 and
+BINARY_TRAP never run (TRAP_CLOSED guards that pruning), or a per-word
+value stepped from the parent's, such as (R, K) for PROFILE_EQUIV.  Fixed subtree
 blocks and sorted counterexamples make parallel and sequential verify
 reports identical.  Bad arguments raise core.UsageError before any walk;
 nothing raised inside a walk is caught.
@@ -35,11 +35,11 @@ from .classify import (
 )
 from .complexity import (
     SuffixAutomaton,
+    _k_index_step,
     _minimal_period_from,
     _palindromic_profile,
-    _r_index_from,
+    _r_index_step,
     _run_decomposition,
-    k_index,
 )
 from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
 from .core import DEFAULT_BUDGET, Alphabet, UsageError, _new_palindromic_suffixes, as_alphabet
@@ -67,19 +67,19 @@ def _check_prop1(w: str, index: PalindromeIndex, by_returns: bool) -> str | None
     return None
 
 
-def _check_prop2(w: str, index: None, trapezoidal: bool) -> str | None:
+def _check_prop2(w: str, index: None, rk: tuple[int, int]) -> str | None:
     if not is_rich_by_count(w):
         return "trapezoidal but not rich"
     return None
 
 
-def _check_thm_fgc(w: str, index: PalindromeIndex, complexity: list[int]) -> str | None:
+def _check_thm_fgc(w: str, index: PalindromeIndex, dk: tuple[list[int], int]) -> str | None:
     rich_palindrome = is_palindrome(w) and index.palindrome_count == len(w)
-    mismatches = _B_mismatches(complexity, _palindromic_profile(index, len(w)))
-    if rich_palindrome and mismatches:
-        n, lhs, rhs = mismatches[0]
+    mismatch = next(_B_mismatches(dk[0], _palindromic_profile(index, len(w))), None)
+    if rich_palindrome and mismatch:
+        n, lhs, rhs = mismatch
         return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
-    if not rich_palindrome and not mismatches:
+    if not rich_palindrome and not mismatch:
         return "complexity coupling holds but not a rich palindrome"
     return None
 
@@ -112,7 +112,7 @@ def _check_period_ineq(w: str, index: None, r_and_period: tuple[int, int | None]
     return None
 
 
-def _check_binary_trap(w: str, index: None, trapezoidal: bool) -> str | None:
+def _check_binary_trap(w: str, index: None, rk: tuple[int, int]) -> str | None:
     symbols = len(set(w))
     if symbols >= 3:
         return f"trapezoidal word over {symbols} distinct symbols"
@@ -148,17 +148,14 @@ def _returns_step(w: str, rich: bool) -> bool:
     return _end_returns_are_palindromes(w)  # a complete return in w[:-1] is one in w
 
 
-def _trapezoidal_step(w: str, trapezoidal: bool) -> bool:
-    # is_trapezoidal looked up per call, so a traced or patched one reaches the walk
-    return is_trapezoidal(w)
-
-
-def _complexity_step(w: str, c: list[int]) -> list[int]:
-    # the new factors of w are its unrepeated suffixes, one of each length K..|w|
+def _differences_step(w: str, parent: tuple[list[int], int]) -> tuple[list[int], int]:
+    # w's new factors are its unrepeated suffixes, so C(n) gains 1 for n >= K, d[K-1] gains 1
     if not w:
-        return [1, 0]
-    k = k_index(w)
-    return [*c[:k], *[x + 1 for x in c[k:]], 0]
+        return [-1], 0
+    k = _k_index_step(w, parent[1])
+    d = [*parent[0], -1]
+    d[k - 1] += 1
+    return d, k
 
 
 def _palindrome_count_step(w: str, count: int) -> int:
@@ -169,11 +166,17 @@ def _r_and_period_step(w: str, parent: tuple[int, int | None]) -> tuple[int, int
     # R and the minimal period never decrease along prefixes, so each scan starts at the parent's
     if not w:
         return (0, None)
-    return (_r_index_from(w, parent[0]), _minimal_period_from(w, parent[1] or 1))
+    return (_r_index_step(w, parent[0]), _minimal_period_from(w, parent[1] or 1))
 
 
 def _r_and_k_step(w: str, parent: tuple[int, ...]) -> tuple[int, int]:
-    return (_r_index_from(w, parent[0]), k_index(w)) if w else (0, 0)
+    return (_r_index_step(w, parent[0]), _k_index_step(w, parent[1])) if w else (0, 0)
+
+
+def _trapezoidal_step(w: str, parent: tuple[int, int]) -> tuple[int, int] | bool:
+    # (R, K) while w is trapezoidal, |w| = R + K, else False; only a trapezoidal parent steps
+    rk = _r_and_k_step(w, parent)
+    return len(w) == rk[0] + rk[1] and rk
 
 
 def _trap_closed_step(w: str, parent: tuple[int, int, bool]) -> tuple[int, int, bool]:
@@ -196,18 +199,19 @@ class ClaimSpec:
     truthy parent state and a falsy one passes to every descendant.
     step("", True) is the empty word's state.  Two kinds of state:
 
-    - A flag of a property closed under prefixes, which then equals the
-      property of w alone: richness by complete returns (PROP1) and
-      trapezoidality (PROP2, BINARY_TRAP).  With inside set, the checker
-      runs only on words whose flag holds; every word is still walked
-      and counted.
+    - Falsy exactly outside a property closed under prefixes, so it
+      follows the property of w alone: the flag of richness by complete
+      returns (PROP1), and (R, K) while w is trapezoidal, False otherwise
+      (PROP2, BINARY_TRAP).  With inside set, the checker runs only on
+      words whose state is truthy; every word is still walked and counted.
     - A value, never falsy, each from a fact about appending a symbol:
-      C for THM_FGC (one new factor at each length from K(w) to |w|);
+      (d, K) for THM_FGC, d[n] = C(n+1) - C(n) for n = 0..|w| (one new
+      factor at each length from K(w) to |w|);
       the number of distinct palindromic factors, the empty word
       included, for PAL_BOUND (the new ones are palindromic suffixes);
       (R, minimal period) for PERIOD_INEQ; (R, K) for PROFILE_EQUIV; and
       (R, K) with the parent's verdict for TRAP_CLOSED, which guards the
-      flags' pruning and so carries no flag.
+      pruning and so carries no falsy state.
 
     These are fixed properties of each claim, not options.
     """
@@ -235,7 +239,7 @@ CLAIMS: dict[str, ClaimSpec] = {
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
         index=PalindromeIndex,
-        step=_complexity_step,  # ties C to K, so PROFILE_EQUIV must not use it
+        step=_differences_step,  # ties C to K, so PROFILE_EQUIV must not use it
     ),
     "THM_MAIN": ClaimSpec(
         "Sturmian palindrome == symmetric palindromic complexity == trapezoidal palindrome",
@@ -521,8 +525,8 @@ def census(
       off the index.
     - trapezoidal and balanced: both classes are closed under factors
       (balance by definition, trapezoidal words by de Luca 1999), so a
-      word outside one has no descendant inside it; the predicate is
-      evaluated only on children of members.
+      word outside one has no descendant inside it; only children of
+      members are tested, trapezoidal ones by stepping the parent's (R, K).
     - sturmian_palindrome, condition_B and condition_B_prime: each holds
       only on palindromes, so they are evaluated only on palindromes.
     """
@@ -536,17 +540,17 @@ def census(
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    # trapezoidal and balanced flags of the path's words by length; the empty word is both
-    trap_at, bal_at = [True] * (max_len + 1), [True] * (max_len + 1)
+    # the path's words by length: (R, K) while trapezoidal, else False, and the balanced flag
+    trap_at, bal_at = [(0, 0)] * (max_len + 1), [True] * (max_len + 1)
     walk = _walk(alpha.as_string, "", max_len, index)
     next(walk)  # skip the empty word
     for w in walk:
         n = len(w)
         total[n] += 1
         rich[n] += index.palindrome_count == n
-        trap = trap_at[n] = trap_at[n - 1] and is_trapezoidal(w)
+        trap = trap_at[n] = trap_at[n - 1] and _trapezoidal_step(w, trap_at[n - 1])
         bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
-        trapezoidal[n] += trap
+        trapezoidal[n] += bool(trap)
         balanced[n] += bal
         if is_palindrome(w):
             sturmian_pal[n] += bal

@@ -123,7 +123,7 @@ def test_criterion_05_palindromic_factor_bound_characterizes_richness():
 
 
 def test_criterion_06_period_inequality_and_border_identity():
-    rep = verify_claim("PERIOD_INEQ", "ab", 16)
+    rep = verify_claim("PERIOD_INEQ", "ab", 18)
     failures = list(rep.counterexamples)
     for w in words_up_to("ab", 14):
         if not w:
@@ -133,7 +133,7 @@ def test_criterion_06_period_inequality_and_border_identity():
             failures.append((w, "border identity violated"))
     report(
         6,
-        "minimal period >= R+1 (binary <=16) and equals |w| - |longest border| (binary <=14)",
+        "minimal period >= R+1 (binary <=18) and equals |w| - |longest border| (binary <=14)",
         failures,
         f"{rep.words_checked} words",
     )
@@ -279,12 +279,12 @@ def test_criterion_14_census_closed_forms():
 
 def test_criterion_15_trapezoidal_words_are_closed_under_factors():
     # PROP2 and BINARY_TRAP check only the trapezoidal subtree, which this justifies
-    binary = verify_claim("TRAP_CLOSED", "ab", 16)
+    binary = verify_claim("TRAP_CLOSED", "ab", 18)
     ternary = verify_claim("TRAP_CLOSED", "abc", 10)
     report(
         15,
         "w[:-1], w[1:] and the reversal of a trapezoidal word are trapezoidal, "
-        "binary <=16 and ternary <=10",
+        "binary <=18 and ternary <=10",
         binary.counterexamples + ternary.counterexamples,
         f"{binary.words_checked + ternary.words_checked} words",
     )

@@ -229,7 +229,7 @@ def test_verify_carried_step_value_error_exit_four(capsys, monkeypatch, mode):
 )
 def test_predicate_value_error_exit_four(capsys, monkeypatch, argv):
     monkeypatch.setitem(theorems.PREDICATES, "rich", _value_fault)
-    monkeypatch.setattr(theorems, "is_trapezoidal", _value_fault)
+    monkeypatch.setattr(theorems, "is_finite_sturmian", _value_fault)  # census's balanced column
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from wordlab import difference_profile, palindromic_complexity, subword_complexity
 from wordlab.complexity import (
     SuffixAutomaton,
+    _k_index_step,
+    _r_index_step,
     k_index,
     minimal_period,
     r_index,
@@ -124,6 +126,17 @@ def test_r_index_matches_public_right_special_scan():
             r = r_index(w)
             assert not right_special_factors(w, r), w
             assert all(right_special_factors(w, p) for p in range(r)), w
+
+
+@pytest.mark.parametrize("alphabet,max_len", [("ab", 14), ("abc", 9), ("abcd", 7)])
+def test_step_kernels_match_the_direct_scans(alphabet, max_len):
+    # each word's R and K stepped from its parent's, as a walk of the word tree does
+    direct = {"": (0, 0)}
+    for w in words_up_to(alphabet, max_len):
+        if w:
+            r, k = direct[w[:-1]]
+            direct[w] = (r_index(w), k_index(w))
+            assert (_r_index_step(w, r), _k_index_step(w, k)) == direct[w], w
 
 
 def test_r_index_of_a_long_right_special_run():

@@ -8,7 +8,14 @@ import pytest
 from wordlab import oracle, theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
 from wordlab.classify import is_rich_by_returns, is_trapezoidal
-from wordlab.complexity import SuffixAutomaton, structural_indices
+from wordlab.complexity import (
+    SuffixAutomaton,
+    _k_index_step,
+    _r_index_step,
+    k_index,
+    r_index,
+    structural_indices,
+)
 from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
@@ -168,8 +175,9 @@ def _automaton(a):
 
 
 def _differences(w):
+    # C(n+1) - C(n) for n = 0..|w|; the automaton keeps n < |w|, THM_FGC all of them
     c = oracle.subword_complexity(w)
-    return [c[n + 1] - c[n] for n in range(len(w))]
+    return [c[n + 1] - c[n] for n in range(len(w) + 1)]
 
 
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 6)])
@@ -178,7 +186,7 @@ def test_walk_automaton_is_the_automaton_of_each_word(symbols, max_len):
         automaton = SuffixAutomaton()
         for w in theorems._walk(symbols, prefix, depth, automaton):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
-            assert automaton.difference == _differences(w), w
+            assert automaton.difference == _differences(w)[:-1], w
 
 
 def _states_seen(monkeypatch, claim, symbols, prefix, depth):
@@ -198,8 +206,11 @@ def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_le
     for prefix, depth in theorems._blocks(symbols, max_len):
         for w, flag in _states_seen(monkeypatch, "PROP1", symbols, prefix, depth):
             assert flag is is_rich_by_returns(w), w
-        for w, flag in _states_seen(monkeypatch, "PROP2", symbols, prefix, depth):
-            assert flag is is_trapezoidal(w), w
+        for w, state in _states_seen(monkeypatch, "PROP2", symbols, prefix, depth):
+            if is_trapezoidal(w):
+                assert state == (r_index(w), k_index(w)), w
+            else:
+                assert state is False, w
 
 
 def _indices(w, *names):
@@ -209,7 +220,7 @@ def _indices(w, *names):
 
 # the carried values against direct computations of each word
 INVARIANTS = {
-    "THM_FGC": oracle.subword_complexity,
+    "THM_FGC": lambda w: (_differences(w), k_index(w)),
     "PAL_BOUND": lambda w: len(oracle.palindromic_factors(w)),
     "PERIOD_INEQ": lambda w: _indices(w, "r_index", "min_period"),
     "PROFILE_EQUIV": lambda w: _indices(w, "r_index", "k_index"),
@@ -243,6 +254,17 @@ def test_walk_states_from_a_long_prefix(monkeypatch, symbols, prefix):
         assert len(seen) == 1 + len(symbols) + len(symbols) ** 2
         for w, state in seen:
             assert state == direct(w), (claim, w)
+
+
+@pytest.mark.parametrize(
+    "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
+)
+def test_step_kernels_along_a_long_prefix(symbols, prefix):
+    r = k = 0
+    for n in range(1, len(prefix) + 1):
+        w = prefix[:n]
+        r, k = _r_index_step(w, r), _k_index_step(w, k)
+        assert (r, k) == (r_index(w), k_index(w)), w
 
 
 @pytest.mark.parametrize(
@@ -299,9 +321,9 @@ def test_pal_bound_reports_a_count_above_the_bound():
 def _trapezoidal_only(claim):
     original = theorems.CLAIMS[claim].checker
 
-    def checker(w, index, flag):
-        assert flag is True and is_trapezoidal(w), w
-        return original(w, index, flag)
+    def checker(w, index, state):
+        assert state == (r_index(w), k_index(w)) and is_trapezoidal(w), w
+        return original(w, index, state)
 
     return checker
 
@@ -371,6 +393,18 @@ def test_profile_equiv_reads_the_carried_automaton(monkeypatch):
     monkeypatch.setattr(SuffixAutomaton, "pop", shifted_pop)
     report = verify_claim("PROFILE_EQUIV", "ab", 8)
     assert ("aab", "index trapezoidal=True, difference-profile runs=None") in report.counterexamples
+
+
+def test_thm_fgc_reports_each_side_of_the_equivalence():
+    check = theorems._check_thm_fgc
+    aba, ab = PalindromeIndex("aba"), PalindromeIndex("ab")
+    assert check("aba", aba, ([1, 0, -1, -1], 2)) is None
+    assert check("ab", ab, ([1, -1, -1], 1)) is None
+    # planted differences: one breaks the coupling at n = 1, one makes it hold for a non-palindrome
+    assert check("aba", aba, ([1, 1, -1, -1], 2)) == (
+        "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 2 != 3"
+    )
+    assert check("ab", ab, ([1, 0, -2], 1)) == "complexity coupling holds but not a rich palindrome"
 
 
 def test_trap_closed_reports_each_non_trapezoidal_part():
