@@ -6,12 +6,14 @@ prefix-order walk of the word tree (_walk) serves verify, enumerate and
 census; census, PROP1 and THM_FGC read the PalindromeIndex it carries,
 PROFILE_EQUIV a SuffixAutomaton.  A verify walk also carries a per-claim
 state from each word to its children (ClaimSpec.step): a state that is
-falsy outside a prefix-closed property, outside which PROP2 and
-BINARY_TRAP never run (TRAP_CLOSED guards that pruning), or a per-word
-value stepped from the parent's, such as (R, K) for PROFILE_EQUIV.  Fixed subtree
-blocks and sorted counterexamples make parallel and sequential verify
-reports identical.  Bad arguments raise core.UsageError before any walk;
-nothing raised inside a walk is caught.
+falsy outside a prefix-closed property, or a per-word value stepped
+from the parent's, such as (R, K) for PROFILE_EQUIV.  PROP2 and
+BINARY_TRAP walk only the trapezoidal words and their children, and
+count each subtree below a falsy state in closed form (TRAP_CLOSED
+guards that pruning).  Fixed subtree blocks and sorted counterexamples
+make parallel and sequential verify reports identical.  Bad arguments
+raise core.UsageError before any walk; nothing raised inside a walk is
+caught.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from multiprocessing import Pool
 
 from .classify import (
     _B_mismatches,
+    _B_prime_mismatches,
     _end_returns_are_palindromes,
     condition_B,
     condition_B_prime,
@@ -203,7 +206,8 @@ class ClaimSpec:
       follows the property of w alone: the flag of richness by complete
       returns (PROP1), and (R, K) while w is trapezoidal, False otherwise
       (PROP2, BINARY_TRAP).  With inside set, the checker runs only on
-      words whose state is truthy; every word is still walked and counted.
+      words whose state is truthy, and the walk does not descend below a
+      falsy one: its subtree is counted, not walked.
     - A value, never falsy, each from a fact about appending a symbol:
       (d, K) for THM_FGC, d[n] = C(n+1) - C(n) for n = 0..|w| (one new
       factor at each length from K(w) to |w|);
@@ -310,13 +314,22 @@ class VerificationReport:
         }
 
 
-def _walk(symbols: str, prefix: str, depth: int, index: Undoable | None = None):
+def _walk(
+    symbols: str,
+    prefix: str,
+    depth: int,
+    index: Undoable | None = None,
+    keep: Callable[[str], object] | None = None,
+):
     """Yield prefix, then each extension of it by 1..depth symbols, in prefix order.
 
     Children come in alphabet order, so the words of one length come out
     in lexicographic order.  The walk keeps its own stack, so depth is not
     bounded by Python's recursion limit.  A given index must start empty; it
-    then holds each word yielded (pop to the parent, append).
+    then holds each word yielded (pop to the parent, append).  A given keep
+    is called on each word after it is yielded and before its children are
+    pushed; a falsy result prunes the word's subtree, so a word is yielded
+    only when keep passed each of its proper prefixes from prefix on.
     """
     children = symbols[::-1]  # pushed in reverse, so popped in alphabet order
     limit = len(prefix) + depth
@@ -334,7 +347,7 @@ def _walk(symbols: str, prefix: str, depth: int, index: Undoable | None = None):
             index.append(w[-1])
             held += 1
         yield w
-        if len(w) < limit:
+        if len(w) < limit and (keep is None or keep(w)):
             for s in children:
                 stack.append(w + s)
 
@@ -360,23 +373,31 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
     spec = CLAIMS[claim]
     checker, step, inside = spec.checker, spec.step, spec.inside
     index = spec.index() if spec.index else None
+    limit = len(prefix) + depth
     # state_at[n + 1] is the carried state of the path's word of length n
-    state_at, state = [True] * (len(prefix) + depth + 2), None
-    checked, bad = 0, []
+    state_at, state = [True] * (limit + 2), None
+    checked, pruned, bad = 0, 0, []
     if step is not None:
         for n in range(len(prefix)):  # the prefix's proper ancestors, which the walk skips
             parent = state_at[n]
             state_at[n + 1] = parent and step(prefix[:n], parent)
-    for checked, w in enumerate(_walk(symbols, prefix, depth, index), 1):
+    keep = None
+    if inside:  # no descendant of a word with a falsy state is walked; its subtree is counted
+        keep = lambda w: state_at[len(w) + 1]
+        below = [0]  # below[j]: words under one that has j levels of the block beneath it
+        for _ in range(depth):
+            below.append(len(symbols) * (below[-1] + 1))
+    for checked, w in enumerate(_walk(symbols, prefix, depth, index, keep), 1):
         if step is not None:
             n = len(w)
             parent = state_at[n]
             state = state_at[n + 1] = parent and step(w, parent)
             if inside and not state:
+                pruned += below[limit - n]
                 continue
         if (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
-    return checked, bad
+    return checked + pruned, bad
 
 
 def verify_claim(
@@ -528,7 +549,9 @@ def census(
       word outside one has no descendant inside it; only children of
       members are tested, trapezoidal ones by stepping the parent's (R, K).
     - sturmian_palindrome, condition_B and condition_B_prime: each holds
-      only on palindromes, so they are evaluated only on palindromes.
+      only on palindromes, so they are evaluated only on palindromes,
+      from one P read off the index and, for condition_B, the
+      differences of C from a SuffixAutomaton of w.
     """
     alpha = as_alphabet(alphabet)
     if max_len < 0:
@@ -553,9 +576,11 @@ def census(
         trapezoidal[n] += bool(trap)
         balanced[n] += bal
         if is_palindrome(w):
+            p = _palindromic_profile(index, n)
+            d = [*SuffixAutomaton(w).difference, -1]
             sturmian_pal[n] += bal
-            cond_b[n] += condition_B(w)
-            cond_b_prime[n] += condition_B_prime(w)
+            cond_b[n] += next(_B_mismatches(d, p), None) is None
+            cond_b_prime[n] += not _B_prime_mismatches(p)
     return CensusTable(
         alphabet=alpha.as_string,
         max_len=max_len,

@@ -82,7 +82,7 @@ def test_criterion_03_sturmian_palindrome_three_way():
 
 
 def test_criterion_04_trapezoidal_implies_rich_with_witnesses():
-    rep = verify_claim("PROP2", "ab", 20)
+    rep = verify_claim("PROP2", "ab", 24)
     failures = list(rep.counterexamples)
     rich_not_trap = find_class_members("rich_not_trapezoidal", "ab", 6)
     if "aabbaa" not in rich_not_trap:
@@ -92,7 +92,7 @@ def test_criterion_04_trapezoidal_implies_rich_with_witnesses():
         failures.append(("aaabab", "missing from trapezoidal-but-not-Sturmian enumeration"))
     report(
         4,
-        "no trapezoidal-but-not-rich word, binary <=20; length-6 witnesses found",
+        "no trapezoidal-but-not-rich word, binary <=24; length-6 witnesses found",
         failures,
         f"{rep.words_checked} words",
     )
@@ -173,10 +173,10 @@ def test_criterion_08_index_matches_naive_oracle():
 
 
 def test_criterion_09_no_wide_alphabet_trapezoids():
-    rep = verify_claim("BINARY_TRAP", "abc", 10)
+    rep = verify_claim("BINARY_TRAP", "abc", 14)
     report(
         9,
-        "no trapezoidal word uses 3 distinct symbols, ternary <=10",
+        "no trapezoidal word uses 3 distinct symbols, ternary <=14",
         rep.counterexamples,
         f"{rep.words_checked} words",
     )

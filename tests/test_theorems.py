@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import sys
 import time
@@ -157,6 +158,30 @@ def test_blocks_cover_every_word_once(symbols, max_len):
     assert max(map(len, walks)) <= theorems._BLOCK_CAP
 
 
+def _scattered(w):
+    # passes on a scattered set of words, with failures at every length from 1 up
+    return (7 * w.count(w[:1]) + len(w)) % 5 != 1
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7)])
+@pytest.mark.parametrize("keep", [_scattered, is_trapezoidal], ids=["scattered", "trapezoidal"])
+def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(symbols, max_len, keep):
+    keep = functools.cache(keep)
+    expected = [
+        w for w in words_up_to(symbols, max_len) if all(keep(w[:i]) for i in range(len(w)))
+    ]
+    assert sorted(theorems._walk(symbols, "", max_len, keep=keep)) == sorted(expected)
+    assert len(expected) < word_count(len(symbols), max_len)
+    for prefix, depth in theorems._blocks(symbols, max_len):
+        walked = list(theorems._walk(symbols, prefix, depth, keep=keep))
+        in_block = [
+            w
+            for w in theorems._walk(symbols, prefix, depth)
+            if all(keep(w[:i]) for i in range(len(prefix), len(w)))
+        ]
+        assert walked == in_block, prefix  # pruning drops subtrees and keeps the prefix order
+
+
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
     blocks = theorems._blocks(symbols, max_len)
@@ -290,25 +315,39 @@ def test_carried_flag_starts_from_the_prefix_ancestors(monkeypatch):
     assert [flag for _, flag in seen] == [False] * 13
 
 
+def test_every_inside_claim_carries_a_state():
+    # an inside claim's checker and walk both stop below a falsy state, so it needs a step
+    inside = [claim for claim, spec in CLAIMS.items() if spec.inside]
+    assert inside == ["PROP2", "BINARY_TRAP"]
+    assert all(CLAIMS[claim].step is not None for claim in inside)
+
+
 @pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if spec.step])
 def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
     spec = theorems.CLAIMS[claim]
-    states = []
+    stepped, states = [], []
 
     def step(w, parent):
         assert parent, (w, parent)
+        stepped.append(w)
         states.append(spec.step(w, parent))
         return states[-1]
 
     monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
     assert verify_claim(claim, "abc", 7).verified
+    blocks = [*theorems._blocks("abc", 7), ("abcaa", 2)]  # abc, and so abcaa, is not trapezoidal
     theorems._run_block((claim, "abc", "abcaa", 2))  # ancestors of a prefix under the same rule
-    ancestors = sum(len(prefix) for prefix, _ in theorems._blocks("abc", 7)) + 5
-    walked = word_count(3, 7) + 13 + ancestors
-    if claim in ("PROP1", "PROP2", "BINARY_TRAP"):  # false flags prune the steps below them
-        assert False in states and len(states) < walked
+    # each block steps its prefix's proper ancestors, then walks its subtree
+    walked = []
+    for prefix, depth in blocks:
+        walked += [prefix[:n] for n in range(len(prefix))]
+        walked += theorems._walk("abc", prefix, depth)
+    if spec.inside:  # the children of trapezoidal words, and the empty word, are stepped
+        assert stepped == [w for w in walked if not w or is_trapezoidal(w[:-1])]
+    elif claim == "PROP1":  # the false flags prune the steps below them
+        assert False in states and len(states) < len(walked)
     else:  # values are never falsy, so every word is stepped
-        assert all(states) and len(states) == walked
+        assert all(states) and stepped == walked
 
 
 def test_pal_bound_reports_a_count_above_the_bound():
@@ -343,20 +382,40 @@ def _planted_everywhere(w, index=None, flag=None):
     return "planted"
 
 
-# ba/12 and cab/8 merge 5 and 10 blocks; abc/10 seeds each block's flag from a length-4 prefix
-@pytest.mark.parametrize("symbols,max_len", [("ba", 12), ("cab", 8), ("abc", 10)])
+@functools.cache
+def _trapezoidal_words(symbols, max_len):
+    return [w for w in words_up_to(symbols, max_len) if is_trapezoidal(w)]
+
+
+# ba/12 and cab/8 merge 5 and 10 blocks; abc/10 seeds each block's flag from a length-4 prefix,
+# 36 of which are not trapezoidal, so those blocks are counted below their first word
+@pytest.mark.parametrize(
+    "symbols,max_len",
+    [("ba", 12), ("cab", 8), ("abc", 10), ("ab", 14), ("abc", 8), ("abcd", 6), ("a", 30)],
+)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_restricted_claim_reports_every_trapezoidal_word_in_order(
     monkeypatch, symbols, max_len, workers
 ):
-    spec = theorems.CLAIMS["BINARY_TRAP"]
-    planted = dataclasses.replace(spec, checker=_planted_everywhere)
-    monkeypatch.setitem(theorems.CLAIMS, "BINARY_TRAP", planted)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
-    report = verify_claim("BINARY_TRAP", symbols, max_len, workers=workers)
-    expected = [(w, "planted") for w in words_up_to(symbols, max_len) if is_trapezoidal(w)]
-    assert report.counterexamples == expected
-    assert report.words_checked == word_count(len(symbols), max_len)
+    expected = [(w, "planted") for w in _trapezoidal_words(symbols, max_len)]
+    for claim in ("PROP2", "BINARY_TRAP"):
+        spec = theorems.CLAIMS[claim]
+        monkeypatch.setitem(
+            theorems.CLAIMS, claim, dataclasses.replace(spec, checker=_planted_everywhere)
+        )
+        report = verify_claim(claim, symbols, max_len, workers=workers)
+        assert report.counterexamples == expected, claim
+        assert report.words_checked == word_count(len(symbols), max_len), claim
+
+
+@pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if not spec.inside])
+def test_claims_outside_the_restriction_check_every_word(monkeypatch, claim):
+    planted = dataclasses.replace(theorems.CLAIMS[claim], checker=_planted_everywhere)
+    monkeypatch.setitem(theorems.CLAIMS, claim, planted)
+    report = verify_claim(claim, "abc", 6)
+    assert report.counterexamples == [(w, "planted") for w in words_up_to("abc", 6)]
+    assert report.words_checked == word_count(3, 6)
 
 
 def test_prop1_catches_a_pop_that_keeps_the_node(monkeypatch):
