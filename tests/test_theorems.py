@@ -478,7 +478,7 @@ def test_trap_closed_reports_each_non_trapezoidal_part():
 
 def _planted(w, index=None, flag=None):
     # fails on a scattered set of words, in every block
-    return "planted" if (7 * w.count(w[:1]) + len(w)) % 5 == 1 else None
+    return None if _scattered(w) else "planted"
 
 
 # ba/10 and cab/6 are one block each; ba/12 and cab/8 merge 5 and 10 blocks
