@@ -109,6 +109,11 @@ class PalindromeIndex:
         """Number of distinct non-empty palindromic factors seen so far."""
         return len(self._len) - 2
 
+    @property
+    def longest_suffix_palindrome(self) -> int:
+        """Length of the longest palindromic suffix of the word (0 when empty)."""
+        return self._len[self._suffix[-1]]
+
     def lengths(self) -> list[int]:
         """Length of the palindrome each node stands for, empty word included."""
         return self._len[_EMPTY:]

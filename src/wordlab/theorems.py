@@ -3,17 +3,17 @@
 Each claim is a per-word predicate evaluated over every word up to a
 length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk of the word tree (_walk) serves verify, enumerate and
-census; census, PROP1 and THM_FGC read the PalindromeIndex it carries,
-PROFILE_EQUIV a SuffixAutomaton.  A verify walk also carries a per-claim
-state from each word to its children (ClaimSpec.step): a state that is
-falsy outside a prefix-closed property, or a per-word value stepped
-from the parent's, such as (R, K) for PROFILE_EQUIV.  PROP2 and
-BINARY_TRAP walk only the trapezoidal words and their children, and
-count each subtree below a falsy state in closed form (TRAP_CLOSED
-guards that pruning).  Fixed subtree blocks and sorted counterexamples
-make parallel and sequential verify reports identical.  Bad arguments
-raise core.UsageError before any walk; nothing raised inside a walk is
-caught.
+census; census, PROP1, PROP2 and THM_FGC read the PalindromeIndex it
+carries (THM_FGC builds P and D only on palindromes), PROFILE_EQUIV a
+SuffixAutomaton.  A verify walk also carries a per-claim state from each
+word to its children (ClaimSpec.step): a state that is falsy outside a
+prefix-closed property, or a per-word value stepped from the parent's,
+such as (R, K) for PROFILE_EQUIV.  PROP2 and BINARY_TRAP walk only the
+trapezoidal words and their children, and count each subtree below a
+falsy state in closed form (TRAP_CLOSED guards that pruning).  Fixed
+subtree blocks and sorted counterexamples make parallel and sequential
+verify reports identical.  Bad arguments raise core.UsageError before
+any walk; nothing raised inside a walk is caught.
 """
 
 from __future__ import annotations
@@ -70,15 +70,19 @@ def _check_prop1(w: str, index: PalindromeIndex, by_returns: bool) -> str | None
     return None
 
 
-def _check_prop2(w: str, index: None, rk: tuple[int, int]) -> str | None:
-    if not is_rich_by_count(w):
+def _check_prop2(w: str, index: PalindromeIndex, rk: tuple[int, int]) -> str | None:
+    if index.palindrome_count != len(w):
         return "trapezoidal but not rich"
     return None
 
 
-def _check_thm_fgc(w: str, index: PalindromeIndex, dk: tuple[list[int], int]) -> str | None:
+def _check_thm_fgc(w: str, index: PalindromeIndex, state: None) -> str | None:
     rich_palindrome = is_palindrome(w) and index.palindrome_count == len(w)
-    mismatch = next(_B_mismatches(dk[0], _palindromic_profile(index, len(w))), None)
+    # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff P(|w|) = 1
+    if not rich_palindrome and index.longest_suffix_palindrome < len(w):
+        return None
+    d = [*SuffixAutomaton(w).difference, -1]  # the automaton's D, then C(N+1) - C(N)
+    mismatch = next(_B_mismatches(d, _palindromic_profile(index, len(w))), None)
     if rich_palindrome and mismatch:
         n, lhs, rhs = mismatch
         return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
@@ -151,16 +155,6 @@ def _returns_step(w: str, rich: bool) -> bool:
     return _end_returns_are_palindromes(w)  # a complete return in w[:-1] is one in w
 
 
-def _differences_step(w: str, parent: tuple[list[int], int]) -> tuple[list[int], int]:
-    # w's new factors are its unrepeated suffixes, so C(n) gains 1 for n >= K, d[K-1] gains 1
-    if not w:
-        return [-1], 0
-    k = _k_index_step(w, parent[1])
-    d = [*parent[0], -1]
-    d[k - 1] += 1
-    return d, k
-
-
 def _palindrome_count_step(w: str, count: int) -> int:
     return count + _new_palindromic_suffixes(w) if w else 1
 
@@ -192,9 +186,11 @@ class ClaimSpec:
     """checker(w, index, state) returns a diagnostic or None.
 
     A claim with an index class gets the one the walk carries, holding w,
-    else None: a PalindromeIndex for PROP1 and THM_FGC, a SuffixAutomaton
-    for PROFILE_EQUIV.  PAL_BOUND's count and PROP1's returns route are
-    what the tree is checked against, and the rest would pay for upkeep.
+    else None: a PalindromeIndex for PROP1, PROP2 and THM_FGC, a
+    SuffixAutomaton for PROFILE_EQUIV.  PAL_BOUND's count and PROP1's
+    returns route are what the tree is checked against.  THM_FGC settles
+    a word that is not a palindrome by the tree's longest palindromic
+    suffix alone, and builds P and D only for the rest.
 
     A claim with a step gets the carried state of w, else None: the walk
     carries state(w) = state(w[:-1]) and step(w, state(w[:-1])), taking
@@ -209,8 +205,6 @@ class ClaimSpec:
       words whose state is truthy, and the walk does not descend below a
       falsy one: its subtree is counted, not walked.
     - A value, never falsy, each from a fact about appending a symbol:
-      (d, K) for THM_FGC, d[n] = C(n+1) - C(n) for n = 0..|w| (one new
-      factor at each length from K(w) to |w|);
       the number of distinct palindromic factors, the empty word
       included, for PAL_BOUND (the new ones are palindromic suffixes);
       (R, minimal period) for PERIOD_INEQ; (R, K) for PROFILE_EQUIV; and
@@ -236,6 +230,7 @@ CLAIMS: dict[str, ClaimSpec] = {
     "PROP2": ClaimSpec(
         "every trapezoidal word is rich",
         _check_prop2,
+        index=PalindromeIndex,
         step=_trapezoidal_step,  # closed under factors (de Luca 1999); see TRAP_CLOSED
         inside=True,
     ),
@@ -243,7 +238,6 @@ CLAIMS: dict[str, ClaimSpec] = {
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
         index=PalindromeIndex,
-        step=_differences_step,  # ties C to K, so PROFILE_EQUIV must not use it
     ),
     "THM_MAIN": ClaimSpec(
         "Sturmian palindrome == symmetric palindromic complexity == trapezoidal palindrome",

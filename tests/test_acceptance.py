@@ -62,10 +62,10 @@ def test_criterion_01_richness_routes_agree():
 
 
 def test_criterion_02_rich_palindrome_identity():
-    rep = verify_claim("THM_FGC", "ab", 16)
+    rep = verify_claim("THM_FGC", "ab", 18)
     report(
         2,
-        "rich palindrome <=> P(n)+P(n+1) = C(n+1)-C(n)+2 pointwise, binary <=16",
+        "rich palindrome <=> P(n)+P(n+1) = C(n+1)-C(n)+2 pointwise, binary <=18",
         rep.counterexamples,
         f"{rep.words_checked} words",
     )

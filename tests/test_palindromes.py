@@ -66,6 +66,12 @@ def test_lengths_lists_one_node_per_palindrome():
     assert sorted(idx.lengths()) == sorted(len(f) for f in palindromic_factors("aabbaa"))
 
 
+def test_longest_suffix_palindrome_matches_naive():
+    for w in [*words_up_to("ab", 10), *words_up_to("abc", 6)]:
+        longest = max(len(f) for f in palindromic_factors(w) if w.endswith(f))
+        assert PalindromeIndex(w).longest_suffix_palindrome == longest, w
+
+
 def test_distinct_palindromes_of_a_long_unary_word():
     # nested palindromes are rebuilt without recursion
     assert PalindromeIndex("a" * 3000).distinct_palindromes() == {"a" * i for i in range(3001)}
@@ -86,6 +92,7 @@ def _state(idx):
         idx.lengths(),
         idx.distinct_palindromes(),
         idx.palindrome_count,
+        idx.longest_suffix_palindrome,
     )
 
 

@@ -200,7 +200,7 @@ def _automaton(a):
 
 
 def _differences(w):
-    # C(n+1) - C(n) for n = 0..|w|; the automaton keeps n < |w|, THM_FGC all of them
+    # C(n+1) - C(n) for n = 0..|w|; the automaton keeps n < |w|
     c = oracle.subword_complexity(w)
     return [c[n + 1] - c[n] for n in range(len(w) + 1)]
 
@@ -245,7 +245,6 @@ def _indices(w, *names):
 
 # the carried values against direct computations of each word
 INVARIANTS = {
-    "THM_FGC": lambda w: (_differences(w), k_index(w)),
     "PAL_BOUND": lambda w: len(oracle.palindromic_factors(w)),
     "PERIOD_INEQ": lambda w: _indices(w, "r_index", "min_period"),
     "PROFILE_EQUIV": lambda w: _indices(w, "r_index", "k_index"),
@@ -454,16 +453,94 @@ def test_profile_equiv_reads_the_carried_automaton(monkeypatch):
     assert ("aab", "index trapezoidal=True, difference-profile runs=None") in report.counterexamples
 
 
-def test_thm_fgc_reports_each_side_of_the_equivalence():
+class _StubTree:
+    """A palindromic tree that reports the given node lengths, empty word included."""
+
+    def __init__(self, lengths):
+        self._lengths = lengths
+        self.palindrome_count = len(lengths) - 1
+        self.longest_suffix_palindrome = max(lengths)
+
+    def lengths(self):
+        return self._lengths
+
+
+def _stub_automaton(difference):
+    class StubAutomaton:
+        def __init__(self, w):
+            self.difference = list(difference)
+
+    return StubAutomaton
+
+
+def test_thm_fgc_reports_each_side_of_the_equivalence(monkeypatch):
     check = theorems._check_thm_fgc
-    aba, ab = PalindromeIndex("aba"), PalindromeIndex("ab")
-    assert check("aba", aba, ([1, 0, -1, -1], 2)) is None
-    assert check("ab", ab, ([1, -1, -1], 1)) is None
-    # planted differences: one breaks the coupling at n = 1, one makes it hold for a non-palindrome
-    assert check("aba", aba, ([1, 1, -1, -1], 2)) == (
+    assert check("aba", PalindromeIndex("aba"), None) is None
+    assert check("ab", PalindromeIndex("ab"), None) is None
+    # a planted D breaks the coupling of the rich palindrome aba at n = 1
+    monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1, -1]))
+    assert check("aba", PalindromeIndex("aba"), None) == (
         "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 2 != 3"
     )
-    assert check("ab", ab, ([1, 0, -2], 1)) == "complexity coupling holds but not a rich palindrome"
+    # a tree that claims P(2) = 1 on ab, with a D that fits it, is not trusted past the scan
+    monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1]))
+    assert check("ab", _StubTree([0, 1, 1, 2]), None) == (
+        "complexity coupling holds but not a rich palindrome"
+    )
+
+
+def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch):
+    def unbuilt(self, word=""):
+        raise AssertionError(f"automaton built for {word!r}")
+
+    monkeypatch.setattr(SuffixAutomaton, "__init__", unbuilt)
+    index = PalindromeIndex()
+    settled = 0
+    for w in theorems._walk("ab", "", 10, index):
+        if w != w[::-1]:
+            assert theorems._check_thm_fgc(w, index, None) is None, w
+            settled += 1
+    assert settled == word_count(2, 10) - (1 + sum(2 ** ((n + 1) // 2) for n in range(1, 11)))
+
+
+# the palindromes of length <= 12 over ab and <= 7 over abc, the empty word included
+@pytest.mark.parametrize("symbols,max_len,built", [("ab", 12, 253), ("abc", 7, 160)])
+def test_thm_fgc_builds_one_automaton_per_palindrome(monkeypatch, symbols, max_len, built):
+    assert built == 1 + sum(len(symbols) ** ((n + 1) // 2) for n in range(1, max_len + 1))
+    init, words = SuffixAutomaton.__init__, []
+
+    def counted(self, word=""):
+        words.append(word)
+        init(self, word)
+
+    monkeypatch.setattr(SuffixAutomaton, "__init__", counted)
+    assert verify_claim("THM_FGC", symbols, max_len).verified
+    assert len(words) == built and all(w == w[::-1] for w in words)
+
+
+def _trapezoidal_by_extension(symbols, max_len):
+    # trapezoidal words are closed under prefixes, so each length extends the one before
+    level, found = [""], [""]
+    for _ in range(max_len):
+        level = [w + s for w in level for s in symbols if is_trapezoidal(w + s)]
+        found += level
+    return found
+
+
+# ab/18 splits into blocks of depth 10 under length-8 prefixes, so each block's tree starts deep
+@pytest.mark.parametrize("symbols,max_len", [("ab", 14), ("abc", 8), ("ab", 18)])
+def test_prop2_reads_the_tree_of_each_trapezoidal_word(monkeypatch, symbols, max_len):
+    spec, seen = theorems.CLAIMS["PROP2"], []
+
+    def checker(w, index, rk):
+        assert index._chars == list(w), w
+        assert index.palindrome_count == len(oracle.palindromic_factors(w)) - 1, w
+        seen.append(w)
+        return spec.checker(w, index, rk)
+
+    monkeypatch.setitem(theorems.CLAIMS, "PROP2", dataclasses.replace(spec, checker=checker))
+    assert verify_claim("PROP2", symbols, max_len).verified
+    assert sorted(seen) == sorted(_trapezoidal_by_extension(symbols, max_len))
 
 
 def test_trap_closed_reports_each_non_trapezoidal_part():
