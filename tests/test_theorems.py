@@ -200,9 +200,9 @@ def _automaton(a):
 
 
 def _differences(w):
-    # C(n+1) - C(n) for n = 0..|w|; the automaton keeps n < |w|
+    # D: C(n+1) - C(n) for n = 0..|w|-1
     c = oracle.subword_complexity(w)
-    return [c[n + 1] - c[n] for n in range(len(w) + 1)]
+    return [c[n + 1] - c[n] for n in range(len(w))]
 
 
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 6)])
@@ -211,7 +211,7 @@ def test_walk_automaton_is_the_automaton_of_each_word(symbols, max_len):
         automaton = SuffixAutomaton()
         for w in theorems._walk(symbols, prefix, depth, automaton):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
-            assert automaton.difference == _differences(w)[:-1], w
+            assert automaton.difference == _differences(w), w
 
 
 def _states_seen(monkeypatch, claim, symbols, prefix, depth):
@@ -482,11 +482,16 @@ def test_thm_fgc_reports_each_side_of_the_equivalence(monkeypatch):
     assert check("aba", PalindromeIndex("aba"), None) == (
         "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 2 != 3"
     )
-    # a tree that claims P(2) = 1 on ab, with a D that fits it, is not trusted past the scan
+    # a tree that claims P(2) = 1 on ab is scanned in full, and a D that fits it is reported
     monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1]))
     assert check("ab", _StubTree([0, 1, 1, 2]), None) == (
         "complexity coupling holds but not a rich palindrome"
     )
+
+
+def _palindromes_up_to(k, max_len):
+    # a palindrome of length n is fixed by its first ceil(n/2) symbols; the empty word is one
+    return 1 + sum(k ** ((n + 1) // 2) for n in range(1, max_len + 1))
 
 
 def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch):
@@ -500,13 +505,12 @@ def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch):
         if w != w[::-1]:
             assert theorems._check_thm_fgc(w, index, None) is None, w
             settled += 1
-    assert settled == word_count(2, 10) - (1 + sum(2 ** ((n + 1) // 2) for n in range(1, 11)))
+    assert settled == word_count(2, 10) - _palindromes_up_to(2, 10)
 
 
-# the palindromes of length <= 12 over ab and <= 7 over abc, the empty word included
 @pytest.mark.parametrize("symbols,max_len,built", [("ab", 12, 253), ("abc", 7, 160)])
 def test_thm_fgc_builds_one_automaton_per_palindrome(monkeypatch, symbols, max_len, built):
-    assert built == 1 + sum(len(symbols) ** ((n + 1) // 2) for n in range(1, max_len + 1))
+    assert built == _palindromes_up_to(len(symbols), max_len)
     init, words = SuffixAutomaton.__init__, []
 
     def counted(self, word=""):
