@@ -2,9 +2,12 @@
 
 Each claim is a per-word predicate evaluated over every word up to a
 length bound; violations are collected with a pointwise diagnostic.  One
-prefix-order walk of the word tree (_walk) serves verify, enumerate and
-census; census, PROP1, PROP2 and THM_FGC read the PalindromeIndex it
-carries (THM_FGC builds P and D only on palindromes), PROFILE_EQUIV a
+prefix-order walk (_walk) serves verify, enumerate and census.  Claims and
+classes are defined by symbol equality, so a word and its letter renamings
+agree: the walk visits one canonical word per renaming class, weighted by
+its renamings, and verify checks each renaming of a failing one on its own.
+Census, PROP1, PROP2 and THM_FGC read the PalindromeIndex the walk carries
+(THM_FGC builds P and D only on palindromes), PROFILE_EQUIV a
 SuffixAutomaton.  A verify walk also carries a per-claim state from each
 word to its children (ClaimSpec.step): a state that is falsy outside a
 prefix-closed property, or a per-word value stepped from the parent's,
@@ -22,6 +25,8 @@ import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import permutations
+from math import perm
 from multiprocessing import Pool
 
 from .classify import (
@@ -211,7 +216,9 @@ class ClaimSpec:
       (R, K) with the parent's verdict for TRAP_CLOSED, which guards the
       pruning and so carries no falsy state.
 
-    These are fixed properties of each claim, not options.
+    These are fixed properties of each claim, not options.  Checker and
+    step may compare symbols only with each other, never with a named
+    letter: the walk visits one word per renaming of the letters.
     """
     description: str
     checker: Callable[[str, Undoable | None, object], str | None]
@@ -315,9 +322,14 @@ def _walk(
     index: Undoable | None = None,
     keep: Callable[[str], object] | None = None,
 ):
-    """Yield prefix, then each extension of it by 1..depth symbols, in prefix order.
+    """Yield (w, weight) for prefix, then each canonical extension of it by 1..depth symbols.
 
-    Children come in alphabet order, so the words of one length come out
+    A word is canonical when its letters first appear in alphabet order, so
+    its children are the letters it uses and the next unused one.  Every
+    word is the image of exactly one canonical word under an injective
+    renaming of the letters; weight is the number of images of w,
+    k(k-1)...(k-j+1) for j distinct letters out of k.  Words come in prefix
+    order, children in alphabet order, so the words of one length come out
     in lexicographic order.  The walk keeps its own stack, so depth is not
     bounded by Python's recursion limit.  A given index must start empty; it
     then holds each word yielded (pop to the parent, append).  A given keep
@@ -325,44 +337,62 @@ def _walk(
     pushed; a falsy result prunes the word's subtree, so a word is yielded
     only when keep passed each of its proper prefixes from prefix on.
     """
-    children = symbols[::-1]  # pushed in reverse, so popped in alphabet order
+    k = len(symbols)
+    weights = [perm(k, j) for j in range(k + 1)]
+    # a word with j letters: its children and their letter counts, reversed to pop in order
+    children = [
+        [(s, max(j, i + 1)) for i, s in enumerate(symbols[: j + 1])][::-1] for j in range(k + 1)
+    ]
     limit = len(prefix) + depth
     held = max(len(prefix) - 1, 0)  # length of the word the index holds
     if index is not None:
         for s in prefix[:-1]:
             index.append(s)
-    stack = [prefix]
+    stack = [(prefix, len(set(prefix)))]
     while stack:
-        w = stack.pop()
+        w, used = stack.pop()
         if index is not None and w:
             while held >= len(w):  # back to the parent w[:-1]
                 index.pop()
                 held -= 1
             index.append(w[-1])
             held += 1
-        yield w
+        yield w, weights[used]
         if len(w) < limit and (keep is None or keep(w)):
-            for s in children:
-                stack.append(w + s)
+            for s, j in children[used]:
+                stack.append((w + s, j))
+
+
+def _renamings(w: str, symbols: str) -> list[str]:
+    """The images of a canonical word under the injective renamings of its letters, w first."""
+    used = symbols[: len(set(w))]
+    return [w.translate(str.maketrans(used, "".join(p))) for p in permutations(symbols, len(used))]
+
+
+def _alphabet_order(symbols: str) -> Callable[[str], tuple[int, list[int]]]:
+    """Sort key: by length, then lexicographically in the alphabet's order."""
+    rank = {s: i for i, s in enumerate(symbols)}
+    return lambda w: (len(w), [rank[s] for s in w])
 
 
 def _blocks(symbols: str, max_len: int) -> list[tuple[str, int]]:
-    """Fixed partition of the words of length <= max_len into (prefix, depth) subtrees.
+    """Fixed partition of the canonical words of length <= max_len into (prefix, depth) subtrees.
 
-    Each head-length prefix heads one subtree of at most _BLOCK_CAP words;
-    one head block holds the shorter words.  The partition depends only on
-    the alphabet and bound, never on the worker count.
+    Each canonical head-length prefix heads one subtree of at most _BLOCK_CAP
+    words; one head block holds the shorter words.  The partition depends
+    only on the alphabet and bound, never on the worker count.
     """
     depth, size = 0, 1  # the deepest subtree under the cap, and its word count
     while depth < max_len and size + len(symbols) ** (depth + 1) <= _BLOCK_CAP:
         depth += 1
         size += len(symbols) ** depth
     head = max_len - depth
-    subtrees = [(p, depth) for p in _walk(symbols, "", head) if len(p) == head]
+    subtrees = [(p, depth) for p, _ in _walk(symbols, "", head) if len(p) == head]
     return [("", head - 1), *subtrees] if head else subtrees
 
 
 def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, str]]]:
+    """(words the walked words stand for, (word, diagnostic) of each failing one) of a block."""
     claim, symbols, prefix, depth = task
     spec = CLAIMS[claim]
     checker, step, inside = spec.checker, spec.step, spec.inside
@@ -370,7 +400,7 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
     limit = len(prefix) + depth
     # state_at[n + 1] is the carried state of the path's word of length n
     state_at, state = [True] * (limit + 2), None
-    checked, pruned, bad = 0, 0, []
+    checked, bad = 0, []
     if step is not None:
         for n in range(len(prefix)):  # the prefix's proper ancestors, which the walk skips
             parent = state_at[n]
@@ -381,17 +411,18 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
         below = [0]  # below[j]: words under one that has j levels of the block beneath it
         for _ in range(depth):
             below.append(len(symbols) * (below[-1] + 1))
-    for checked, w in enumerate(_walk(symbols, prefix, depth, index, keep), 1):
+    for w, weight in _walk(symbols, prefix, depth, index, keep):
+        checked += weight
         if step is not None:
             n = len(w)
             parent = state_at[n]
             state = state_at[n + 1] = parent and step(w, parent)
             if inside and not state:
-                pruned += below[limit - n]
+                checked += weight * below[limit - n]
                 continue
         if (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
-    return checked + pruned, bad
+    return checked, bad
 
 
 def verify_claim(
@@ -429,16 +460,18 @@ def verify_claim(
             results = pool.map(_run_block, tasks)
     else:
         results = [_run_block(t) for t in tasks]
-    rank = {s: i for i, s in enumerate(symbols)}
+    bad = [hit for _, hits in results for hit in hits]
+    # a failing canonical word stands for its other renamings too: each is a block of one
+    # word, its ancestors stepped from the empty word, so its diagnostic is its own
+    images = [v for w, _ in bad for v in _renamings(w, symbols)[1:]]
+    bad += [hit for v in images for hit in _run_block((claim, symbols, v, 0))[1]]
+    order = _alphabet_order(symbols)
     return VerificationReport(
         claim=claim,
         alphabet=symbols,
         max_len=max_len,
         words_checked=sum(c for c, _ in results),
-        counterexamples=sorted(
-            (hit for _, bad in results for hit in bad),
-            key=lambda hit: (len(hit[0]), [rank[s] for s in hit[0]]),
-        ),
+        counterexamples=sorted(bad, key=lambda hit: order(hit[0])),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -477,15 +510,17 @@ def find_class_members(
     budget: int = DEFAULT_BUDGET,
 ) -> list[str]:
     """All words of exactly the given length satisfying a named predicate,
-    in lexicographic order."""
+    in lexicographic order: the renamings of each canonical member."""
     if predicate not in PREDICATES:
         raise UsageError(f"unknown predicate {predicate!r}; known: {', '.join(PREDICATES)}")
     alpha = as_alphabet(alphabet)
     if length < 0:
         raise UsageError("length must be non-negative")
     check_budget(len(alpha) ** length, budget, f"words of length {length}")
-    check = PREDICATES[predicate]
-    return [w for w in _walk(alpha.as_string, "", length) if len(w) == length and check(w)]
+    symbols, check = alpha.as_string, PREDICATES[predicate]
+    members = [w for w, _ in _walk(symbols, "", length) if len(w) == length and check(w)]
+    images = (v for w in members for v in _renamings(w, symbols))
+    return sorted(images, key=_alphabet_order(symbols))
 
 
 CENSUS_CLASSES = (
@@ -532,9 +567,11 @@ class CensusTable:
 def census(
     alphabet: Alphabet | str, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> CensusTable:
-    """Count class members per length in one walk of the word tree.
+    """Count class members per length in one walk of the canonical words.
 
-    _walk carries one PalindromeIndex along the tree.  The columns:
+    _walk carries one PalindromeIndex along the tree, and each canonical
+    word adds its weight, the number of its renamings, to every count it
+    is in; total is k^n.  The columns:
 
     - rich: the word has n distinct non-empty palindromic factors, read
       off the index.
@@ -561,20 +598,20 @@ def census(
     trap_at, bal_at = [(0, 0)] * (max_len + 1), [True] * (max_len + 1)
     walk = _walk(alpha.as_string, "", max_len, index)
     next(walk)  # skip the empty word
-    for w in walk:
+    for w, weight in walk:
         n = len(w)
-        total[n] += 1
-        rich[n] += index.palindrome_count == n
+        total[n] += weight
+        rich[n] += weight * (index.palindrome_count == n)
         trap = trap_at[n] = trap_at[n - 1] and _trapezoidal_step(w, trap_at[n - 1])
         bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
-        trapezoidal[n] += bool(trap)
-        balanced[n] += bal
+        trapezoidal[n] += weight * bool(trap)
+        balanced[n] += weight * bal
         if is_palindrome(w):
             p = _palindromic_profile(index, n)
             d = [*SuffixAutomaton(w).difference, -1]
-            sturmian_pal[n] += bal
-            cond_b[n] += next(_B_mismatches(d, p), None) is None
-            cond_b_prime[n] += not _B_prime_mismatches(p)
+            sturmian_pal[n] += weight * bal
+            cond_b[n] += weight * (next(_B_mismatches(d, p), None) is None)
+            cond_b_prime[n] += weight * (not _B_prime_mismatches(p))
     return CensusTable(
         alphabet=alpha.as_string,
         max_len=max_len,

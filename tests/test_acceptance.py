@@ -48,14 +48,14 @@ def report(num: int, description: str, failures, extra: str = "") -> None:
 
 def test_criterion_01_richness_routes_agree():
     binary = verify_claim("PROP1", "ab", 14)
-    ternary = verify_claim("PROP1", "abc", 9)
+    ternary = verify_claim("PROP1", "abc", 10)
     failures = binary.counterexamples + ternary.counterexamples
     elapsed = binary.elapsed_seconds + ternary.elapsed_seconds
     if elapsed >= 120.0:
         failures = failures + [("(runtime)", f"{elapsed:.1f}s >= 120s")]
     report(
         1,
-        "richness by count == richness by returns, binary <=14 and ternary <=9",
+        "richness by count == richness by returns, binary <=14 and ternary <=10",
         failures,
         f"{binary.words_checked + ternary.words_checked} words in {elapsed:.1f}s",
     )
@@ -101,7 +101,7 @@ def test_criterion_04_trapezoidal_implies_rich_with_witnesses():
 def test_criterion_05_palindromic_factor_bound_characterizes_richness():
     failures = []
     checked = 0
-    for alphabet, max_len in (("ab", 16), ("abc", 10)):  # the claim's carried count
+    for alphabet, max_len in (("ab", 16), ("abc", 11)):  # the claim's carried count
         rep = verify_claim("PAL_BOUND", alphabet, max_len)
         failures += rep.counterexamples
         checked += rep.words_checked
@@ -115,7 +115,7 @@ def test_criterion_05_palindromic_factor_bound_characterizes_richness():
                 failures.append((w, "bound equality disagrees with is_rich"))
     report(
         5,
-        "palindromic factor count <= |w|+1 (binary <=16, ternary <=10), equality exactly "
+        "palindromic factor count <= |w|+1 (binary <=16, ternary <=11), equality exactly "
         "on rich words (binary <=14, ternary <=9)",
         failures,
         f"{checked} words",
@@ -173,10 +173,10 @@ def test_criterion_08_index_matches_naive_oracle():
 
 
 def test_criterion_09_no_wide_alphabet_trapezoids():
-    rep = verify_claim("BINARY_TRAP", "abc", 14)
+    rep = verify_claim("BINARY_TRAP", "abc", 15)
     report(
         9,
-        "no trapezoidal word uses 3 distinct symbols, ternary <=14",
+        "no trapezoidal word uses 3 distinct symbols, ternary <=15",
         rep.counterexamples,
         f"{rep.words_checked} words",
     )
@@ -280,11 +280,11 @@ def test_criterion_14_census_closed_forms():
 def test_criterion_15_trapezoidal_words_are_closed_under_factors():
     # PROP2 and BINARY_TRAP check only the trapezoidal subtree, which this justifies
     binary = verify_claim("TRAP_CLOSED", "ab", 18)
-    ternary = verify_claim("TRAP_CLOSED", "abc", 10)
+    ternary = verify_claim("TRAP_CLOSED", "abc", 11)
     report(
         15,
         "w[:-1], w[1:] and the reversal of a trapezoidal word are trapezoidal, "
-        "binary <=18 and ternary <=10",
+        "binary <=18 and ternary <=11",
         binary.counterexamples + ternary.counterexamples,
         f"{binary.words_checked + ternary.words_checked} words",
     )

@@ -154,6 +154,7 @@ def test_routes_do_not_use_the_palindromic_tree(monkeypatch):
     with pytest.raises(AssertionError):
         unbalance_witness("ab")
     assert [(is_rich_by_returns(w), palindromic_factors(w)) for w in words] == expected
-    # PAL_BOUND's carried count, through the sequential walk
+    # PAL_BOUND's carried count, through the sequential walk of the canonical words
     assert verify_claim("PAL_BOUND", "abc", 7).verified
-    assert counts == {w: len(palindromic_factors(w)) for w in words_up_to("abc", 7)}
+    canonical = [w for w in words_up_to("abc", 7) if "abc".startswith("".join(dict.fromkeys(w)))]
+    assert counts == {w: len(palindromic_factors(w)) for w in canonical}

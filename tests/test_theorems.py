@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import sys
 import time
 
@@ -20,6 +21,20 @@ from wordlab.complexity import (
 from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
+
+
+def _is_canonical(w, symbols):
+    # its letters, in order of first appearance, are the first letters of the alphabet
+    return "".join(dict.fromkeys(w)) == symbols[: len(set(w))]
+
+
+def _canonical_form(w, symbols):
+    return w.translate(str.maketrans("".join(dict.fromkeys(w)), symbols[: len(set(w))]))
+
+
+def _weight(w, symbols):
+    # the number of injective renamings of w's letters into the alphabet
+    return math.perm(len(symbols), len(set(w)))
 
 
 def test_claim_registry_is_complete():
@@ -130,14 +145,16 @@ class _RecordingPool:
 @pytest.mark.parametrize(
     "workers,cpus,max_len,expected",
     [
-        (64, 4, 12, [4]),  # capped by the CPU count; ab/12 has 5 blocks
+        (64, 4, 12, [4]),  # capped by the CPU count
         (3, 64, 12, [3]),  # the requested count fits
-        (64, 64, 12, [5]),  # capped by the number of blocks: 1 head block + 4 subtrees
+        (64, 64, 12, [5]),  # capped by the number of blocks
         (8, None, 12, []),  # unknown CPU count: sequential, no pool
         (1, 64, 12, []),
     ],
 )
 def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
+    # at this cap ab/12 has 5 blocks: the head block and 4 canonical subtrees under aaa..abc
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 1024)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(theorems, "Pool", _RecordingPool)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
@@ -147,14 +164,21 @@ def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
 
 
 @pytest.mark.parametrize(
-    "symbols,max_len", [("ab", 0), ("ab", 9), ("ab", 10), ("ab", 11), ("ab", 13), ("abc", 8)]
+    "symbols,max_len",
+    [("ab", 0), ("ab", 9), ("ab", 10), ("ab", 11), ("ab", 13), ("abc", 8), ("abcd", 6), ("ba", 12)]
+    + [("cab", 8), ("a", 9)],
 )
 def test_blocks_cover_every_word_once(symbols, max_len):
     walks = [
         list(theorems._walk(symbols, prefix, depth))
         for prefix, depth in theorems._blocks(symbols, max_len)
     ]
-    assert sorted(w for walk in walks for w in walk) == sorted(words_up_to(symbols, max_len))
+    words = sorted(words_up_to(symbols, max_len))
+    walked = [w for walk in walks for w, _ in walk]
+    assert sorted(walked) == [w for w in words if _is_canonical(w, symbols)]  # each once
+    # their renamings are every word, each once, and each weight counts its word's renamings
+    assert sorted(v for w in walked for v in theorems._renamings(w, symbols)) == words
+    assert all(weight == _weight(w, symbols) for walk in walks for w, weight in walk)
     assert max(map(len, walks)) <= theorems._BLOCK_CAP
 
 
@@ -167,16 +191,15 @@ def _scattered(w):
 @pytest.mark.parametrize("keep", [_scattered, is_trapezoidal], ids=["scattered", "trapezoidal"])
 def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(symbols, max_len, keep):
     keep = functools.cache(keep)
-    expected = [
-        w for w in words_up_to(symbols, max_len) if all(keep(w[:i]) for i in range(len(w)))
-    ]
-    assert sorted(theorems._walk(symbols, "", max_len, keep=keep)) == sorted(expected)
-    assert len(expected) < word_count(len(symbols), max_len)
+    canonical = [w for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols)]
+    expected = [w for w in canonical if all(keep(w[:i]) for i in range(len(w)))]
+    assert sorted(w for w, _ in theorems._walk(symbols, "", max_len, keep=keep)) == sorted(expected)
+    assert len(expected) < len(canonical)
     for prefix, depth in theorems._blocks(symbols, max_len):
         walked = list(theorems._walk(symbols, prefix, depth, keep=keep))
         in_block = [
-            w
-            for w in theorems._walk(symbols, prefix, depth)
+            (w, weight)
+            for w, weight in theorems._walk(symbols, prefix, depth)
             if all(keep(w[:i]) for i in range(len(prefix), len(w)))
         ]
         assert walked == in_block, prefix  # pruning drops subtrees and keeps the prefix order
@@ -188,7 +211,7 @@ def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
     assert blocks[0][0] == "" and all(prefix for prefix, _ in blocks[1:])  # head and subtrees
     for prefix, depth in blocks:
         index = PalindromeIndex()
-        for w in theorems._walk(symbols, prefix, depth, index):
+        for w, _ in theorems._walk(symbols, prefix, depth, index):
             fresh = PalindromeIndex(w)
             assert index.palindrome_count == fresh.palindrome_count, w
             assert index.prefix_counts == fresh.prefix_counts, w
@@ -209,20 +232,20 @@ def _differences(w):
 def test_walk_automaton_is_the_automaton_of_each_word(symbols, max_len):
     for prefix, depth in theorems._blocks(symbols, max_len):
         automaton = SuffixAutomaton()
-        for w in theorems._walk(symbols, prefix, depth, automaton):
+        for w, _ in theorems._walk(symbols, prefix, depth, automaton):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
             assert automaton.difference == _differences(w), w
 
 
 def _states_seen(monkeypatch, claim, symbols, prefix, depth):
-    """(word, carried state) for every word of one block, checker restriction lifted."""
+    """(word, carried state) for every canonical word of one block, checker restriction lifted."""
     seen = []
     spec = dataclasses.replace(
         theorems.CLAIMS[claim], checker=lambda w, index, state: seen.append((w, state)), inside=False
     )
     monkeypatch.setitem(theorems.CLAIMS, claim, spec)
     checked, _ = theorems._run_block((claim, symbols, prefix, depth))
-    assert checked == len(seen)
+    assert checked == sum(_weight(w, symbols) for w, _ in seen)
     return seen
 
 
@@ -258,6 +281,41 @@ def test_walk_states_are_the_invariants_of_each_word(monkeypatch, symbols, max_l
         for claim, direct in INVARIANTS.items():
             for w, state in _states_seen(monkeypatch, claim, symbols, prefix, depth):
                 assert state == direct(w), (claim, w)
+
+
+def _own_states_and_verdicts(claim, symbols, max_len):
+    """word -> (carried state, whether the checker passes it), each word on its own.
+
+    Each state steps from the parent's, so from the empty word down, with no walk; the
+    verdict comes from an index built for the word alone, None where the claim skips it.
+    """
+    spec, states, seen = CLAIMS[claim], {}, {}
+    for w in words_up_to(symbols, max_len):  # shortest first, so each parent comes first
+        parent = states[w[:-1]] if w else True
+        state = states[w] = spec.step and (parent and spec.step(w, parent))
+        verdict = None
+        if not (spec.inside and not state):
+            index = spec.index(w) if spec.index else None
+            verdict = spec.checker(w, index, state) is None
+        seen[w] = (state, verdict)
+    return seen
+
+
+# the reduction to canonical words: no claim may tell a word from a renaming of it
+@pytest.mark.parametrize("symbols,max_len", [("ab", 11), ("abc", 7), ("abcd", 5), ("ba", 10)])
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_every_word_carries_the_state_and_verdict_of_its_canonical_form(claim, symbols, max_len):
+    seen = _own_states_and_verdicts(claim, symbols, max_len)
+    assert any(state for state, _ in seen.values()) or CLAIMS[claim].step is None
+    for w, state_and_verdict in seen.items():
+        assert state_and_verdict == seen[_canonical_form(w, symbols)], (claim, w)
+
+
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_words_checked_is_the_full_count(claim):
+    for symbols, max_len in (("ab", 12), ("abc", 8), ("abcd", 6), ("ba", 12), ("a", 30)):
+        report = verify_claim(claim, symbols, max_len)
+        assert report.words_checked == word_count(len(symbols), max_len), (symbols, max_len)
 
 
 def _long_prefixes():
@@ -301,7 +359,7 @@ def test_walk_automaton_under_a_long_prefix(symbols, prefix):
         pass
     assert time.perf_counter() - started < 0.5  # about 10 ms; a rebuild per pop takes seconds
     automaton = SuffixAutomaton()
-    for w in theorems._walk(symbols, prefix, 6, automaton):
+    for w, _ in theorems._walk(symbols, prefix, 6, automaton):
         if w.endswith(symbols[0]):  # each first child, reached by popping back from a sibling
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
     assert _automaton(automaton) == _automaton(SuffixAutomaton(w))
@@ -340,7 +398,7 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
     walked = []
     for prefix, depth in blocks:
         walked += [prefix[:n] for n in range(len(prefix))]
-        walked += theorems._walk("abc", prefix, depth)
+        walked += [w for w, _ in theorems._walk("abc", prefix, depth)]
     if spec.inside:  # the children of trapezoidal words, and the empty word, are stepped
         assert stepped == [w for w in walked if not w or is_trapezoidal(w[:-1])]
     elif claim == "PROP1":  # the false flags prune the steps below them
@@ -501,10 +559,10 @@ def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch):
     monkeypatch.setattr(SuffixAutomaton, "__init__", unbuilt)
     index = PalindromeIndex()
     settled = 0
-    for w in theorems._walk("ab", "", 10, index):
+    for w, weight in theorems._walk("ab", "", 10, index):
         if w != w[::-1]:
             assert theorems._check_thm_fgc(w, index, None) is None, w
-            settled += 1
+            settled += weight
     assert settled == word_count(2, 10) - _palindromes_up_to(2, 10)
 
 
@@ -519,7 +577,9 @@ def test_thm_fgc_builds_one_automaton_per_palindrome(monkeypatch, symbols, max_l
 
     monkeypatch.setattr(SuffixAutomaton, "__init__", counted)
     assert verify_claim("THM_FGC", symbols, max_len).verified
-    assert len(words) == built and all(w == w[::-1] for w in words)
+    # one per canonical palindrome, and their renamings are every palindrome
+    assert all(w == w[::-1] and _is_canonical(w, symbols) for w in words)
+    assert sum(_weight(w, symbols) for w in words) == built
 
 
 def _trapezoidal_by_extension(symbols, max_len):
@@ -544,7 +604,8 @@ def test_prop2_reads_the_tree_of_each_trapezoidal_word(monkeypatch, symbols, max
 
     monkeypatch.setitem(theorems.CLAIMS, "PROP2", dataclasses.replace(spec, checker=checker))
     assert verify_claim("PROP2", symbols, max_len).verified
-    assert sorted(seen) == sorted(_trapezoidal_by_extension(symbols, max_len))
+    renamings = [v for w in seen for v in theorems._renamings(w, symbols)]
+    assert sorted(renamings) == sorted(_trapezoidal_by_extension(symbols, max_len))
 
 
 def test_trap_closed_reports_each_non_trapezoidal_part():
@@ -573,6 +634,37 @@ def test_counterexamples_in_length_then_alphabet_order(monkeypatch, symbols, max
     expected = [(w, "planted") for w in words_up_to(symbols, max_len) if _planted(w)]
     assert len(expected) > 100
     assert report.counterexamples == expected
+
+
+def _planted_naming(w, index=None, state=None):
+    # fails on the words _planted fails on, and names each one
+    return None if _scattered(w) else f"planted at {w!r}"
+
+
+@pytest.mark.parametrize("claim", list(CLAIMS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_renaming_of_a_counterexample_is_checked_on_its_own(monkeypatch, claim, workers):
+    spec = dataclasses.replace(theorems.CLAIMS[claim], checker=_planted_naming)
+    monkeypatch.setitem(theorems.CLAIMS, claim, spec)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    for symbols, max_len in (("cab", 8), ("abcd", 5)):
+        checked = [w for w in words_up_to(symbols, max_len) if not spec.inside or is_trapezoidal(w)]
+        expected = [(w, f"planted at {w!r}") for w in checked if not _scattered(w)]
+        report = verify_claim(claim, symbols, max_len, workers=workers)
+        assert report.counterexamples == expected, symbols
+
+
+def test_trap_closed_quotes_the_parts_of_each_renaming(monkeypatch):
+    # a planted trapezoidal test refuses every word whose first letter occurs exactly twice
+    monkeypatch.setattr(theorems, "is_trapezoidal", lambda v: v.count(v[:1]) != 2)
+    check = theorems._check_trap_closed
+    expected = [
+        (w, diag)
+        for w in words_up_to("cab", 7)
+        if (diag := check(w, None, (r_index(w), k_index(w), is_trapezoidal(w[:-1]))))
+    ]
+    assert len({diag for _, diag in expected}) > 100  # the diagnostics quote the words
+    assert verify_claim("TRAP_CLOSED", "cab", 7).counterexamples == expected
 
 
 def test_report_json_shape():
@@ -651,7 +743,7 @@ def _brute_force_census(alphabet: str, max_len: int) -> dict:
 
 @pytest.mark.parametrize(
     "alphabet,max_len",
-    [("ab", 12), ("abc", 7), ("abcd", 5), ("ba", 8), ("a", 6), ("ab", 0)],
+    [("ab", 12), ("abc", 7), ("abcd", 5), ("ba", 8), ("a", 6), ("ab", 0), ("cab", 6)],
 )
 def test_census_walk_matches_brute_force(alphabet, max_len):
     table = census(alphabet, max_len).to_json_dict()
@@ -686,6 +778,15 @@ def test_predicate_registry_names():
         "trapezoidal_not_sturmian",
     ):
         assert name in PREDICATES
+
+
+@pytest.mark.parametrize("predicate", list(PREDICATES))
+def test_find_class_members_is_a_filter_of_all_words(predicate):
+    check = PREDICATES[predicate]
+    for symbols, max_len in (("ab", 10), ("abc", 6), ("abcd", 4), ("ba", 8)):
+        for n in range(max_len + 1):
+            expected = [w for w in oracle.all_words(symbols, n) if check(w)]
+            assert find_class_members(predicate, symbols, n) == expected, (symbols, n)
 
 
 def test_predicates_tolerate_wide_alphabets():
