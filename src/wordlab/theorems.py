@@ -5,7 +5,7 @@ length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk (_walk) serves verify, enumerate and census.  Claims and
 classes are defined by symbol equality, so a word and its letter renamings
 agree: the walk visits one canonical word per renaming class, weighted by
-its renamings, and verify checks each renaming of a failing one on its own.
+its renamings, and verify checks each other renaming of a failing one alone.
 Census, PROP1, PROP2 and THM_FGC read the PalindromeIndex the walk carries
 (THM_FGC builds P and D only on palindromes), PROFILE_EQUIV a
 SuffixAutomaton.  A verify walk also carries a per-claim state from each

@@ -165,8 +165,10 @@ def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
 
 @pytest.mark.parametrize(
     "symbols,max_len",
-    [("ab", 0), ("ab", 9), ("ab", 10), ("ab", 11), ("ab", 13), ("abc", 8), ("abcd", 6), ("ba", 12)]
-    + [("cab", 8), ("a", 9)],
+    [
+        ("ab", 0), ("ab", 9), ("ab", 10), ("ab", 11), ("ab", 13),
+        ("abc", 8), ("abcd", 6), ("ba", 12), ("cab", 8), ("a", 9),
+    ],
 )
 def test_blocks_cover_every_word_once(symbols, max_len):
     walks = [
