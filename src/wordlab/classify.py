@@ -32,10 +32,6 @@ from .complexity import (
 from .core import _palindrome_spans, is_palindrome
 from .palindromes import PalindromeIndex, index_count_palindromes
 
-# Involution used to compare a palindromic-complexity profile with its
-# own reversal: 0 and 2 swap, 1 is fixed.
-THETA = {0: 2, 1: 1, 2: 0}
-
 
 def is_rich_by_count(w: str) -> bool:
     """True iff w has the maximum |w| + 1 distinct palindromic factors."""
@@ -210,18 +206,6 @@ def condition_B_prime(w: str) -> bool:
     before any profile is built.
     """
     return is_palindrome(w) and not _B_prime_mismatches(palindromic_complexity(w))
-
-
-def theta_palindrome_check(values: Sequence[int]) -> bool:
-    """True iff the integer sequence equals the image of its reversal under
-    the 0<->2, 1->1 involution.
-
-    Intended for palindromic-complexity profiles truncated to P(0)..P(N);
-    raises ValueError if any entry falls outside {0, 1, 2}.
-    """
-    if any(v not in (0, 1, 2) for v in values):
-        raise ValueError("profile not over {0,1,2}")
-    return list(values) == [THETA[v] for v in reversed(values)]
 
 
 @dataclass(frozen=True)

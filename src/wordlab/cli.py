@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from .classify import classify
-from .core import DEFAULT_BUDGET, Alphabet, BudgetExceededError, UsageError
+from .core import DEFAULT_BUDGET, MAX_WORD_LENGTH, Alphabet, BudgetExceededError, UsageError
 from .generate import sturmian_corpus
 from .theorems import (
     CENSUS_CLASSES,
@@ -36,11 +36,6 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-# Longest word analyze accepts.  The palindromic factor list it prints is
-# quadratic in N on words with long palindromes: a^N prints 12.6 MB of
-# JSON at this length.
-MAX_ANALYZE_LENGTH = 5000
 
 
 def _emit_json(payload: dict) -> None:
@@ -75,9 +70,9 @@ def _emit_words(fmt: str, header: dict, words: list[str]) -> None:
 def analyze_payload(word: str) -> dict:
     """Flat JSON-ready record with profiles, indices, factors, and verdicts."""
     alphabet = Alphabet(sorted(set(word))).as_string if word else ""  # printable, <= 26 symbols
-    if len(word) > MAX_ANALYZE_LENGTH:
+    if len(word) > MAX_WORD_LENGTH:
         raise BudgetExceededError(
-            f"word of length {len(word)} exceeds the analyze limit of {MAX_ANALYZE_LENGTH}"
+            f"word of length {len(word)} exceeds the word-length limit of {MAX_WORD_LENGTH}"
         )
     report = classify(word)
     profile = report.profile

@@ -8,8 +8,8 @@ that scan, so neither depends on the palindromic tree.  The PAL_BOUND
 claim counts palindromic factors by string search along the verify walk
 (_new_palindromic_suffixes), so it does not check the tree against
 itself either.  Only a check of caller input raises UsageError, and
-check_budget raises BudgetExceededError; any other exception is a
-fault.  The CLI exits 2, 3 and 4 on these.
+check_budget and check_walk raise BudgetExceededError; any other
+exception is a fault.  The CLI exits 2, 3 and 4 on these.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from collections.abc import Iterable, Iterator
 
 MAX_ALPHABET_SIZE = 26
 DEFAULT_BUDGET = 1 << 26  # refuse enumerations beyond ~67M words
+# Longest word any command builds: a walk's work per word grows with its length, and
+# analyze prints a palindromic factor list quadratic in N (12.6 MB of JSON for a^N).
+MAX_WORD_LENGTH = 5000
 
 
 class UsageError(ValueError):
@@ -25,7 +28,7 @@ class UsageError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configured word budget."""
+    """Raised past the word budget, or for a word longer than MAX_WORD_LENGTH."""
 
 
 def check_budget(words: int, budget: int, what: str) -> None:
@@ -34,6 +37,25 @@ def check_budget(words: int, budget: int, what: str) -> None:
         raise UsageError(f"budget must be non-negative, got {budget}")
     if words > budget:
         raise BudgetExceededError(f"{words} {what} exceeds the budget of {budget}")
+
+
+def word_count(alphabet_size: int, max_len: int) -> int:
+    """Number of words of length 0..max_len over an alphabet of that size."""
+    return sum(alphabet_size**n for n in range(max_len + 1))
+
+
+def check_walk(name: str, length: int, symbols: int, budget: int, exact: bool = False) -> None:
+    """Before any word is built, refuse a negative length (UsageError), a length
+    over MAX_WORD_LENGTH, or more words than budget: those of length 0..length
+    over that many symbols, or of that length only (BudgetExceededError)."""
+    if length < 0:
+        raise UsageError(f"{name} must be non-negative")
+    if length > MAX_WORD_LENGTH:
+        raise BudgetExceededError(
+            f"{name} {length} exceeds the word-length limit of {MAX_WORD_LENGTH}"
+        )
+    words = symbols**length if exact else word_count(symbols, length)
+    check_budget(words, budget, f"words of length {'' if exact else '<= '}{length}")
 
 
 class Alphabet:

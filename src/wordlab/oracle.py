@@ -1,6 +1,6 @@
 """Product-loop word enumeration and naive set-based profiles,
-palindromic factors, right special factors and borders: the reference
-for the test suite, so obviously correct.
+palindromic factors, right special factors, borders and the theta test:
+the reference for the test suite, so obviously correct.
 
 The word-tree walk, the suffix-automaton C(n) and the palindromic-tree
 P(n) in wordlab.complexity, the palindromic tree itself, the
@@ -11,7 +11,7 @@ checked against it.  Nothing in the package imports this module.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .core import Alphabet, as_alphabet
 
@@ -91,3 +91,20 @@ def longest_border(w: str) -> str:
         if w[:k] == w[n - k :]:
             return w[:k]
     return ""
+
+
+# Involution used to compare a palindromic-complexity profile with its
+# own reversal: 0 and 2 swap, 1 is fixed.
+THETA = {0: 2, 1: 1, 2: 0}
+
+
+def theta_palindrome_check(values: Sequence[int]) -> bool:
+    """True iff the integer sequence equals the image of its reversal under
+    the 0<->2, 1->1 involution.
+
+    Intended for palindromic-complexity profiles truncated to P(0)..P(N);
+    raises ValueError if any entry falls outside {0, 1, 2}.
+    """
+    if any(v not in (0, 1, 2) for v in values):
+        raise ValueError("profile not over {0,1,2}")
+    return list(values) == [THETA[v] for v in reversed(values)]

@@ -8,15 +8,16 @@ agree: the walk visits one canonical word per renaming class, weighted by
 its renamings, and verify checks each other renaming of a failing one alone.
 Census, PROP1, PROP2 and THM_FGC read the PalindromeIndex the walk carries
 (THM_FGC builds P and D only on palindromes), PROFILE_EQUIV a
-SuffixAutomaton.  A verify walk also carries a per-claim state from each
-word to its children (ClaimSpec.step): a state that is falsy outside a
-prefix-closed property, or a per-word value stepped from the parent's,
-such as (R, K) for PROFILE_EQUIV.  PROP2 and BINARY_TRAP walk only the
-trapezoidal words and their children, and count each subtree below a
-falsy state in closed form (TRAP_CLOSED guards that pruning).  Fixed
-subtree blocks and sorted counterexamples make parallel and sequential
-verify reports identical.  Bad arguments raise core.UsageError before
-any walk; nothing raised inside a walk is caught.
+SuffixAutomaton.  The walk also steps a state from each word to its
+children (ClaimSpec.step, and census's trapezoidal and balanced flags):
+a state that is falsy outside a prefix-closed property, or a per-word
+value stepped from the parent's, such as (R, K) for PROFILE_EQUIV.
+PROP2 and BINARY_TRAP walk only the trapezoidal words and their
+children, and count each subtree below a falsy state in closed form
+(TRAP_CLOSED guards that pruning).  Fixed subtree blocks and sorted
+counterexamples make parallel and sequential verify reports identical.
+Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
+before any walk; nothing raised inside a walk is caught.
 """
 
 from __future__ import annotations
@@ -50,17 +51,12 @@ from .complexity import (
     _run_decomposition,
 )
 from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
-from .core import DEFAULT_BUDGET, Alphabet, UsageError, _new_palindromic_suffixes, as_alphabet
-from .core import BudgetExceededError, check_budget  # the error stays importable here
+from .core import DEFAULT_BUDGET, Alphabet, UsageError, as_alphabet, check_walk
+from .core import _new_palindromic_suffixes
 from .palindromes import PalindromeIndex
 
 _BLOCK_CAP = 2048  # max words enumerated per work block
 Undoable = PalindromeIndex | SuffixAutomaton  # what a walk can carry: append, and pop to undo it
-
-
-def word_count(alphabet_size: int, max_len: int) -> int:
-    """Number of words of length 0..max_len over an alphabet of that size."""
-    return sum(alphabet_size**n for n in range(max_len + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +177,12 @@ def _trapezoidal_step(w: str, parent: tuple[int, int]) -> tuple[int, int] | bool
     return len(w) == rk[0] + rk[1] and rk
 
 
+def _census_step(w: str, parent: tuple) -> tuple[tuple[int, int] | bool, bool]:
+    # (the trapezoidal state, whether w is balanced); both classes are closed under prefixes
+    trap, bal = parent if w else ((0, 0), True)  # the empty word steps to its own state
+    return trap and _trapezoidal_step(w, trap), bal and is_finite_sturmian(w)
+
+
 def _trap_closed_step(w: str, parent: tuple[int, int, bool]) -> tuple[int, int, bool]:
     # the parent's R and K give its own verdict, which answers w[:-1]
     return (*_r_and_k_step(w, parent), len(w) - 1 == parent[0] + parent[1]) if w else (0, 0, True)
@@ -197,18 +199,17 @@ class ClaimSpec:
     a word that is not a palindrome by the tree's longest palindromic
     suffix alone, and builds P and D only for the rest.
 
-    A claim with a step gets the carried state of w, else None: the walk
-    carries state(w) = state(w[:-1]) and step(w, state(w[:-1])), taking
-    the empty word's parent state as True, so step runs only under a
-    truthy parent state and a falsy one passes to every descendant.
-    step("", True) is the empty word's state.  Two kinds of state:
+    A claim with a step gets the state of w that _walk steps, else None:
+    step runs only under a truthy parent state, a falsy one passes to
+    every descendant, and step("", True) is the empty word's state.  Two
+    kinds of state:
 
     - Falsy exactly outside a property closed under prefixes, so it
       follows the property of w alone: the flag of richness by complete
       returns (PROP1), and (R, K) while w is trapezoidal, False otherwise
-      (PROP2, BINARY_TRAP).  With inside set, the checker runs only on
-      words whose state is truthy, and the walk does not descend below a
-      falsy one: its subtree is counted, not walked.
+      (PROP2, BINARY_TRAP).  With inside set, the walk is pruned: the
+      checker runs only on words whose state is truthy, and the subtree
+      below a falsy one is counted, not walked.
     - A value, never falsy, each from a fact about appending a symbol:
       the number of distinct palindromic factors, the empty word
       included, for PAL_BOUND (the new ones are palindromic suffixes);
@@ -320,9 +321,10 @@ def _walk(
     prefix: str,
     depth: int,
     index: Undoable | None = None,
-    keep: Callable[[str], object] | None = None,
+    step: Callable[[str, object], object] | None = None,
+    prune: bool = False,
 ):
-    """Yield (w, weight) for prefix, then each canonical extension of it by 1..depth symbols.
+    """Yield (w, weight, state) for prefix, then each canonical extension by 1..depth symbols.
 
     A word is canonical when its letters first appear in alphabet order, so
     its children are the letters it uses and the next unused one.  Every
@@ -332,10 +334,11 @@ def _walk(
     order, children in alphabet order, so the words of one length come out
     in lexicographic order.  The walk keeps its own stack, so depth is not
     bounded by Python's recursion limit.  A given index must start empty; it
-    then holds each word yielded (pop to the parent, append).  A given keep
-    is called on each word after it is yielded and before its children are
-    pushed; a falsy result prunes the word's subtree, so a word is yielded
-    only when keep passed each of its proper prefixes from prefix on.
+    then holds each word yielded (pop to the parent, append).  A given step
+    sets state(w) = state(w[:-1]) and step(w, state(w[:-1])), the empty
+    word's parent state being True; with none, every state is None.  The
+    prefix's proper ancestors are replayed into the index and stepped first.
+    With prune, the children of a word with a falsy state are not walked.
     """
     k = len(symbols)
     weights = [perm(k, j) for j in range(k + 1)]
@@ -345,22 +348,25 @@ def _walk(
     ]
     limit = len(prefix) + depth
     held = max(len(prefix) - 1, 0)  # length of the word the index holds
-    if index is not None:
-        for s in prefix[:-1]:
-            index.append(s)
-    stack = [(prefix, len(set(prefix)))]
+    state = True if step else None  # the parent state of the next word down the prefix
+    for n in range(len(prefix)):  # the proper ancestors prefix[:n]
+        if index is not None and n:
+            index.append(prefix[n - 1])
+        state = state and step(prefix[:n], state)
+    stack = [(prefix, len(set(prefix)), state)]
     while stack:
-        w, used = stack.pop()
+        w, used, parent = stack.pop()
         if index is not None and w:
             while held >= len(w):  # back to the parent w[:-1]
                 index.pop()
                 held -= 1
             index.append(w[-1])
             held += 1
-        yield w, weights[used]
-        if len(w) < limit and (keep is None or keep(w)):
+        state = parent and step(w, parent)
+        yield w, weights[used], state
+        if len(w) < limit and (state or not prune):
             for s, j in children[used]:
-                stack.append((w + s, j))
+                stack.append((w + s, j, state))
 
 
 def _renamings(w: str, symbols: str) -> list[str]:
@@ -387,7 +393,7 @@ def _blocks(symbols: str, max_len: int) -> list[tuple[str, int]]:
         depth += 1
         size += len(symbols) ** depth
     head = max_len - depth
-    subtrees = [(p, depth) for p, _ in _walk(symbols, "", head) if len(p) == head]
+    subtrees = [(p, depth) for p, _, _ in _walk(symbols, "", head) if len(p) == head]
     return [("", head - 1), *subtrees] if head else subtrees
 
 
@@ -395,32 +401,19 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
     """(words the walked words stand for, (word, diagnostic) of each failing one) of a block."""
     claim, symbols, prefix, depth = task
     spec = CLAIMS[claim]
-    checker, step, inside = spec.checker, spec.step, spec.inside
+    checker, inside = spec.checker, spec.inside
     index = spec.index() if spec.index else None
     limit = len(prefix) + depth
-    # state_at[n + 1] is the carried state of the path's word of length n
-    state_at, state = [True] * (limit + 2), None
+    # an inside claim's walk stops at a falsy state, whose subtree is counted, not checked
+    below = [0]  # below[j]: words under one that has j levels of the block beneath it
+    for _ in range(depth):
+        below.append(len(symbols) * (below[-1] + 1))
     checked, bad = 0, []
-    if step is not None:
-        for n in range(len(prefix)):  # the prefix's proper ancestors, which the walk skips
-            parent = state_at[n]
-            state_at[n + 1] = parent and step(prefix[:n], parent)
-    keep = None
-    if inside:  # no descendant of a word with a falsy state is walked; its subtree is counted
-        keep = lambda w: state_at[len(w) + 1]
-        below = [0]  # below[j]: words under one that has j levels of the block beneath it
-        for _ in range(depth):
-            below.append(len(symbols) * (below[-1] + 1))
-    for w, weight in _walk(symbols, prefix, depth, index, keep):
+    for w, weight, state in _walk(symbols, prefix, depth, index, spec.step, inside):
         checked += weight
-        if step is not None:
-            n = len(w)
-            parent = state_at[n]
-            state = state_at[n + 1] = parent and step(w, parent)
-            if inside and not state:
-                checked += weight * below[limit - n]
-                continue
-        if (diag := checker(w, index, state)) is not None:
+        if inside and not state:
+            checked += weight * below[limit - len(w)]
+        elif (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
     return checked, bad
 
@@ -437,20 +430,15 @@ def verify_claim(
     workers=None or 1 runs sequentially; higher values fan blocks out to
     a process pool of at most min(workers, CPU count, number of blocks)
     processes.  Either way the report is identical.  Raises
-    BudgetExceededError before enumerating more than `budget` words.
+    BudgetExceededError before enumerating more than `budget` words, or
+    words longer than core.MAX_WORD_LENGTH.
     """
     if claim not in CLAIMS:
         raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
     if workers is not None and workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
     alpha = as_alphabet(alphabet)
-    if max_len < 0:
-        raise UsageError("max_len must be non-negative")
-    check_budget(
-        word_count(len(alpha), max_len),
-        budget,
-        f"words of length <= {max_len} over {len(alpha)} symbols",
-    )
+    check_walk("max_len", max_len, len(alpha), budget)
     started = time.perf_counter()
     symbols = alpha.as_string
     tasks = [(claim, symbols, prefix, depth) for prefix, depth in _blocks(symbols, max_len)]
@@ -514,11 +502,9 @@ def find_class_members(
     if predicate not in PREDICATES:
         raise UsageError(f"unknown predicate {predicate!r}; known: {', '.join(PREDICATES)}")
     alpha = as_alphabet(alphabet)
-    if length < 0:
-        raise UsageError("length must be non-negative")
-    check_budget(len(alpha) ** length, budget, f"words of length {length}")
+    check_walk("length", length, len(alpha), budget, exact=True)
     symbols, check = alpha.as_string, PREDICATES[predicate]
-    members = [w for w, _ in _walk(symbols, "", length) if len(w) == length and check(w)]
+    members = [w for w, _, _ in _walk(symbols, "", length) if len(w) == length and check(w)]
     images = (v for w in members for v in _renamings(w, symbols))
     return sorted(images, key=_alphabet_order(symbols))
 
@@ -569,41 +555,35 @@ def census(
 ) -> CensusTable:
     """Count class members per length in one walk of the canonical words.
 
-    _walk carries one PalindromeIndex along the tree, and each canonical
-    word adds its weight, the number of its renamings, to every count it
-    is in; total is k^n.  The columns:
+    _walk carries one PalindromeIndex and the _census_step state along the
+    tree, and each canonical word adds its weight, the number of its
+    renamings, to every count it is in; total is k^n.  The columns:
 
     - rich: the word has n distinct non-empty palindromic factors, read
       off the index.
     - trapezoidal and balanced: both classes are closed under factors
       (balance by definition, trapezoidal words by de Luca 1999), so a
-      word outside one has no descendant inside it; only children of
-      members are tested, trapezoidal ones by stepping the parent's (R, K).
+      word outside one has no descendant inside it; the walk tests only
+      children of members, trapezoidal ones by stepping the parent's (R, K).
     - sturmian_palindrome, condition_B and condition_B_prime: each holds
       only on palindromes, so they are evaluated only on palindromes,
       from one P read off the index and, for condition_B, the
       differences of C from a SuffixAutomaton of w.
     """
     alpha = as_alphabet(alphabet)
-    if max_len < 0:
-        raise UsageError("max_len must be non-negative")
-    check_budget(word_count(len(alpha), max_len), budget, f"words of length <= {max_len}")
+    check_walk("max_len", max_len, len(alpha), budget)
     total = [0] * (max_len + 1)
     counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
     rich, trapezoidal, balanced = counts["rich"], counts["trapezoidal"], counts["balanced"]
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    # the path's words by length: (R, K) while trapezoidal, else False, and the balanced flag
-    trap_at, bal_at = [(0, 0)] * (max_len + 1), [True] * (max_len + 1)
-    walk = _walk(alpha.as_string, "", max_len, index)
+    walk = _walk(alpha.as_string, "", max_len, index, _census_step)
     next(walk)  # skip the empty word
-    for w, weight in walk:
+    for w, weight, (trap, bal) in walk:
         n = len(w)
         total[n] += weight
         rich[n] += weight * (index.palindrome_count == n)
-        trap = trap_at[n] = trap_at[n - 1] and _trapezoidal_step(w, trap_at[n - 1])
-        bal = bal_at[n] = bal_at[n - 1] and is_finite_sturmian(w)
         trapezoidal[n] += weight * bool(trap)
         balanced[n] += weight * bal
         if is_palindrome(w):

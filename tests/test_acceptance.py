@@ -20,11 +20,7 @@ from wordlab import (
     sturmian_corpus,
     verify_claim,
 )
-from wordlab.classify import (
-    is_finite_sturmian,
-    is_rich_by_count,
-    theta_palindrome_check,
-)
+from wordlab.classify import is_finite_sturmian, is_rich_by_count
 from wordlab.complexity import minimal_period
 from wordlab.core import is_palindrome
 from wordlab.generate import random_words
@@ -35,6 +31,7 @@ from wordlab.oracle import (
     longest_border,
     palindromic_complexity,
     palindromic_factors,
+    theta_palindrome_check,
     words_up_to,
 )
 

@@ -15,14 +15,18 @@ from wordlab.classify import (
     is_finite_sturmian,
     is_rich_by_count,
     is_rich_by_returns,
-    theta_palindrome_check,
     unbalance_witness,
 )
 from wordlab.complexity import word_profile
 from wordlab.core import is_palindrome
 from wordlab.generate import lower_christoffel
 from wordlab import oracle
-from wordlab.oracle import palindromic_complexity, palindromic_factors, words_up_to
+from wordlab.oracle import (
+    palindromic_complexity,
+    palindromic_factors,
+    theta_palindrome_check,
+    words_up_to,
+)
 
 binary_words = st.text(alphabet="ab", max_size=18)
 

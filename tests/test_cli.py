@@ -13,8 +13,8 @@ import pytest
 from wordlab import census, difference_profile, find_class_members, lower_christoffel
 from wordlab import sturmian_corpus, theorems, verify_claim
 from wordlab.classify import is_balanced
-from wordlab.cli import MAX_ANALYZE_LENGTH, analyze_payload, main
-from wordlab.core import Alphabet, UsageError
+from wordlab.cli import analyze_payload, main
+from wordlab.core import MAX_WORD_LENGTH, Alphabet, UsageError
 
 
 def run_cli(capsys, *argv):
@@ -123,13 +123,29 @@ def test_domain_errors_are_not_usage_errors(call):
 
 
 def test_analyze_length_limit(capsys):
-    code, out, err = run_cli(capsys, "analyze", "a" * (MAX_ANALYZE_LENGTH + 1))
+    code, out, err = run_cli(capsys, "analyze", "a" * (MAX_WORD_LENGTH + 1))
     assert code == 3
     assert out == ""
     assert "limit" in err
-    code, out, _ = run_cli(capsys, "analyze", "a" * MAX_ANALYZE_LENGTH, "--format", "json")
+    code, out, _ = run_cli(capsys, "analyze", "a" * MAX_WORD_LENGTH, "--format", "json")
     assert code == 0
-    assert json.loads(out)["length"] == MAX_ANALYZE_LENGTH
+    assert json.loads(out)["length"] == MAX_WORD_LENGTH
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "PROP1", "--alphabet", "a", "--max-len", str(MAX_WORD_LENGTH + 1)],
+        ["census", "--alphabet", "a", "--max-len", str(MAX_WORD_LENGTH + 1)],
+        ["enumerate", "rich", "--alphabet", "a", "--len", str(MAX_WORD_LENGTH + 1)],
+    ],
+    ids=["verify", "census", "enumerate"],
+)
+def test_word_length_limit_exit_three(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "word-length limit" in err
 
 
 def test_verify_exit_zero_and_report(capsys):

@@ -18,9 +18,10 @@ from wordlab.complexity import (
     r_index,
     structural_indices,
 )
+from wordlab.core import DEFAULT_BUDGET, MAX_WORD_LENGTH, BudgetExceededError, word_count
 from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import words_up_to
-from wordlab.theorems import CENSUS_CLASSES, PREDICATES, BudgetExceededError, word_count
+from wordlab.theorems import CENSUS_CLASSES, PREDICATES
 
 
 def _is_canonical(w, symbols):
@@ -100,6 +101,31 @@ def test_budget_guard():
     assert verify_claim("PROP1", "ab", 3, budget=word_count(2, 3)).verified
 
 
+def _unwalked(*args, **kwargs):
+    raise AssertionError("walked before refusing")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda n, budget: verify_claim("PROP1", "a", n, budget=budget), id="verify"),
+        pytest.param(lambda n, budget: census("a", n, budget=budget), id="census"),
+        pytest.param(
+            lambda n, budget: find_class_members("rich", "a", n, budget=budget), id="enumerate"
+        ),
+    ],
+)
+def test_word_length_is_refused_before_the_budget(monkeypatch, run):
+    # a unary alphabet passes any budget long before the words get too long to walk
+    monkeypatch.setattr(theorems, "_walk", _unwalked)
+    for length in (MAX_WORD_LENGTH + 1, 10**9):
+        with pytest.raises(BudgetExceededError, match=f"{length} exceeds the word-length limit"):
+            run(length, DEFAULT_BUDGET)
+    # the bound itself passes the length check, so the budget refuses it instead
+    with pytest.raises(BudgetExceededError, match="exceeds the budget of 0"):
+        run(MAX_WORD_LENGTH, 0)
+
+
 def test_negative_budget_rejected():
     for run in (
         lambda: verify_claim("PROP1", "ab", 3, budget=-1),
@@ -176,11 +202,11 @@ def test_blocks_cover_every_word_once(symbols, max_len):
         for prefix, depth in theorems._blocks(symbols, max_len)
     ]
     words = sorted(words_up_to(symbols, max_len))
-    walked = [w for walk in walks for w, _ in walk]
+    walked = [w for walk in walks for w, _, _ in walk]
     assert sorted(walked) == [w for w in words if _is_canonical(w, symbols)]  # each once
     # their renamings are every word, each once, and each weight counts its word's renamings
     assert sorted(v for w in walked for v in theorems._renamings(w, symbols)) == words
-    assert all(weight == _weight(w, symbols) for walk in walks for w, weight in walk)
+    assert all(weight == _weight(w, symbols) for walk in walks for w, weight, _ in walk)
     assert max(map(len, walks)) <= theorems._BLOCK_CAP
 
 
@@ -193,16 +219,19 @@ def _scattered(w):
 @pytest.mark.parametrize("keep", [_scattered, is_trapezoidal], ids=["scattered", "trapezoidal"])
 def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(symbols, max_len, keep):
     keep = functools.cache(keep)
+    step = lambda w, parent: keep(w)  # the state of w: keep passes w and each of its prefixes
     canonical = [w for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols)]
     expected = [w for w in canonical if all(keep(w[:i]) for i in range(len(w)))]
-    assert sorted(w for w, _ in theorems._walk(symbols, "", max_len, keep=keep)) == sorted(expected)
+    pruned = theorems._walk(symbols, "", max_len, step=step, prune=True)
+    assert sorted(w for w, _, _ in pruned) == sorted(expected)
     assert len(expected) < len(canonical)
     for prefix, depth in theorems._blocks(symbols, max_len):
-        walked = list(theorems._walk(symbols, prefix, depth, keep=keep))
+        walked = list(theorems._walk(symbols, prefix, depth, step=step, prune=True))
+        # the prefix is always yielded; below it, the prefix's ancestors count too
         in_block = [
-            (w, weight)
-            for w, weight in theorems._walk(symbols, prefix, depth)
-            if all(keep(w[:i]) for i in range(len(prefix), len(w)))
+            (w, weight, all(keep(w[:i]) for i in range(len(w) + 1)))
+            for w, weight, _ in theorems._walk(symbols, prefix, depth)
+            if w == prefix or all(keep(w[:i]) for i in range(len(w)))
         ]
         assert walked == in_block, prefix  # pruning drops subtrees and keeps the prefix order
 
@@ -213,7 +242,7 @@ def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
     assert blocks[0][0] == "" and all(prefix for prefix, _ in blocks[1:])  # head and subtrees
     for prefix, depth in blocks:
         index = PalindromeIndex()
-        for w, _ in theorems._walk(symbols, prefix, depth, index):
+        for w, _, _ in theorems._walk(symbols, prefix, depth, index):
             fresh = PalindromeIndex(w)
             assert index.palindrome_count == fresh.palindrome_count, w
             assert index.prefix_counts == fresh.prefix_counts, w
@@ -234,7 +263,7 @@ def _differences(w):
 def test_walk_automaton_is_the_automaton_of_each_word(symbols, max_len):
     for prefix, depth in theorems._blocks(symbols, max_len):
         automaton = SuffixAutomaton()
-        for w, _ in theorems._walk(symbols, prefix, depth, automaton):
+        for w, _, _ in theorems._walk(symbols, prefix, depth, automaton):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
             assert automaton.difference == _differences(w), w
 
@@ -361,7 +390,7 @@ def test_walk_automaton_under_a_long_prefix(symbols, prefix):
         pass
     assert time.perf_counter() - started < 0.5  # about 10 ms; a rebuild per pop takes seconds
     automaton = SuffixAutomaton()
-    for w, _ in theorems._walk(symbols, prefix, 6, automaton):
+    for w, _, _ in theorems._walk(symbols, prefix, 6, automaton):
         if w.endswith(symbols[0]):  # each first child, reached by popping back from a sibling
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
     assert _automaton(automaton) == _automaton(SuffixAutomaton(w))
@@ -400,13 +429,33 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
     walked = []
     for prefix, depth in blocks:
         walked += [prefix[:n] for n in range(len(prefix))]
-        walked += [w for w, _ in theorems._walk("abc", prefix, depth)]
+        walked += [w for w, _, _ in theorems._walk("abc", prefix, depth)]
     if spec.inside:  # the children of trapezoidal words, and the empty word, are stepped
         assert stepped == [w for w in walked if not w or is_trapezoidal(w[:-1])]
     elif claim == "PROP1":  # the false flags prune the steps below them
         assert False in states and len(states) < len(walked)
     else:  # values are never falsy, so every word is stepped
         assert all(states) and stepped == walked
+
+
+# every step the walk carries: each claim's, and census's
+STEPS = {c: spec.step for c, spec in CLAIMS.items() if spec.step} | {"census": theorems._census_step}
+
+
+def _stepped_from_the_empty_word(step, w):
+    state = True  # the empty word's parent state
+    for n in range(len(w) + 1):
+        state = state and step(w[:n], state)
+    return state
+
+
+@pytest.mark.parametrize("name", list(STEPS))
+def test_walk_yields_the_state_stepped_along_each_prefix(name):
+    step = STEPS[name]
+    for prefix, depth in [*theorems._blocks("abc", 7), ("abcaa", 2)]:
+        for prune in (False, True):
+            for w, _, state in theorems._walk("abc", prefix, depth, step=step, prune=prune):
+                assert state == _stepped_from_the_empty_word(step, w), (w, prune)
 
 
 def test_pal_bound_reports_a_count_above_the_bound():
@@ -561,7 +610,7 @@ def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch):
     monkeypatch.setattr(SuffixAutomaton, "__init__", unbuilt)
     index = PalindromeIndex()
     settled = 0
-    for w, weight in theorems._walk("ab", "", 10, index):
+    for w, weight, _ in theorems._walk("ab", "", 10, index):
         if w != w[::-1]:
             assert theorems._check_thm_fgc(w, index, None) is None, w
             settled += weight
