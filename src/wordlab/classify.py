@@ -161,10 +161,11 @@ def is_sturmian_palindrome(w: str) -> bool:
 
 
 def _B_mismatches(d: Sequence[int], p: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    # lazily, in ascending n; d[n] = C(n+1) - C(n) for n = 0..|w|
+    # lazily, in ascending n; d = D, d[n] = C(n+1) - C(n) for n < |w|, and at n = |w|
+    # C(|w|+1) - C(|w|) = 0 - 1
     for n in range(len(p) - 1):
         lhs = p[n] + p[n + 1]
-        rhs = d[n] + 2
+        rhs = (d[n] if n < len(d) else -1) + 2
         if lhs != rhs:
             yield n, lhs, rhs
 
@@ -176,8 +177,7 @@ def condition_B_mismatches(w: str) -> list[tuple[int, int, int]]:
     returns (n, lhs, rhs) triples in ascending n, so diagnostics can
     point at the first failure.
     """
-    d = [*SuffixAutomaton(w).difference, -1]  # the automaton's D, then C(N+1) - C(N)
-    return list(_B_mismatches(d, palindromic_complexity(w)))
+    return list(_B_mismatches(SuffixAutomaton(w).difference, palindromic_complexity(w)))
 
 
 def condition_B(w: str) -> bool:
@@ -243,7 +243,7 @@ def classify(w: str) -> ClassificationReport:
     """Compute the full classification of one word from its profile."""
     profile = word_profile(w)
     idx = profile.indices
-    d = [*profile.difference.values, -1] if w else [-1]
+    d = profile.difference.values if w else ()
     pal = is_palindrome(w)
     letters = sorted(set(w))
     if len(letters) <= 2:

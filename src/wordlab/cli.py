@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from .classify import classify
-from .core import DEFAULT_BUDGET, MAX_WORD_LENGTH, Alphabet, BudgetExceededError, UsageError
+from .core import DEFAULT_BUDGET, BudgetExceededError, UsageError, check_alphabet, check_length
 from .generate import sturmian_corpus
 from .theorems import (
     CENSUS_CLASSES,
@@ -69,11 +69,10 @@ def _emit_words(fmt: str, header: dict, words: list[str]) -> None:
 
 def analyze_payload(word: str) -> dict:
     """Flat JSON-ready record with profiles, indices, factors, and verdicts."""
-    alphabet = Alphabet(sorted(set(word))).as_string if word else ""  # printable, <= 26 symbols
-    if len(word) > MAX_WORD_LENGTH:
-        raise BudgetExceededError(
-            f"word of length {len(word)} exceeds the word-length limit of {MAX_WORD_LENGTH}"
-        )
+    alphabet = "".join(sorted(set(word)))
+    if word:
+        check_alphabet(alphabet)  # printable, <= 26 symbols
+    check_length("word of length", len(word))
     report = classify(word)
     profile = report.profile
     d = profile.difference

@@ -1,20 +1,22 @@
 """Basic operations on finite words, and the package's error boundary.
 
 A word is a plain Python string over a small alphabet of printable ASCII
-symbols; the empty string is the empty word.  The palindromic occurrences
+symbols; the empty string is the empty word.  An alphabet is a str of
+distinct symbols, checked once by check_alphabet where it enters, whose
+order is the order words are enumerated in.  The palindromic occurrences
 of a word are found by expanding around each of its 2N - 1 centres
 (_palindrome_spans).  palindromic_factors and is_rich_by_returns read
 that scan, so neither depends on the palindromic tree.  The PAL_BOUND
 claim counts palindromic factors by string search along the verify walk
 (_new_palindromic_suffixes), so it does not check the tree against
 itself either.  Only a check of caller input raises UsageError, and
-check_budget and check_walk raise BudgetExceededError; any other
+check_budget and check_length raise BudgetExceededError; any other
 exception is a fault.  The CLI exits 2, 3 and 4 on these.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 MAX_ALPHABET_SIZE = 26
 DEFAULT_BUDGET = 1 << 26  # refuse enumerations beyond ~67M words
@@ -44,70 +46,38 @@ def word_count(alphabet_size: int, max_len: int) -> int:
     return sum(alphabet_size**n for n in range(max_len + 1))
 
 
+def check_alphabet(symbols: str) -> None:
+    """Refuse an alphabet that is not 1..MAX_ALPHABET_SIZE distinct printable
+    ASCII symbols (UsageError).  Its own order is the lexicographic order
+    wherever words are enumerated or reported, so "ba" puts b before a."""
+    if not 1 <= len(symbols) <= MAX_ALPHABET_SIZE:
+        raise UsageError(
+            f"alphabet must have 1..{MAX_ALPHABET_SIZE} symbols, got {len(symbols)}"
+        )
+    for i, s in enumerate(symbols):
+        if not (s.isascii() and s.isprintable()):
+            raise UsageError(f"not a printable ASCII symbol: {s!r}")
+        if symbols.index(s) != i:
+            raise UsageError(f"duplicate symbol: {s!r}")
+
+
+def check_length(name: str, length: int) -> None:
+    """Refuse a word longer than MAX_WORD_LENGTH (BudgetExceededError)."""
+    if length > MAX_WORD_LENGTH:
+        raise BudgetExceededError(
+            f"{name} {length} exceeds the word-length limit of {MAX_WORD_LENGTH}"
+        )
+
+
 def check_walk(name: str, length: int, symbols: int, budget: int, exact: bool = False) -> None:
     """Before any word is built, refuse a negative length (UsageError), a length
     over MAX_WORD_LENGTH, or more words than budget: those of length 0..length
     over that many symbols, or of that length only (BudgetExceededError)."""
     if length < 0:
         raise UsageError(f"{name} must be non-negative")
-    if length > MAX_WORD_LENGTH:
-        raise BudgetExceededError(
-            f"{name} {length} exceeds the word-length limit of {MAX_WORD_LENGTH}"
-        )
+    check_length(name, length)
     words = symbols**length if exact else word_count(symbols, length)
     check_budget(words, budget, f"words of length {'' if exact else '<= '}{length}")
-
-
-class Alphabet:
-    """Ordered collection of distinct printable ASCII symbols.
-
-    The given order fixes lexicographic order wherever words are
-    enumerated or reported, so ``Alphabet("ba")`` puts b before a.
-    """
-
-    __slots__ = ("symbols",)
-
-    def __init__(self, symbols: Iterable[str]) -> None:
-        syms = tuple(symbols)
-        if not 1 <= len(syms) <= MAX_ALPHABET_SIZE:
-            raise UsageError(
-                f"alphabet must have 1..{MAX_ALPHABET_SIZE} symbols, got {len(syms)}"
-            )
-        seen: set[str] = set()
-        for s in syms:
-            if len(s) != 1 or not (s.isascii() and s.isprintable()):
-                raise UsageError(f"not a printable ASCII symbol: {s!r}")
-            if s in seen:
-                raise UsageError(f"duplicate symbol: {s!r}")
-            seen.add(s)
-        self.symbols = syms
-
-    @property
-    def as_string(self) -> str:
-        return "".join(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.symbols
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
-
-    def __repr__(self) -> str:
-        return f"Alphabet({self.as_string!r})"
-
-
-def as_alphabet(alphabet: Alphabet | str) -> Alphabet:
-    """Coerce a symbol string like "ab" into an Alphabet."""
-    return alphabet if isinstance(alphabet, Alphabet) else Alphabet(alphabet)
 
 
 def is_palindrome(w: str) -> bool:

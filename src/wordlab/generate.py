@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .core import DEFAULT_BUDGET, Alphabet, UsageError, as_alphabet, check_budget
+from .core import DEFAULT_BUDGET, UsageError, check_alphabet, check_budget
 
 
 def lower_christoffel(p: int, q: int) -> str:
@@ -62,9 +62,7 @@ def sturmian_corpus(max_denominator: int, max_factor_len: int) -> set[str]:
     return out
 
 
-def random_words(
-    alphabet: Alphabet | str, length: int, count: int, seed: int
-) -> list[str]:
+def random_words(alphabet: str, length: int, count: int, seed: int) -> list[str]:
     """Uniform random words of one length, deterministic for a fixed seed.
 
     Uses the stdlib Mersenne Twister; record the seed next to any output
@@ -72,6 +70,6 @@ def random_words(
     """
     if length < 0 or count < 0:
         raise ValueError("length and count must be non-negative")
-    alpha = as_alphabet(alphabet)
+    check_alphabet(alphabet)
     rng = random.Random(seed)
-    return ["".join(rng.choices(alpha.symbols, k=length)) for _ in range(count)]
+    return ["".join(rng.choices(alphabet, k=length)) for _ in range(count)]

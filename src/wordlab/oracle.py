@@ -13,17 +13,17 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-from .core import Alphabet, as_alphabet
+from .core import check_alphabet
 
 
-def all_words(alphabet: Alphabet | str, n: int) -> Iterator[str]:
+def all_words(alphabet: str, n: int) -> Iterator[str]:
     """Yield every length-n word once, in lexicographic order; n < 0 raises ValueError."""
-    alpha = as_alphabet(alphabet)
-    for tail in itertools.product(alpha.symbols, repeat=n):
+    check_alphabet(alphabet)
+    for tail in itertools.product(alphabet, repeat=n):
         yield "".join(tail)
 
 
-def words_up_to(alphabet: Alphabet | str, max_len: int) -> Iterator[str]:
+def words_up_to(alphabet: str, max_len: int) -> Iterator[str]:
     """Yield every word of length 0..max_len, shortest first, lexicographic."""
     for n in range(max_len + 1):
         yield from all_words(alphabet, n)

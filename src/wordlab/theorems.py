@@ -51,7 +51,7 @@ from .complexity import (
     _run_decomposition,
 )
 from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
-from .core import DEFAULT_BUDGET, Alphabet, UsageError, as_alphabet, check_walk
+from .core import DEFAULT_BUDGET, UsageError, check_alphabet, check_walk
 from .core import _new_palindromic_suffixes
 from .palindromes import PalindromeIndex
 
@@ -82,7 +82,7 @@ def _check_thm_fgc(w: str, index: PalindromeIndex, state: None) -> str | None:
     # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff P(|w|) = 1
     if not rich_palindrome and index.longest_suffix_palindrome < len(w):
         return None
-    d = [*SuffixAutomaton(w).difference, -1]  # the automaton's D, then C(N+1) - C(N)
+    d = SuffixAutomaton(w).difference
     mismatch = next(_B_mismatches(d, _palindromic_profile(index, len(w))), None)
     if rich_palindrome and mismatch:
         n, lhs, rhs = mismatch
@@ -420,7 +420,7 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
 
 def verify_claim(
     claim: str,
-    alphabet: Alphabet | str,
+    alphabet: str,
     max_len: int,
     workers: int | None = None,
     budget: int = DEFAULT_BUDGET,
@@ -437,11 +437,10 @@ def verify_claim(
         raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
     if workers is not None and workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
-    alpha = as_alphabet(alphabet)
-    check_walk("max_len", max_len, len(alpha), budget)
+    check_alphabet(alphabet)
+    check_walk("max_len", max_len, len(alphabet), budget)
     started = time.perf_counter()
-    symbols = alpha.as_string
-    tasks = [(claim, symbols, prefix, depth) for prefix, depth in _blocks(symbols, max_len)]
+    tasks = [(claim, alphabet, prefix, depth) for prefix, depth in _blocks(alphabet, max_len)]
     processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         with Pool(processes=processes) as pool:
@@ -451,12 +450,12 @@ def verify_claim(
     bad = [hit for _, hits in results for hit in hits]
     # a failing canonical word stands for its other renamings too: each is a block of one
     # word, its ancestors stepped from the empty word, so its diagnostic is its own
-    images = [v for w, _ in bad for v in _renamings(w, symbols)[1:]]
-    bad += [hit for v in images for hit in _run_block((claim, symbols, v, 0))[1]]
-    order = _alphabet_order(symbols)
+    images = [v for w, _ in bad for v in _renamings(w, alphabet)[1:]]
+    bad += [hit for v in images for hit in _run_block((claim, alphabet, v, 0))[1]]
+    order = _alphabet_order(alphabet)
     return VerificationReport(
         claim=claim,
-        alphabet=symbols,
+        alphabet=alphabet,
         max_len=max_len,
         words_checked=sum(c for c, _ in results),
         counterexamples=sorted(bad, key=lambda hit: order(hit[0])),
@@ -493,7 +492,7 @@ PREDICATES: dict[str, Callable[[str], bool]] = {
 
 def find_class_members(
     predicate: str,
-    alphabet: Alphabet | str,
+    alphabet: str,
     length: int,
     budget: int = DEFAULT_BUDGET,
 ) -> list[str]:
@@ -501,12 +500,12 @@ def find_class_members(
     in lexicographic order: the renamings of each canonical member."""
     if predicate not in PREDICATES:
         raise UsageError(f"unknown predicate {predicate!r}; known: {', '.join(PREDICATES)}")
-    alpha = as_alphabet(alphabet)
-    check_walk("length", length, len(alpha), budget, exact=True)
-    symbols, check = alpha.as_string, PREDICATES[predicate]
-    members = [w for w, _, _ in _walk(symbols, "", length) if len(w) == length and check(w)]
-    images = (v for w in members for v in _renamings(w, symbols))
-    return sorted(images, key=_alphabet_order(symbols))
+    check_alphabet(alphabet)
+    check_walk("length", length, len(alphabet), budget, exact=True)
+    check = PREDICATES[predicate]
+    members = [w for w, _, _ in _walk(alphabet, "", length) if len(w) == length and check(w)]
+    images = (v for w in members for v in _renamings(w, alphabet))
+    return sorted(images, key=_alphabet_order(alphabet))
 
 
 CENSUS_CLASSES = (
@@ -550,9 +549,7 @@ class CensusTable:
         ]
 
 
-def census(
-    alphabet: Alphabet | str, max_len: int, budget: int = DEFAULT_BUDGET
-) -> CensusTable:
+def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusTable:
     """Count class members per length in one walk of the canonical words.
 
     _walk carries one PalindromeIndex and the _census_step state along the
@@ -570,15 +567,15 @@ def census(
       from one P read off the index and, for condition_B, the
       differences of C from a SuffixAutomaton of w.
     """
-    alpha = as_alphabet(alphabet)
-    check_walk("max_len", max_len, len(alpha), budget)
+    check_alphabet(alphabet)
+    check_walk("max_len", max_len, len(alphabet), budget)
     total = [0] * (max_len + 1)
     counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
     rich, trapezoidal, balanced = counts["rich"], counts["trapezoidal"], counts["balanced"]
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    walk = _walk(alpha.as_string, "", max_len, index, _census_step)
+    walk = _walk(alphabet, "", max_len, index, _census_step)
     next(walk)  # skip the empty word
     for w, weight, (trap, bal) in walk:
         n = len(w)
@@ -588,12 +585,12 @@ def census(
         balanced[n] += weight * bal
         if is_palindrome(w):
             p = _palindromic_profile(index, n)
-            d = [*SuffixAutomaton(w).difference, -1]
+            d = SuffixAutomaton(w).difference
             sturmian_pal[n] += weight * bal
             cond_b[n] += weight * (next(_B_mismatches(d, p), None) is None)
             cond_b_prime[n] += weight * (not _B_prime_mismatches(p))
     return CensusTable(
-        alphabet=alpha.as_string,
+        alphabet=alphabet,
         max_len=max_len,
         lengths=list(range(1, max_len + 1)),
         total=total[1:],

@@ -14,7 +14,7 @@ from wordlab import census, difference_profile, find_class_members, lower_christ
 from wordlab import sturmian_corpus, theorems, verify_claim
 from wordlab.classify import is_balanced
 from wordlab.cli import analyze_payload, main
-from wordlab.core import MAX_WORD_LENGTH, Alphabet, UsageError
+from wordlab.core import MAX_WORD_LENGTH, UsageError, check_alphabet
 
 
 def run_cli(capsys, *argv):
@@ -87,9 +87,9 @@ def test_analyze_rejects_unparseable_word(capsys):
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: Alphabet(""), id="<lambda>0"),
-        pytest.param(lambda: Alphabet("a\tb"), id="<lambda>1"),
-        pytest.param(lambda: Alphabet("aa"), id="<lambda>2"),
+        pytest.param(lambda: check_alphabet(""), id="<lambda>0"),
+        pytest.param(lambda: check_alphabet("a\tb"), id="<lambda>1"),
+        pytest.param(lambda: check_alphabet("aa"), id="<lambda>2"),
         pytest.param(lambda: verify_claim("NOPE", "ab", 2), id="<lambda>3"),
         pytest.param(lambda: verify_claim("PROP1", "ab", 2, workers=0), id="<lambda>4"),
         pytest.param(lambda: verify_claim("PROP1", "ab", -1), id="<lambda>5"),
@@ -100,6 +100,10 @@ def test_analyze_rejects_unparseable_word(capsys):
         pytest.param(lambda: analyze_payload("a\tb"), id="<lambda>10"),
         pytest.param(lambda: analyze_payload("abcdefghijklmnopqrstuvwxyz0"), id="<lambda>11"),
         pytest.param(lambda: sturmian_corpus(0, 3), id="<lambda>12"),
+        # the alphabet is checked before the length, which would raise BudgetExceededError
+        pytest.param(
+            lambda: analyze_payload("a\tb" + "a" * MAX_WORD_LENGTH), id="analyze-tab-over-length"
+        ),
     ],
 )
 def test_caller_input_raises_usage_error(call):
@@ -325,9 +329,15 @@ def test_bad_parallel_and_budget_exit_two(capsys, argv):
 
 
 def test_verify_bad_alphabet_exit_two(capsys):
-    code, _, err = run_cli(capsys, "verify", "PROP1", "--alphabet", "aa", "--max-len", "2")
-    assert code == 2
-    assert "duplicate" in err
+    for argv in (
+        ["verify", "PROP1", "--alphabet", "aa", "--max-len", "2"],
+        ["enumerate", "rich", "--alphabet", "aa", "--len", "2"],
+        ["census", "--alphabet", "aa", "--max-len", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "duplicate" in err
 
 
 def test_verify_negative_max_len_exit_two(capsys):

@@ -4,34 +4,37 @@ from hypothesis import strategies as st
 
 from wordlab.complexity import minimal_period
 from wordlab.core import (
-    Alphabet,
+    UsageError,
+    check_alphabet,
     complete_returns,
     is_palindrome,
     occurrences,
     palindromic_factors,
 )
 from wordlab.oracle import longest_border, words_up_to
+from wordlab.theorems import find_class_members
 
 binary_words = st.text(alphabet="ab", max_size=30)
 
 
 class TestAlphabet:
     def test_order_is_preserved(self):
-        assert Alphabet("ba").symbols == ("b", "a")
+        # the string's own order is the enumeration order, so b comes first
+        assert find_class_members("palindrome", "ba", 2) == ["bb", "aa"]
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Alphabet("aba")
+        with pytest.raises(UsageError, match="duplicate symbol: 'a'"):
+            check_alphabet("aba")
 
     def test_rejects_empty_and_oversized(self):
-        with pytest.raises(ValueError):
-            Alphabet("")
-        with pytest.raises(ValueError):
-            Alphabet("abcdefghijklmnopqrstuvwxyz0")
+        with pytest.raises(UsageError, match="got 0"):
+            check_alphabet("")
+        with pytest.raises(UsageError, match="got 27"):
+            check_alphabet("abcdefghijklmnopqrstuvwxyz0")
 
     def test_rejects_non_printable(self):
-        with pytest.raises(ValueError):
-            Alphabet("a\n")
+        with pytest.raises(UsageError, match="not a printable ASCII symbol"):
+            check_alphabet("a\n")
 
 
 @pytest.mark.parametrize(

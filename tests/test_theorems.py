@@ -18,7 +18,8 @@ from wordlab.complexity import (
     r_index,
     structural_indices,
 )
-from wordlab.core import DEFAULT_BUDGET, MAX_WORD_LENGTH, BudgetExceededError, word_count
+from wordlab.core import DEFAULT_BUDGET, MAX_WORD_LENGTH, BudgetExceededError, UsageError
+from wordlab.core import word_count
 from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES
@@ -124,6 +125,33 @@ def test_word_length_is_refused_before_the_budget(monkeypatch, run):
     # the bound itself passes the length check, so the budget refuses it instead
     with pytest.raises(BudgetExceededError, match="exceeds the budget of 0"):
         run(MAX_WORD_LENGTH, 0)
+
+
+# analyze reads its alphabet off the word; test_cli's usage-error rows cover it
+@pytest.mark.parametrize(
+    "alphabet,message",
+    [
+        pytest.param("", "got 0", id="empty"),
+        pytest.param("abcdefghijklmnopqrstuvwxyz0", "got 27", id="27-symbols"),
+        pytest.param("aba", "duplicate symbol", id="duplicate"),
+        pytest.param("a\tb", "not a printable ASCII symbol", id="tab"),
+    ],
+)
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda a: verify_claim("PROP1", a, 2), id="verify"),
+        pytest.param(lambda a: find_class_members("rich", a, 2), id="enumerate"),
+        pytest.param(lambda a: census(a, 2), id="census"),
+        pytest.param(lambda a: random_words(a, 3, 2, seed=1), id="random_words"),
+        pytest.param(lambda a: list(oracle.all_words(a, 2)), id="all_words"),
+        pytest.param(lambda a: list(oracle.words_up_to(a, 2)), id="words_up_to"),
+    ],
+)
+def test_bad_alphabet_is_refused_before_any_walk(monkeypatch, run, alphabet, message):
+    monkeypatch.setattr(theorems, "_walk", _unwalked)
+    with pytest.raises(UsageError, match=message):
+        run(alphabet)
 
 
 def test_negative_budget_rejected():
