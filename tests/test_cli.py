@@ -67,6 +67,25 @@ def test_analyze_text_and_csv(capsys):
     code, out, _ = run_cli(capsys, "analyze", "aba")
     assert code == 0
     assert "palindromic factors" in out
+    assert run_cli(capsys, "analyze", "aabbaa") == (
+        0,
+        "word: 'aabbaa'  length: 6  alphabet: 'ab'\n"
+        "C:  1 2 4 4 3 2 1 0\n"
+        "P:  1 2 2 0 1 0 1 0\n"
+        "D:  1 2 0 -1 -1 -1\n"
+        "R: 2  K: 3  pi: 4\n"
+        "palindromic factors (7): '', 'a', 'b', 'aa', 'bb', 'abba', 'aabbaa'\n"
+        "palindrome: true\n"
+        "rich: true\n"
+        "trapezoidal: false\n"
+        "balanced: false\n"
+        "finite_sturmian: false\n"
+        "sturmian_palindrome: false\n"
+        "condition_B: true\n"
+        "condition_B_prime: false\n"
+        "unbalance_witness: ''\n",
+        "",
+    )
     code, out, _ = run_cli(capsys, "analyze", "aba", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -172,25 +191,44 @@ def test_verify_sequential_and_parallel_bytes_match(capsys):
     assert out1 == out2
 
 
-def test_verify_counterexample_exit_code(capsys, monkeypatch):
-    # every bundled claim is a theorem, so fabricate a failing report to pin
-    # the exit-code contract
+_PROP1_TEXT = (
+    "claim PROP1: richness by palindrome count agrees with richness by complete returns\n"
+    "alphabet: 'ab'  lengths: 0..2\n"
+    "words checked: 7\n"
+)
+
+
+@pytest.mark.parametrize(
+    "counterexamples,fmt,code,expected",
+    [
+        ([("ab", "made up")], "csv", 1, "word,diagnostic\nab,made up\n"),
+        (
+            [("ab", "made up")], "text", 1,
+            _PROP1_TEXT
+            + "counterexamples: 1\n  'ab': made up\nverified: no\nelapsed: 0.000s\n",
+        ),
+        ([], "csv", 0, "word,diagnostic\n"),
+        ([], "text", 0, _PROP1_TEXT + "counterexamples: 0\nverified: yes\nelapsed: 0.000s\n"),
+    ],
+    ids=["failing-csv", "failing-text", "verified-csv", "verified-text"],
+)
+def test_verify_counterexample_exit_code(
+    capsys, monkeypatch, counterexamples, fmt, code, expected
+):
+    # every bundled claim is a theorem, so fabricate a report to pin the
+    # exit-code contract and what a failing report prints
     fake = theorems.VerificationReport(
         claim="PROP1",
         alphabet="ab",
         max_len=2,
         words_checked=7,
-        counterexamples=[("ab", "made up")],
+        counterexamples=counterexamples,
         elapsed_seconds=0.0,
     )
     monkeypatch.setattr("wordlab.cli.verify_claim", lambda *a, **k: fake)
-    code, out, _ = run_cli(
-        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "2",
-        "--format", "csv",
-    )
-    assert code == 1
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows == [["word", "diagnostic"], ["ab", "made up"]]
+    assert run_cli(
+        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "2", "--format", fmt
+    ) == (code, expected, "")
 
 
 def _crash(w, index=None, flag=None):
@@ -329,15 +367,19 @@ def test_bad_parallel_and_budget_exit_two(capsys, argv):
 
 
 def test_verify_bad_alphabet_exit_two(capsys):
-    for argv in (
-        ["verify", "PROP1", "--alphabet", "aa", "--max-len", "2"],
-        ["enumerate", "rich", "--alphabet", "aa", "--len", "2"],
-        ["census", "--alphabet", "aa", "--max-len", "2"],
+    # a refused input writes nothing to stdout, in any format
+    for argv, message in (
+        (["verify", "PROP1", "--alphabet", "aa", "--max-len", "2"], "duplicate"),
+        (["enumerate", "rich", "--alphabet", "aa", "--len", "2"], "duplicate"),
+        (["census", "--alphabet", "aa", "--max-len", "2"], "duplicate"),
+        (["analyze", "a\tb"], "printable"),
+        (["corpus", "--max-denominator", "0", "--max-factor-len", "1"], "positive"),
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "duplicate" in err
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and message in err
 
 
 def test_verify_negative_max_len_exit_two(capsys):
@@ -382,6 +424,46 @@ def test_census_csv(capsys):
     assert [r[balanced_col] for r in rows[1:]] == ["2", "4", "8", "14"]
 
 
+@pytest.mark.parametrize(
+    "fmt,expected",
+    [
+        (
+            "text",
+            "length   total    rich  trapezoidal  balanced  sturmian_palindrome"
+            "  condition_B  condition_B_prime\n"
+            "     1       2       2            2         2                    2"
+            "            2                  2\n"
+            "     2       4       4            4         4                    2"
+            "            2                  2\n"
+            "     3       8       8            8         8                    4"
+            "            4                  4\n",
+        ),
+        (
+            "csv",
+            "length,total,rich,trapezoidal,balanced,sturmian_palindrome,condition_B,"
+            "condition_B_prime\n"
+            "1,2,2,2,2,2,2,2\n"
+            "2,4,4,4,4,2,2,2\n"
+            "3,8,8,8,8,4,4,4\n",
+        ),
+    ],
+    ids=["text", "csv"],
+)
+def test_census_text_and_csv_output(capsys, fmt, expected):
+    argv = ["census", "--alphabet", "ab", "--max-len", "3", "--format", fmt]
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "fmt,expected",
+    [("text", "aaa\naba\nbab\nbbb\n"), ("csv", "word\naaa\naba\nbab\nbbb\n")],
+    ids=["text", "csv"],
+)
+def test_enumerate_text_and_csv_output(capsys, fmt, expected):
+    argv = ["enumerate", "palindrome", "--alphabet", "ab", "--len", "3", "--format", fmt]
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_census_json(capsys):
     code, out, _ = run_cli(
         capsys, "census", "--alphabet", "ab", "--max-len", "3", "--format", "json"
@@ -416,3 +498,7 @@ def test_corpus_output(capsys):
     payload = json.loads(out)
     assert payload["count"] == 6
     assert payload["words"][0] == ""
+
+    # csv quotes the empty word, so it does not read as a blank line
+    argv = ["corpus", "--max-denominator", "3", "--max-factor-len", "2", "--format", "csv"]
+    assert run_cli(capsys, *argv) == (0, 'word\n""\na\nb\naa\nab\nbb\n', "")
