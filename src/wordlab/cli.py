@@ -2,9 +2,13 @@
 
 Subcommands: analyze one word, verify a claim exhaustively, enumerate
 class members at one length, tabulate a census, or emit a Sturmian
-corpus.  Exit codes: 0 success/verified, 1 counterexamples found,
-2 usage error (core.UsageError), 3 word-budget or word-length refusal,
-4 any other exception, in any command (traceback on stderr, no stdout).
+corpus.  Each command returns its exit code and its result, and main
+hands the result to one emitter, _emit, in the --format asked for.
+JSON is one object that carries schema_version.  CSV is a header row
+and then one row per record.  Text is for people to read.  Exit codes:
+0 success/verified, 1 counterexamples found, 2 usage error
+(core.UsageError), 3 word-budget or word-length refusal, 4 any other
+exception, in any command (traceback on stderr, no stdout).
 """
 
 from __future__ import annotations
@@ -17,7 +21,14 @@ import sys
 import traceback
 
 from .classify import classify
-from .core import DEFAULT_BUDGET, BudgetExceededError, UsageError, check_alphabet, check_length
+from .core import (
+    DEFAULT_BUDGET,
+    SCHEMA_VERSION,
+    BudgetExceededError,
+    UsageError,
+    check_alphabet,
+    check_length,
+)
 from .generate import sturmian_corpus
 from .theorems import (
     CENSUS_CLASSES,
@@ -29,8 +40,6 @@ from .theorems import (
     verify_claim,
 )
 
-SCHEMA_VERSION = 1
-
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
@@ -38,28 +47,29 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
+def _emit(fmt: str, payload: dict, header: list[str], rows, text=None) -> None:
+    """Print a result: payload as JSON, header then rows as CSV, or text() as text.
 
-
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
-
-
-def _emit_words(fmt: str, header: dict, words: list[str]) -> None:
-    """A word list: JSON after the header fields, a one-column CSV, or one per line."""
+    Only the format asked for is built: rows may be a generator and text a
+    callable, so a JSON run formats no cell.  With no text, the text format
+    prints one row per line.
+    """
     if fmt == "json":
-        _emit_json(
-            {"schema_version": SCHEMA_VERSION, **header, "count": len(words), "words": words}
-        )
+        print(json.dumps(payload))
     elif fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["word"])
-        for w in words:
-            writer.writerow([w])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    elif text is not None:
+        text()
     else:
-        for w in words:
-            print(w)
+        for row in rows:
+            print(*row)
+
+
+def _word_list(header: dict, words: list[str]) -> dict:
+    """The JSON payload of a word list: the header fields, then the words."""
+    return {"schema_version": SCHEMA_VERSION, **header, "count": len(words), "words": words}
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +157,10 @@ def _analyze_text(payload: dict) -> None:
         print(f"unbalance_witness: {q(payload['unbalance_witness'])}")
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     payload = analyze_payload(args.word)
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["field", "value"])
-        for key, value in payload.items():
-            writer.writerow([key, _fmt_cell(value)])
-    else:
-        _analyze_text(payload)
-    return EXIT_OK
+    rows = ([key, _fmt_cell(value)] for key, value in payload.items())
+    return EXIT_OK, payload, ["field", "value"], rows, lambda: _analyze_text(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def _verify_text(report: VerificationReport) -> None:
     print(f"elapsed: {report.elapsed_seconds:.3f}s")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if args.sequential:
         workers = 1
     elif args.parallel is not None:
@@ -187,16 +189,9 @@ def _cmd_verify(args) -> int:
     report = verify_claim(
         args.claim, args.alphabet, args.max_len, workers=workers, budget=args.budget
     )
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["word", "diagnostic"])
-        for word, diag in report.counterexamples:
-            writer.writerow([word, diag])
-    else:
-        _verify_text(report)
-    return EXIT_OK if report.verified else EXIT_COUNTEREXAMPLE
+    code = EXIT_OK if report.verified else EXIT_COUNTEREXAMPLE
+    rows = report.counterexamples
+    return code, report.to_json_dict(), ["word", "diagnostic"], rows, lambda: _verify_text(report)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +199,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple:
     words = find_class_members(args.predicate, args.alphabet, args.len, budget=args.budget)
     header = {"predicate": args.predicate, "alphabet": args.alphabet, "length": args.len}
-    _emit_words(args.format, header, words)
-    return EXIT_OK
+    return EXIT_OK, _word_list(header, words), ["word"], ([w] for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +212,16 @@ def _cmd_enumerate(args) -> int:
 _CENSUS_HEADER = ["length", "total", *CENSUS_CLASSES]
 
 
-def _cmd_census(args) -> int:
+def _census_text(rows: list[list[int]]) -> None:
+    widths = [max(len(h), 6) for h in _CENSUS_HEADER]
+    for row in [_CENSUS_HEADER, *rows]:
+        print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+
+
+def _cmd_census(args) -> tuple:
     table = census(args.alphabet, args.max_len, budget=args.budget)
-    if args.format == "json":
-        _emit_json(table.to_json_dict())
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(_CENSUS_HEADER)
-        for row in table.rows():
-            writer.writerow(row)
-    else:
-        widths = [max(len(h), 6) for h in _CENSUS_HEADER]
-        print("  ".join(h.rjust(w) for h, w in zip(_CENSUS_HEADER, widths)))
-        for row in table.rows():
-            print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
-    return EXIT_OK
+    rows = table.rows()
+    return EXIT_OK, table.to_json_dict(), _CENSUS_HEADER, rows, lambda: _census_text(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +229,13 @@ def _cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> tuple:
     words = sorted(
         sturmian_corpus(args.max_denominator, args.max_factor_len),
         key=lambda w: (len(w), w),
     )
     header = {"max_denominator": args.max_denominator, "max_factor_len": args.max_factor_len}
-    _emit_words(args.format, header, words)
-    return EXIT_OK
+    return EXIT_OK, _word_list(header, words), ["word"], ([w] for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +317,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        code, *result = args.func(args)
+        _emit(args.format, *result)
+        return code
+    except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_BUDGET
     except Exception:
         # a fault in the program, not a finding: exit 1 would read as counterexamples
         traceback.print_exc()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+SCHEMA_VERSION = 1  # of every JSON object the CLI prints
 MAX_ALPHABET_SIZE = 26
 DEFAULT_BUDGET = 1 << 26  # refuse enumerations beyond ~67M words
 # Longest word any command builds: a walk's work per word grows with its length, and

@@ -51,7 +51,7 @@ from .complexity import (
     _run_decomposition,
 )
 from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
-from .core import DEFAULT_BUDGET, UsageError, check_alphabet, check_walk
+from .core import DEFAULT_BUDGET, SCHEMA_VERSION, UsageError, check_alphabet, check_walk
 from .core import _new_palindromic_suffixes
 from .palindromes import PalindromeIndex
 
@@ -303,7 +303,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "claim": self.claim,
             "description": CLAIMS[self.claim].description,
             "alphabet": self.alphabet,
@@ -530,7 +530,7 @@ class CensusTable:
 
     def to_json_dict(self) -> dict:
         out: dict = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "alphabet": self.alphabet,
             "max_len": self.max_len,
             "lengths": self.lengths,
