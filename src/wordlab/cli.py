@@ -8,7 +8,11 @@ JSON is one object that carries schema_version.  CSV is a header row
 and then one row per record.  Text is for people to read.  Exit codes:
 0 success/verified, 1 counterexamples found, 2 usage error
 (core.UsageError), 3 word-budget or word-length refusal, 4 any other
-exception, in any command (traceback on stderr, no stdout).
+exception, in any command (traceback on stderr, no stdout).  A reader
+that closes stdout early is no fault: the command keeps its exit code.
+
+The argparse tree is built at the first main call and shared by every
+later call in the process, so nothing may mutate it.
 """
 
 from __future__ import annotations
@@ -244,6 +248,8 @@ def _cmd_corpus(args) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Build the CLI's parser.  main builds one at its first call and shares
+    it with every later call in the process, so nothing may mutate that one."""
     parser = argparse.ArgumentParser(
         prog="wordlab",
         description="Complexity profiles, palindromic richness, and exhaustive "
@@ -313,12 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # main's, built at its first call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code, *result = args.func(args)
-        _emit(args.format, *result)
+        try:
+            _emit(args.format, *result)
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        except BrokenPipeError:
+            # the reader has gone; stdout writes to devnull, so the flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

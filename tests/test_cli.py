@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -5,8 +6,11 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -18,7 +22,10 @@ from wordlab.core import MAX_WORD_LENGTH, UsageError, check_alphabet
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's exit, as on --help or a bad option
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -502,3 +509,92 @@ def test_corpus_output(capsys):
     # csv quotes the empty word, so it does not read as a blank line
     argv = ["corpus", "--max-denominator", "3", "--max-factor-len", "2", "--format", "csv"]
     assert run_cli(capsys, *argv) == (0, 'word\n""\na\nb\naa\nab\nbb\n', "")
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    every_command = [
+        ["analyze", "abaab"],
+        ["verify", "PROP1", "--alphabet", "ab", "--max-len", "6", "--format", "json"],
+        ["enumerate", "rich", "--alphabet", "ab", "--len", "4", "--format", "csv"],
+        ["census", "--alphabet", "ab", "--max-len", "4", "--format", "json"],
+        ["corpus", "--max-denominator", "3", "--max-factor-len", "2"],
+    ]
+    before = [run_cli(capsys, *argv) for argv in every_command]
+    assert [code for code, _, _ in before] == [0] * 5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [run_cli(capsys, *argv) for argv in every_command] == before
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # a call on the parser every earlier call used prints what it prints on a new one
+    sequence = [
+        ["verify", "PROP1", "--alphabet", "ab", "--max-len", "6", "--parallel", "2",
+         "--format", "json"],
+        ["verify", "PROP1", "--alphabet", "ab", "--max-len", "6"],
+        ["analyze", "abaab", "--format", "xml"],
+        ["analyze", "abaab"],
+        ["--help"],
+        ["--help"],
+        ["verify", "--help"],
+        ["verify", "--help"],
+    ]
+    # the text report prints its elapsed time
+    monkeypatch.setattr(theorems, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    shared = [run_cli(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr("wordlab.cli._parser", None)
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert shared == fresh
+
+
+def _run_into_closed_pipe(args, buffered=True):
+    """Exit code and stderr of `python *args`, its stdout the write end of a
+    pipe whose read end is closed, so that every write to stdout fails."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(theorems.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return child.returncode, child.stderr.decode()
+
+
+# buffered, these short outputs first fail at main's flush; unbuffered, inside _emit
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "abaab", "--format", "json"],
+        ["enumerate", "rich", "--alphabet", "ab", "--len", "8"],
+        ["census", "--alphabet", "ab", "--max-len", "6", "--format", "csv"],
+    ],
+    ids=["analyze-json", "enumerate-text", "census-csv"],
+)
+def test_a_closed_stdout_is_not_a_fault(argv, buffered):
+    assert _run_into_closed_pipe(["-m", "wordlab", *argv], buffered) == (0, "")
+
+
+def test_a_broken_pipe_inside_a_computation_is_a_fault():
+    planted = (
+        "import sys, wordlab.cli as cli\n"
+        "def classify(word): raise BrokenPipeError('planted')\n"
+        "cli.classify = classify\n"
+        "sys.exit(cli.main(['analyze', 'abaab', '--format', 'json']))\n"
+    )
+    code, err = _run_into_closed_pipe(["-c", planted])
+    assert code == 4
+    assert "Traceback" in err and "BrokenPipeError: planted" in err
