@@ -11,7 +11,9 @@ operational equivalent of being a factor of a Sturmian word.  Balance
 also has two routes: is_balanced counts symbols in equal-length
 factors, while the unbalance witness is read off the palindromic
 factors (a binary word is unbalanced iff some palindrome U has both
-aUa and bUb as factors), and classify derives its verdict from it.
+aUa and bUb as factors).  classify derives its verdict from the
+witness, and census walks the same route one symbol at a time on its
+palindromic tree (PalindromeIndex.new_palindrome_twinned).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ one index can follow a depth-first walk of the word tree.
 
 The index is the production kernel for everything palindromic about a
 word: the count behind richness, the palindromic complexity P(n), the
-factor list that analyze reports and the unbalance witness read off it.  The test suite checks it against
-the naive set-based palindromic_factors and wordlab.oracle.
+factor list that analyze reports, the unbalance witness read off it and
+census's balance flag.  The test suite checks it against the naive
+set-based palindromic_factors and wordlab.oracle.
 """
 
 from __future__ import annotations
@@ -108,6 +109,23 @@ class PalindromeIndex:
     def palindrome_count(self) -> int:
         """Number of distinct non-empty palindromic factors seen so far."""
         return len(self._len) - 2
+
+    @property
+    def new_palindrome_twinned(self) -> bool:
+        """True iff the last append created a palindrome xUx whose centre U,
+        possibly empty, already extends to yUy, y != x: both are factors.
+
+        The length -1 root is no centre: a single symbol has no twin.  On
+        a balanced binary word, this is exactly when appending x makes the
+        word unbalanced (the unbalance witness U of classify); any pair
+        xUx, yUy that the append completes has the new palindrome in it.
+        O(1), read off the node just created.
+        """
+        counts = self.prefix_counts
+        if len(counts) < 2 or counts[-1] == counts[-2]:
+            return False
+        centre = self._via[-1][0]  # type: ignore[index]
+        return centre != _IMAGINARY and len(self._next[centre]) > 1
 
     @property
     def longest_suffix_palindrome(self) -> int:

@@ -9,13 +9,15 @@ its renamings, and verify checks each other renaming of a failing one alone.
 Census, PROP1, PROP2 and THM_FGC read the PalindromeIndex the walk carries
 (THM_FGC builds P and D only on palindromes), PROFILE_EQUIV a
 SuffixAutomaton.  The walk also steps a state from each word to its
-children (ClaimSpec.step, and census's trapezoidal and balanced flags):
-a state that is falsy outside a prefix-closed property, or a per-word
-value stepped from the parent's, such as (R, K) for PROFILE_EQUIV.
-PROP2 and BINARY_TRAP walk only the trapezoidal words and their
-children, and count each subtree below a falsy state in closed form
-(TRAP_CLOSED guards that pruning).  Fixed subtree blocks and sorted
-counterexamples make parallel and sequential verify reports identical.
+children (ClaimSpec.step, and census's trapezoidal and balanced flags,
+the latter read off the tree): a state that is falsy outside a
+prefix-closed property, or a per-word value stepped from the parent's,
+such as (R, K) for PROFILE_EQUIV.  PROP2 and BINARY_TRAP walk only the
+trapezoidal words and their children, and count each subtree below a
+falsy state in closed form (TRAP_CLOSED guards that pruning); census
+walks only the rich, trapezoidal and balanced words and their children.
+Fixed subtree blocks and sorted counterexamples make parallel and
+sequential verify reports identical.
 Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
 before any walk; nothing raised inside a walk is caught.
 """
@@ -177,10 +179,20 @@ def _trapezoidal_step(w: str, parent: tuple[int, int]) -> tuple[int, int] | bool
     return len(w) == rk[0] + rk[1] and rk
 
 
-def _census_step(w: str, parent: tuple) -> tuple[tuple[int, int] | bool, bool]:
-    # (the trapezoidal state, whether w is balanced); both classes are closed under prefixes
-    trap, bal = parent if w else ((0, 0), True)  # the empty word steps to its own state
-    return trap and _trapezoidal_step(w, trap), bal and is_finite_sturmian(w)
+def _census_step(index: PalindromeIndex, symbols: str) -> Callable[[str, object], object]:
+    """census's step over an index that holds w: (the trapezoidal state, whether w is
+    balanced), or False when w is neither of those nor rich, and so no word below it is."""
+    third = symbols[2:3]  # a canonical word that adds it gets its third letter
+
+    def step(w: str, parent: tuple) -> tuple[tuple[int, int] | bool, bool] | bool:
+        if not w:
+            return (0, 0), True
+        trap, bal = parent  # all three classes are closed under prefixes
+        trap = trap and _trapezoidal_step(w, trap)
+        bal = bal and w[-1] != third and not index.new_palindrome_twinned
+        return (trap, bal) if trap or bal or index.palindrome_count == len(w) else False
+
+    return step
 
 
 def _trap_closed_step(w: str, parent: tuple[int, int, bool]) -> tuple[int, int, bool]:
@@ -554,45 +566,60 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
 
     _walk carries one PalindromeIndex and the _census_step state along the
     tree, and each canonical word adds its weight, the number of its
-    renamings, to every count it is in; total is k^n.  The columns:
+    renamings, to every count it is in; total is k^n in closed form.  The
+    columns:
 
     - rich: the word has n distinct non-empty palindromic factors, read
       off the index.
     - trapezoidal and balanced: both classes are closed under factors
       (balance by definition, trapezoidal words by de Luca 1999), so a
       word outside one has no descendant inside it; the walk tests only
-      children of members, trapezoidal ones by stepping the parent's (R, K).
+      children of members, trapezoidal ones by stepping the parent's
+      (R, K).  A balanced word's child is unbalanced exactly when it adds
+      a third letter, or when the palindrome its last symbol created
+      completes a pair xUx, yUy (PalindromeIndex.new_palindrome_twinned).
     - sturmian_palindrome, condition_B and condition_B_prime: each holds
       only on palindromes, so they are evaluated only on palindromes,
       from one P read off the index and, for condition_B, the
-      differences of C from a SuffixAutomaton of w.
+      differences of C from a SuffixAutomaton of rich w.
+
+    Every column lies in rich, trapezoidal or balanced, so the walk stops
+    below a word in none of the three, all closed under prefixes (a
+    non-rich word has no rich child: the count grows by at most one per
+    symbol).  Sturmian palindromes are balanced.  Summing condition_B's
+    terms over 0 <= n <= N telescopes C to 2 sum P - 1 = 2N + 1, and
+    summing condition_B_prime's gives 2 sum P = 2(N + 1); either way
+    sum P = N + 1, which is richness.
     """
     check_alphabet(alphabet)
     check_walk("max_len", max_len, len(alphabet), budget)
-    total = [0] * (max_len + 1)
     counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
     rich, trapezoidal, balanced = counts["rich"], counts["trapezoidal"], counts["balanced"]
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    walk = _walk(alphabet, "", max_len, index, _census_step)
+    walk = _walk(alphabet, "", max_len, index, _census_step(index, alphabet), prune=True)
     next(walk)  # skip the empty word
-    for w, weight, (trap, bal) in walk:
+    for w, weight, state in walk:
+        if not state:
+            continue  # in no column, and the walk stops here
+        trap, bal = state
         n = len(w)
-        total[n] += weight
-        rich[n] += weight * (index.palindrome_count == n)
+        is_rich = index.palindrome_count == n
+        rich[n] += weight * is_rich
         trapezoidal[n] += weight * bool(trap)
         balanced[n] += weight * bal
-        if is_palindrome(w):
+        if index.longest_suffix_palindrome == n:
             p = _palindromic_profile(index, n)
-            d = SuffixAutomaton(w).difference
             sturmian_pal[n] += weight * bal
-            cond_b[n] += weight * (next(_B_mismatches(d, p), None) is None)
+            if is_rich:
+                d = SuffixAutomaton(w).difference
+                cond_b[n] += weight * (next(_B_mismatches(d, p), None) is None)
             cond_b_prime[n] += weight * (not _B_prime_mismatches(p))
     return CensusTable(
         alphabet=alphabet,
         max_len=max_len,
         lengths=list(range(1, max_len + 1)),
-        total=total[1:],
+        total=[len(alphabet) ** n for n in range(1, max_len + 1)],
         counts={name: column[1:] for name, column in counts.items()},
     )

@@ -294,7 +294,8 @@ def test_verify_carried_step_value_error_exit_four(capsys, monkeypatch, mode):
 )
 def test_predicate_value_error_exit_four(capsys, monkeypatch, argv):
     monkeypatch.setitem(theorems.PREDICATES, "rich", _value_fault)
-    monkeypatch.setattr(theorems, "is_finite_sturmian", _value_fault)  # census's balanced column
+    # census's trapezoidal column, stepped inside its walk on every run
+    monkeypatch.setattr(theorems, "_trapezoidal_step", _value_fault)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""

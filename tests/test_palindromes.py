@@ -93,6 +93,7 @@ def _state(idx):
         idx.distinct_palindromes(),
         idx.palindrome_count,
         idx.longest_suffix_palindrome,
+        idx.new_palindrome_twinned,
     )
 
 
@@ -133,3 +134,39 @@ def test_pop_on_empty_index_raises_and_leaves_it_usable():
     with pytest.raises(IndexError):
         idx.pop()
     assert _state(idx) == _state(PalindromeIndex())
+
+
+def _twinned_naively(w):
+    # the palindromes w has and w[:-1] lacks, each xUx with yUy also a factor of w
+    factors = palindromic_factors(w)
+    new = factors - palindromic_factors(w[:-1]) if w else set()
+    return any(
+        len(p) > 1 and any(y + p[1:-1] + y in factors for y in set(w) - {p[0]}) for p in new
+    )
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 10), ("abc", 7), ("abcd", 5)])
+def test_new_palindrome_twinned_matches_naive(symbols, max_len):
+    for w in words_up_to(symbols, max_len):
+        assert PalindromeIndex(w).new_palindrome_twinned == _twinned_naively(w), w
+
+
+@pytest.mark.parametrize(
+    "w,twinned",
+    [
+        ("", False),
+        ("a", False),
+        ("ab", False),  # b extends the length -1 root, which is no centre
+        ("aab", False),
+        ("aabb", True),  # bb and aa share the empty centre
+        ("aabba", False),  # no new palindrome
+        ("aaaabaa", False),
+        ("aaaabaab", True),  # baab against aaaa: the centre aa
+        ("aaaaabaaab", True),  # baaab against aaaaa: the centre aaa
+        ("abab", False),
+        ("abc", False),  # a third letter makes no twin; census checks for it apart
+        ("cbcaba", True),  # aba against cbc: the centre b
+    ],
+)
+def test_new_palindrome_twinned_examples(w, twinned):
+    assert PalindromeIndex(w).new_palindrome_twinned is twinned

@@ -9,7 +9,7 @@ import pytest
 
 from wordlab import oracle, theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
-from wordlab.classify import is_rich_by_returns, is_trapezoidal
+from wordlab.classify import is_finite_sturmian, is_rich_by_returns, is_trapezoidal
 from wordlab.complexity import (
     SuffixAutomaton,
     _k_index_step,
@@ -466,24 +466,33 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
         assert all(states) and stepped == walked
 
 
-# every step the walk carries: each claim's, and census's
-STEPS = {c: spec.step for c, spec in CLAIMS.items() if spec.step} | {"census": theorems._census_step}
+def _census_on_a_tree():
+    index = PalindromeIndex()
+    return index, theorems._census_step(index, "abc")
 
 
-def _stepped_from_the_empty_word(step, w):
+# every step the walk carries, each with a new index of what it reads: each claim's, and census's
+STEPS = {c: (lambda step=spec.step: (None, step)) for c, spec in CLAIMS.items() if spec.step}
+STEPS["census"] = _census_on_a_tree
+
+
+def _stepped_from_the_empty_word(name, w):
+    index, step = STEPS[name]()
     state = True  # the empty word's parent state
     for n in range(len(w) + 1):
+        if index is not None and n:
+            index.append(w[n - 1])
         state = state and step(w[:n], state)
     return state
 
 
 @pytest.mark.parametrize("name", list(STEPS))
 def test_walk_yields_the_state_stepped_along_each_prefix(name):
-    step = STEPS[name]
     for prefix, depth in [*theorems._blocks("abc", 7), ("abcaa", 2)]:
         for prune in (False, True):
-            for w, _, state in theorems._walk("abc", prefix, depth, step=step, prune=prune):
-                assert state == _stepped_from_the_empty_word(step, w), (w, prune)
+            index, step = STEPS[name]()
+            for w, _, state in theorems._walk("abc", prefix, depth, index, step, prune):
+                assert state == _stepped_from_the_empty_word(name, w), (w, prune)
 
 
 def test_pal_bound_reports_a_count_above_the_bound():
@@ -809,7 +818,9 @@ def test_census_internal_consistency():
 
 
 def _brute_force_census(alphabet: str, max_len: int) -> dict:
-    """Every predicate on every word, one length at a time: no walk, no pruning."""
+    """Every predicate on every word, one length at a time: no walk, no pruning.
+
+    PREDICATES counts letters for balance, where census reads the palindromic tree."""
     out: dict = {"lengths": list(range(1, max_len + 1)), "total": []}
     out.update({name: [] for name in CENSUS_CLASSES})
     for n in out["lengths"]:
@@ -828,6 +839,62 @@ def test_census_walk_matches_brute_force(alphabet, max_len):
     table = census(alphabet, max_len).to_json_dict()
     expected = _brute_force_census(alphabet, max_len)
     assert {key: table[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 5), ("ba", 10)])
+def test_census_balance_flag_is_the_counting_route(symbols, max_len):
+    # the full walk pops the tree back to each parent; a word whose state is False has no flag,
+    # and is in none of census's classes, so it is not balanced
+    index = PalindromeIndex()
+    step = theorems._census_step(index, symbols)
+    walked = 0
+    for w, _, state in theorems._walk(symbols, "", max_len, index, step):
+        assert bool(state and state[1]) == is_finite_sturmian(w), w
+        walked += 1
+    assert walked == sum(1 for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols))
+
+
+@pytest.mark.parametrize(
+    "w,balanced",
+    [
+        ("aabb", False),  # aa and bb: the witness is the empty word
+        ("ab", True),  # a and b extend the length -1 root, which witnesses nothing
+        ("aaaabaa", True),
+        ("aaaabaab", False),  # aaaa and baab: the witness aa
+        ("abc", False),  # a third letter
+        ("aabc", False),
+    ],
+)
+def test_census_balance_flag_examples(w, balanced):
+    state = _stepped_from_the_empty_word("census", w)
+    assert bool(state and state[1]) is balanced
+    assert is_finite_sturmian(w) is balanced
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 14), ("abc", 9)])
+def test_census_walks_only_its_classes_and_their_children(monkeypatch, symbols, max_len):
+    visited = []
+
+    def recording_walk(*args, **kwargs):
+        for item in walk(*args, **kwargs):
+            visited.append(item[0])
+            yield item
+
+    walk = theorems._walk
+    monkeypatch.setattr(theorems, "_walk", recording_walk)
+    census(symbols, max_len)
+    in_a_class = {
+        w
+        for w in words_up_to(symbols, max_len - 1)
+        if _is_canonical(w, symbols)
+        and any(PREDICATES[name](w) for name in ("rich", "trapezoidal", "balanced"))
+    }
+    expected = [
+        w
+        for w in words_up_to(symbols, max_len)
+        if _is_canonical(w, symbols) and (not w or w[:-1] in in_a_class)
+    ]
+    assert sorted(visited, key=theorems._alphabet_order(symbols)) == expected
 
 
 def test_census_walk_is_not_bounded_by_the_recursion_limit():
