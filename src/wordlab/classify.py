@@ -31,7 +31,7 @@ from .complexity import (
     r_index,
     word_profile,
 )
-from .core import _palindrome_spans, is_palindrome
+from .core import is_palindrome
 from .palindromes import PalindromeIndex, index_count_palindromes
 
 
@@ -44,21 +44,12 @@ def is_rich_by_returns(w: str) -> bool:
     """Richness via returns: every complete return to a palindromic factor
     of w must itself be a palindrome.  Independent of the counting route.
 
-    One centre-expansion scan yields the occurrences of each palindrome u
-    in ascending start order, so an occurrence and the last one seen of
-    the same u bound a complete return.  Stops at the first return that
-    is not a palindrome.
+    The fold over the prefixes of w of the step that PROP1 carries along
+    the verify walk (_end_returns_are_palindromes), stopping at the first
+    prefix with a return that is not a palindrome.  It takes order |w|^2
+    Python steps: a test reference, where classify serves library callers.
     """
-    last: dict[str, int] = {}
-    for i, j in _palindrome_spans(w):
-        u = w[i:j]
-        prev = last.get(u)
-        if prev is not None:
-            ret = w[prev:j]
-            if ret != ret[::-1]:
-                return False
-        last[u] = i
-    return True
+    return all(_end_returns_are_palindromes(w[:n]) for n in range(1, len(w) + 1))
 
 
 def _end_returns_are_palindromes(w: str) -> bool:

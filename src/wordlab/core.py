@@ -3,20 +3,18 @@
 A word is a plain Python string over a small alphabet of printable ASCII
 symbols; the empty string is the empty word.  An alphabet is a str of
 distinct symbols, checked once by check_alphabet where it enters, whose
-order is the order words are enumerated in.  The palindromic occurrences
-of a word are found by expanding around each of its 2N - 1 centres
-(_palindrome_spans).  palindromic_factors and is_rich_by_returns read
-that scan, so neither depends on the palindromic tree.  The PAL_BOUND
-claim counts palindromic factors by string search along the verify walk
-(_new_palindromic_suffixes), so it does not check the tree against
-itself either.  Only a check of caller input raises UsageError, and
-check_budget and check_length raise BudgetExceededError; any other
-exception is a fault.  The CLI exits 2, 3 and 4 on these.
+order is the order words are enumerated in.  The palindromic factors
+that a word's last symbol adds are found by plain string search over its
+palindromic suffixes (_new_palindromic_suffixes), the step that the
+PAL_BOUND claim takes along the verify walk; palindromic_factors is its
+fold over the prefixes of a word.  Neither uses the palindromic tree, so
+PAL_BOUND does not check the tree against itself.  Only a check of
+caller input raises UsageError, and check_budget and check_length raise
+BudgetExceededError; any other exception is a fault.  The CLI exits 2, 3
+and 4 on these.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 SCHEMA_VERSION = 1  # of every JSON object the CLI prints
 MAX_ALPHABET_SIZE = 26
@@ -109,61 +107,34 @@ def complete_returns(w: str, u: str) -> set[str]:
     return {w[i : j + len(u)] for i, j in zip(occ, occ[1:])}
 
 
-def _palindrome_spans(w: str) -> Iterator[tuple[int, int]]:
-    """(start, end) of every non-empty palindromic occurrence w[start:end].
-
-    Centres are visited in ascending order (letter k, then the gap after
-    it) and each is expanded while its two ends match.  An occurrence of
-    a palindrome u at start s has centre 2s + |u| - 1, so the occurrences
-    of any one u come out in ascending start order, as consecutive
-    occurrences.  The a^N word has N(N+1)/2 of them.
-
-    Read by palindromic_factors and by is_rich_by_returns, the single-word
-    richness-by-returns test and the tests' reference.  The verify walk
-    does not rescan: PROP1 carries richness by returns from each word to
-    its children, checking only the returns that end at the new symbol
-    (classify._end_returns_are_palindromes).
-    """
-    n = len(w)
-    for k in range(n):
-        lo, hi = k, k + 1
-        yield lo, hi
-        while lo and hi < n and w[lo - 1] == w[hi]:
-            lo -= 1
-            hi += 1
-            yield lo, hi
-        lo = hi = k + 1
-        while lo and hi < n and w[lo - 1] == w[hi]:
-            lo -= 1
-            hi += 1
-            yield lo, hi
-
-
 def palindromic_factors(w: str) -> set[str]:
     """The distinct palindromic factors of w, the empty word included.
 
-    Read off the centre-expansion scan, independent of PalindromeIndex.
-    A word of length N never has more than N + 1 distinct palindromic
-    factors.
+    The union of the new palindromic suffixes of each prefix of w, so
+    independent of PalindromeIndex.  It takes order |w|^2 Python steps:
+    a test reference, where classify and PalindromeIndex serve library
+    callers.  A word of length N never has more than N + 1 distinct
+    palindromic factors.
     """
-    return {w[i:j] for i, j in _palindrome_spans(w)} | {""}
+    return {""}.union(*(_new_palindromic_suffixes(w[:n]) for n in range(1, len(w) + 1)))
 
 
-def _new_palindromic_suffixes(w: str) -> int:
-    """Number of palindromic suffixes of w that do not occur in w[:-1].
+def _new_palindromic_suffixes(w: str) -> list[str]:
+    """The palindromic suffixes of w that do not occur in w[:-1], shortest first.
 
     These are the palindromic factors of w that w[:-1] lacks, so a walk
     of the word tree carries the count of distinct palindromic factors
     from parent to child.  Every palindromic suffix is tested, not only
-    the longest: the count must not assume the at-most-one-new bound
+    the longest: the result must not assume the at-most-one-new bound
     (Droubay, Justin & Pirillo 2001) that the PAL_BOUND claim checks.
     Plain string search, no palindromic tree.
     """
     rev = w[::-1]  # w[i:] is a palindrome iff rev starts with it
-    new = 0
+    new: list[str] = []
     i = len(w) - 1  # a non-empty palindromic suffix starts with the last symbol
     while i > -1:
         u = w[i:]
-        new += rev.startswith(u) and w.find(u) == i
+        if rev.startswith(u) and w.find(u) == i:
+            new.append(u)
         i = w.rfind(w[-1], 0, i)
     return new

@@ -4,8 +4,9 @@ the reference for the test suite, so obviously correct.
 
 The word-tree walk, the suffix-automaton C(n) and the palindromic-tree
 P(n) in wordlab.complexity, the palindromic tree itself, the
-centre-expansion scan in wordlab.core and the R, K and period scans are
-checked against it.  Nothing in the package imports this module.
+string-search folds core.palindromic_factors and
+classify.is_rich_by_returns and the R, K and period scans are checked
+against it.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ The index is the production kernel for everything palindromic about a
 word: the count behind richness, the palindromic complexity P(n), the
 factor list that analyze reports, the unbalance witness read off it and
 census's balance flag.  The test suite checks it against the naive
-set-based palindromic_factors and wordlab.oracle.
+set-based wordlab.oracle, and the PAL_BOUND and PROP1 claims against the
+string search over palindromic suffixes in wordlab.core and
+wordlab.classify.
 """
 
 from __future__ import annotations
@@ -148,6 +150,6 @@ class PalindromeIndex:
 def index_count_palindromes(w: str) -> int:
     """Count the distinct non-empty palindromic factors of w in one pass.
 
-    Equals len(palindromic_factors(w)) - 1.
+    Equals len(core.palindromic_factors(w)) - 1.
     """
     return PalindromeIndex(w).palindrome_count

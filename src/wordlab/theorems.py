@@ -159,7 +159,7 @@ def _returns_step(w: str, rich: bool) -> bool:
 
 
 def _palindrome_count_step(w: str, count: int) -> int:
-    return count + _new_palindromic_suffixes(w) if w else 1
+    return count + len(_new_palindromic_suffixes(w)) if w else 1
 
 
 def _r_and_period_step(w: str, parent: tuple[int, int | None]) -> tuple[int, int | None]:

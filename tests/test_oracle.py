@@ -1,12 +1,16 @@
 """Differential tests: the linear profile kernels against wordlab.oracle,
 and the oracle's own word enumeration."""
 
+import os
 import random
 import string
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wordlab
 from wordlab import palindromic_complexity, subword_complexity
 from wordlab.complexity import StructuralIndices, k_index, r_index, word_profile
 from wordlab import oracle
@@ -94,3 +98,15 @@ def test_word_profile_matches_oracle_on_ternary_words_up_to_6():
 @given(words_over_up_to_26_letters(120))
 def test_word_profile_matches_oracle_on_random_words(w):
     _assert_profile_matches_oracle(w)
+
+
+def test_the_package_never_imports_the_oracle():
+    # wordlab and wordlab.cli between them load every production module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordlab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, wordlab, wordlab.cli; print('wordlab.oracle' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")

@@ -1,8 +1,11 @@
-"""The centre-expansion scan of palindromic occurrences against the
-definitions: core.palindromic_factors against the naive oracle, and
-richness by returns against every complete return to every palindromic
-factor.  Neither route, nor PAL_BOUND's carried count, may touch the
-palindromic tree."""
+"""The string search over palindromic suffixes against the definitions.
+
+core.palindromic_factors and classify.is_rich_by_returns fold the steps
+that PAL_BOUND and PROP1 carry along the verify walk
+(core._new_palindromic_suffixes and classify._end_returns_are_palindromes)
+over the prefixes of a word.  They are checked against the naive oracle
+and against every complete return to every palindromic factor.  Neither
+route, nor PAL_BOUND's carried count, may touch the palindromic tree."""
 
 import dataclasses
 import string
@@ -14,13 +17,7 @@ from hypothesis import strategies as st
 
 from wordlab import theorems
 from wordlab.classify import is_rich_by_count, is_rich_by_returns, unbalance_witness
-from wordlab.core import (
-    _palindrome_spans,
-    complete_returns,
-    is_palindrome,
-    occurrences,
-    palindromic_factors,
-)
+from wordlab.core import complete_returns, is_palindrome, palindromic_factors
 from wordlab.generate import lower_christoffel
 from wordlab import oracle
 from wordlab.oracle import words_up_to
@@ -84,14 +81,6 @@ def rich_by_definition(w: str) -> bool:
     )
 
 
-def scan_starts(w: str) -> dict[str, list[int]]:
-    """Start of each occurrence the scan yields, per palindrome, in yield order."""
-    starts: dict[str, list[int]] = {}
-    for i, j in _palindrome_spans(w):
-        starts.setdefault(w[i:j], []).append(i)
-    return starts
-
-
 def test_palindromic_factors_match_oracle_exhaustive():
     for w in exhaustive_words():
         assert palindromic_factors(w) == oracle.palindromic_factors(w), w
@@ -102,21 +91,11 @@ def test_rich_by_returns_matches_definition_exhaustive():
         assert is_rich_by_returns(w) == rich_by_definition(w), w
 
 
-def test_scan_yields_occurrences_in_order_exhaustive():
-    for w in exhaustive_words():
-        starts = scan_starts(w)
-        assert set(starts) == oracle.palindromic_factors(w) - {""}, w
-        for u, found in starts.items():
-            assert found == occurrences(w, u), (w, u)
-
-
 @settings(deadline=None)
 @given(words_with_long_returns())
 def test_scan_matches_definitions_on_random_words(w):
     assert palindromic_factors(w) == oracle.palindromic_factors(w)
     assert is_rich_by_returns(w) == rich_by_definition(w)
-    for u, found in scan_starts(w).items():
-        assert found == occurrences(w, u)
 
 
 def test_scan_matches_definitions_on_structured_words():
@@ -126,8 +105,6 @@ def test_scan_matches_definitions_on_structured_words():
         verdict = is_rich_by_returns(w)
         assert verdict == rich_by_definition(w), w
         verdicts.add(verdict)
-        for u, found in scan_starts(w).items():
-            assert found == occurrences(w, u), (w, u)
     assert verdicts == {True, False}
 
 

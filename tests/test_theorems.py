@@ -9,7 +9,7 @@ import pytest
 
 from wordlab import oracle, theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
-from wordlab.classify import is_finite_sturmian, is_rich_by_returns, is_trapezoidal
+from wordlab.classify import is_finite_sturmian, is_trapezoidal
 from wordlab.complexity import (
     SuffixAutomaton,
     _k_index_step,
@@ -23,6 +23,8 @@ from wordlab.core import word_count
 from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES
+
+from test_palindrome_scan import rich_by_definition
 
 
 def _is_canonical(w, symbols):
@@ -312,7 +314,7 @@ def _states_seen(monkeypatch, claim, symbols, prefix, depth):
 def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_len):
     for prefix, depth in theorems._blocks(symbols, max_len):
         for w, flag in _states_seen(monkeypatch, "PROP1", symbols, prefix, depth):
-            assert flag is is_rich_by_returns(w), w
+            assert flag is rich_by_definition(w), w
         for w, state in _states_seen(monkeypatch, "PROP2", symbols, prefix, depth):
             if is_trapezoidal(w):
                 assert state == (r_index(w), k_index(w)), w
