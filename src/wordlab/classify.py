@@ -1,10 +1,11 @@
 """Word-class predicates: rich, trapezoidal, balanced, finite Sturmian.
 
 Richness comes with two independently implemented routes (palindrome
-count vs complete returns), and the trapezoid property with two as well
-(index identity |w| = R + K vs the shape of the complexity difference
-profile).  The redundancy is the point: the exhaustive verifier pits the
-routes against each other.
+count on the palindromic tree vs complete returns, found by core's
+string search over palindromic suffixes), and the trapezoid property
+with two as well (index identity |w| = R + K vs the shape of the
+complexity difference profile).  The redundancy is the point: the
+exhaustive verifier pits the routes against each other.
 
 "Finite Sturmian" is implemented as "binary and balanced", the classical
 operational equivalent of being a factor of a Sturmian word.  Balance
@@ -31,7 +32,7 @@ from .complexity import (
     r_index,
     word_profile,
 )
-from .core import is_palindrome
+from .core import _palindromic_suffixes, is_palindrome
 from .palindromes import PalindromeIndex, index_count_palindromes
 
 
@@ -54,27 +55,19 @@ def is_rich_by_returns(w: str) -> bool:
 
 def _end_returns_are_palindromes(w: str) -> bool:
     """True iff every complete return to a palindromic factor of w that
-    ends at w's last symbol is a palindrome.
+    ends at w's last symbol is a palindrome, for w[:-1] rich by returns.
 
-    Such a return ends with a palindromic suffix u of w and starts at the
-    previous occurrence of u.  Every other complete return of w is one of
-    w[:-1], so is_rich_by_returns(w) equals is_rich_by_returns(w[:-1])
-    and this: a walk of the word tree can carry richness by returns from
-    parent to child.  Plain string search, no palindromic tree.
+    Every other complete return of w is one of w[:-1], so a walk of the
+    word tree carries richness by returns from a rich parent to its child.
+    Such a return ends with a palindromic suffix of w that w[:-1] has, and
+    only the one to the longest, u, is tested: a shorter one, v, is a
+    prefix and a suffix of u, so its return lies inside the final u, and
+    reversed it is a complete return to v inside u's earlier occurrence,
+    a palindrome since w[:-1] is rich.  core._palindromic_suffixes finds u
+    by plain string search, no palindromic tree.
     """
-    n = len(w)
-    if not n:
-        return True
-    last, rev = w[-1], w[::-1]  # w[i:] is a palindrome iff rev starts with it
-    i = n - 1  # start of a candidate suffix; a palindromic suffix starts with the last symbol
-    while i != -1:
-        u = w[i:]
-        if rev.startswith(u):
-            prev = w.rfind(u, 0, n - 1)
-            if prev != -1 and not rev.startswith(w[prev:]):
-                return False
-        i = w.rfind(last, 0, i)
-    return True
+    prev = _palindromic_suffixes(w)[1]
+    return prev == -1 or is_palindrome(w[prev:])
 
 
 def is_trapezoidal(w: str) -> bool:

@@ -3,15 +3,14 @@
 A word is a plain Python string over a small alphabet of printable ASCII
 symbols; the empty string is the empty word.  An alphabet is a str of
 distinct symbols, checked once by check_alphabet where it enters, whose
-order is the order words are enumerated in.  The palindromic factors
-that a word's last symbol adds are found by plain string search over its
-palindromic suffixes (_new_palindromic_suffixes), the step that the
-PAL_BOUND claim takes along the verify walk; palindromic_factors is its
-fold over the prefixes of a word.  Neither uses the palindromic tree, so
-PAL_BOUND does not check the tree against itself.  Only a check of
-caller input raises UsageError, and check_budget and check_length raise
-BudgetExceededError; any other exception is a fault.  The CLI exits 2, 3
-and 4 on these.
+order is the order words are enumerated in.  One plain string search
+over a word's palindromic suffixes (_palindromic_suffixes) is the step
+that the PAL_BOUND and PROP1 claims take along the verify walk, and
+palindromic_factors is its fold over the prefixes of a word.  It does
+not use the palindromic tree, so neither claim checks the tree against
+itself.  Only a check of caller input raises UsageError, and
+check_budget and check_length raise BudgetExceededError; any other
+exception is a fault.  The CLI exits 2, 3 and 4 on these.
 """
 
 from __future__ import annotations
@@ -116,25 +115,31 @@ def palindromic_factors(w: str) -> set[str]:
     callers.  A word of length N never has more than N + 1 distinct
     palindromic factors.
     """
-    return {""}.union(*(_new_palindromic_suffixes(w[:n]) for n in range(1, len(w) + 1)))
+    return {""}.union(*(_palindromic_suffixes(w[:n])[0] for n in range(1, len(w) + 1)))
 
 
-def _new_palindromic_suffixes(w: str) -> list[str]:
-    """The palindromic suffixes of w that do not occur in w[:-1], shortest first.
+def _palindromic_suffixes(w: str) -> tuple[list[str], int]:
+    """(new, prev): the palindromic suffixes of w that w[:-1] lacks, longest
+    first, and the last start in w[:-1] of the longest one it has (-1 if none).
 
-    These are the palindromic factors of w that w[:-1] lacks, so a walk
-    of the word tree carries the count of distinct palindromic factors
-    from parent to child.  Every palindromic suffix is tested, not only
-    the longest: the result must not assume the at-most-one-new bound
-    (Droubay, Justin & Pirillo 2001) that the PAL_BOUND claim checks.
-    Plain string search, no palindromic tree.
+    new are the palindromic factors that w adds to w[:-1], so a walk of the
+    word tree carries the count of distinct palindromic factors from parent
+    to child; prev starts the complete return that PROP1's step tests.  The
+    suffixes are read longest first, left to right over the occurrences of
+    the last symbol, up to the first one that w[:-1] has: each shorter one
+    is a suffix of it, so w[:-1] has that too.  This is factor closure only;
+    the scan does not assume the at-most-one-new bound (Droubay, Justin &
+    Pirillo 2001) that the PAL_BOUND claim checks.  No palindromic tree.
     """
-    rev = w[::-1]  # w[i:] is a palindrome iff rev starts with it
     new: list[str] = []
-    i = len(w) - 1  # a non-empty palindromic suffix starts with the last symbol
-    while i > -1:
+    rev = w[::-1]  # w[i:] is a palindrome iff rev starts with it
+    i = w.find(w[-1]) if w else -1  # a non-empty palindromic suffix starts with the last symbol
+    while i != -1:
         u = w[i:]
-        if rev.startswith(u) and w.find(u) == i:
+        if rev.startswith(u):
+            prev = w.rfind(u, 0, len(w) - 1)
+            if prev != -1:
+                return new, prev
             new.append(u)
-        i = w.rfind(w[-1], 0, i)
-    return new
+        i = w.find(w[-1], i + 1)
+    return new, -1

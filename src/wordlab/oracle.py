@@ -4,9 +4,10 @@ the reference for the test suite, so obviously correct.
 
 The word-tree walk, the suffix-automaton C(n) and the palindromic-tree
 P(n) in wordlab.complexity, the palindromic tree itself, the
-string-search folds core.palindromic_factors and
-classify.is_rich_by_returns and the R, K and period scans are checked
-against it.  Nothing in the package imports this module.
+palindromic-suffix scan core._palindromic_suffixes and its folds
+core.palindromic_factors and classify.is_rich_by_returns, and the R, K
+and period scans are checked against it.  Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ word: the count behind richness, the palindromic complexity P(n), the
 factor list that analyze reports, the unbalance witness read off it and
 census's balance flag.  The test suite checks it against the naive
 set-based wordlab.oracle, and the PAL_BOUND and PROP1 claims against the
-string search over palindromic suffixes in wordlab.core and
-wordlab.classify.
+one string search over palindromic suffixes, core._palindromic_suffixes.
 """
 
 from __future__ import annotations

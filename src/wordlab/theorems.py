@@ -54,7 +54,7 @@ from .complexity import (
 )
 from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
 from .core import DEFAULT_BUDGET, SCHEMA_VERSION, UsageError, check_alphabet, check_walk
-from .core import _new_palindromic_suffixes
+from .core import _palindromic_suffixes
 from .palindromes import PalindromeIndex
 
 _BLOCK_CAP = 2048  # max words enumerated per work block
@@ -80,16 +80,16 @@ def _check_prop2(w: str, index: PalindromeIndex, rk: tuple[int, int]) -> str | N
 
 
 def _check_thm_fgc(w: str, index: PalindromeIndex, state: None) -> str | None:
-    rich_palindrome = is_palindrome(w) and index.palindrome_count == len(w)
-    # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff P(|w|) = 1
-    if not rich_palindrome and index.longest_suffix_palindrome < len(w):
+    # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff w is a palindrome
+    if not is_palindrome(w):
         return None
+    rich = index.palindrome_count == len(w)
     d = SuffixAutomaton(w).difference
     mismatch = next(_B_mismatches(d, _palindromic_profile(index, len(w))), None)
-    if rich_palindrome and mismatch:
+    if rich and mismatch:
         n, lhs, rhs = mismatch
         return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
-    if not rich_palindrome and not mismatch:
+    if not rich and not mismatch:
         return "complexity coupling holds but not a rich palindrome"
     return None
 
@@ -155,11 +155,11 @@ def _check_trap_closed(w: str, index: None, state: tuple[int, int, bool]) -> str
 
 
 def _returns_step(w: str, rich: bool) -> bool:
-    return _end_returns_are_palindromes(w)  # a complete return in w[:-1] is one in w
+    return _end_returns_are_palindromes(w)  # the walk steps only under a rich parent
 
 
 def _palindrome_count_step(w: str, count: int) -> int:
-    return count + len(_new_palindromic_suffixes(w)) if w else 1
+    return count + len(_palindromic_suffixes(w)[0]) if w else 1
 
 
 def _r_and_period_step(w: str, parent: tuple[int, int | None]) -> tuple[int, int | None]:
@@ -208,8 +208,8 @@ class ClaimSpec:
     else None: a PalindromeIndex for PROP1, PROP2 and THM_FGC, a
     SuffixAutomaton for PROFILE_EQUIV.  PAL_BOUND's count and PROP1's
     returns route are what the tree is checked against.  THM_FGC settles
-    a word that is not a palindrome by the tree's longest palindromic
-    suffix alone, and builds P and D only for the rest.
+    a word that is not a palindrome without reading the tree, and builds
+    P and D only for the palindromes.
 
     A claim with a step gets the state of w that _walk steps, else None:
     step runs only under a truthy parent state, a falsy one passes to

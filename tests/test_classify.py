@@ -69,7 +69,7 @@ def test_is_rich_by_returns(w, expected):
         ("", True),
         ("aaa", True),  # the returns to a and aa overlap their occurrences
         ("abca", False),  # the return abca to a
-        ("abcaa", True),  # abca is not rich, but its bad return does not end at the end
+        ("aabaa", True),  # the return to aa is the whole word; the one to a lies inside it
         ("acbcab", False),  # the return bcab to b
         ("aababbaa", False),  # the return aa to a is fine; the return to aa is the whole word
         ("abaccaba", True),

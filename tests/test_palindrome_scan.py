@@ -1,11 +1,14 @@
 """The string search over palindromic suffixes against the definitions.
 
-core.palindromic_factors and classify.is_rich_by_returns fold the steps
-that PAL_BOUND and PROP1 carry along the verify walk
-(core._new_palindromic_suffixes and classify._end_returns_are_palindromes)
-over the prefixes of a word.  They are checked against the naive oracle
-and against every complete return to every palindromic factor.  Neither
-route, nor PAL_BOUND's carried count, may touch the palindromic tree."""
+core._palindromic_suffixes is the one scan behind the steps that
+PAL_BOUND and PROP1 carry along the verify walk: its new suffixes and
+classify._end_returns_are_palindromes, which tests the return that ends
+at its old suffix.  core.palindromic_factors and
+classify.is_rich_by_returns fold those steps over the prefixes of a
+word.  The scan, the steps and the folds are checked against the naive
+oracle and against every complete return to every palindromic factor.
+Neither route, nor PAL_BOUND's carried count, may touch the palindromic
+tree."""
 
 import dataclasses
 import string
@@ -16,8 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordlab import theorems
-from wordlab.classify import is_rich_by_count, is_rich_by_returns, unbalance_witness
-from wordlab.core import complete_returns, is_palindrome, palindromic_factors
+from wordlab.classify import (
+    _end_returns_are_palindromes,
+    is_rich_by_count,
+    is_rich_by_returns,
+    unbalance_witness,
+)
+from wordlab.core import _palindromic_suffixes, complete_returns, is_palindrome, palindromic_factors
 from wordlab.generate import lower_christoffel
 from wordlab import oracle
 from wordlab.oracle import words_up_to
@@ -79,6 +87,47 @@ def rich_by_definition(w: str) -> bool:
         if u
         for ret in complete_returns(w, u)
     )
+
+
+def scan_by_definition(w: str) -> tuple[list[str], int]:
+    """(the palindromic factors of w that w[:-1] lacks, longest first, and the
+    last start in w[:-1] of the longest palindromic suffix of w it has, or -1)."""
+    before = oracle.palindromic_factors(w[:-1])
+    new = sorted(oracle.palindromic_factors(w) - before, key=len, reverse=True)
+    old = [w[i:] for i in range(len(w)) if w[i:] in before and is_palindrome(w[i:])]
+    if not old:
+        return new, -1
+    u = old[0]
+    return new, max(j for j in range(len(w) - len(u)) if w[j : j + len(u)] == u)
+
+
+def end_returns_by_definition(w: str) -> bool:
+    """Every complete return to a palindromic suffix of w that ends at w's end
+    is a palindrome; the return starts at the suffix's previous occurrence."""
+    suffixes = (w[i:] for i in range(len(w)) if is_palindrome(w[i:]))
+    starts = ([j for j in range(len(w)) if w.startswith(u, j)] for u in suffixes)
+    return all(is_palindrome(w[occ[-2] :]) for occ in starts if len(occ) > 1)
+
+
+def test_scan_matches_definition():
+    for w in [*exhaustive_words(), *structured_words()]:
+        if w:
+            assert _palindromic_suffixes(w) == scan_by_definition(w), w
+
+
+def test_end_returns_step_matches_definition_under_a_rich_parent():
+    # the step's contract: w[:-1] rich by returns, as the walk and the fold guarantee
+    # the structured words stand as parents too, extended by each letter
+    extended = [w + x for w in structured_words() for x in "ab"]
+    words = [w for w in [*exhaustive_words(), *structured_words(), *extended] if w]
+    rich = {v: rich_by_definition(v) for v in {*words, *(w[:-1] for w in words)}}
+    verdicts = set()
+    for w in words:
+        if rich[w[:-1]]:
+            verdict = _end_returns_are_palindromes(w)
+            assert verdict == end_returns_by_definition(w) == rich[w], w
+            verdicts.add((len(w) > 12, verdict))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_palindromic_factors_match_oracle_exhaustive():

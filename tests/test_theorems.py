@@ -607,7 +607,6 @@ class _StubTree:
     def __init__(self, lengths):
         self._lengths = lengths
         self.palindrome_count = len(lengths) - 1
-        self.longest_suffix_palindrome = max(lengths)
 
     def lengths(self):
         return self._lengths
@@ -630,11 +629,14 @@ def test_thm_fgc_reports_each_side_of_the_equivalence(monkeypatch):
     assert check("aba", PalindromeIndex("aba"), None) == (
         "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 2 != 3"
     )
-    # a tree that claims P(2) = 1 on ab is scanned in full, and a D that fits it is reported
-    monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1]))
-    assert check("ab", _StubTree([0, 1, 1, 2]), None) == (
+    # a tree that misses the b of aba makes it a palindrome that is not rich, and a D that
+    # fits the P read off that tree is reported
+    monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([0, -1, -1]))
+    assert check("aba", _StubTree([0, 1, 3]), None) == (
         "complexity coupling holds but not a rich palindrome"
     )
+    # a non-palindrome is settled before the tree is read, whatever the tree claims
+    assert check("ab", _StubTree([0, 1, 1, 2]), None) is None
 
 
 def _palindromes_up_to(k, max_len):
