@@ -81,6 +81,19 @@ def _word_list(header: dict, words: list[str]) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# analyze's class verdicts: (JSON key, ClassificationReport field), in output order
+_VERDICTS = (
+    ("palindrome", "is_palindrome"),
+    ("rich", "is_rich"),
+    ("trapezoidal", "is_trapezoidal"),
+    ("balanced", "is_balanced"),
+    ("finite_sturmian", "is_finite_sturmian"),
+    ("sturmian_palindrome", "is_sturmian_palindrome"),
+    ("condition_B", "condition_B"),
+    ("condition_B_prime", "condition_B_prime"),
+)
+
+
 def analyze_payload(word: str) -> dict:
     """Flat JSON-ready record with profiles, indices, factors, and verdicts."""
     alphabet = "".join(sorted(set(word)))
@@ -105,14 +118,7 @@ def analyze_payload(word: str) -> dict:
         "pi": report.indices.min_period,
         "palindrome_count": report.palindrome_count,
         "palindromic_factors": list(profile.palindromic_factors),
-        "palindrome": report.is_palindrome,
-        "rich": report.is_rich,
-        "trapezoidal": report.is_trapezoidal,
-        "balanced": report.is_balanced,
-        "finite_sturmian": report.is_finite_sturmian,
-        "sturmian_palindrome": report.is_sturmian_palindrome,
-        "condition_B": report.condition_B,
-        "condition_B_prime": report.condition_B_prime,
+        **{key: getattr(report, field) for key, field in _VERDICTS},
         "unbalance_witness": report.unbalance_witness,
     }
 
@@ -145,16 +151,7 @@ def _analyze_text(payload: dict) -> None:
         f"palindromic factors ({payload['palindrome_count']}): "
         + ", ".join(q(f) for f in payload["palindromic_factors"])
     )
-    for key in (
-        "palindrome",
-        "rich",
-        "trapezoidal",
-        "balanced",
-        "finite_sturmian",
-        "sturmian_palindrome",
-        "condition_B",
-        "condition_B_prime",
-    ):
+    for key, _ in _VERDICTS:
         value = payload[key]
         print(f"{key}: {'undefined' if value is None else _fmt_cell(value)}")
     if payload["unbalance_witness"] is not None:
@@ -184,12 +181,7 @@ def _verify_text(report: VerificationReport) -> None:
 
 
 def _cmd_verify(args) -> tuple:
-    if args.sequential:
-        workers = 1
-    elif args.parallel is not None:
-        workers = args.parallel
-    else:
-        workers = os.cpu_count() or 1
+    workers = (os.cpu_count() or 1) if args.parallel is None else args.parallel
     report = verify_claim(
         args.claim, args.alphabet, args.max_len, workers=workers, budget=args.budget
     )
@@ -284,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes, at least 1; capped at the CPU count and the number of blocks",
     )
     group.add_argument(
-        "--sequential", action="store_true", help="force single-threaded execution"
+        "--sequential",
+        action="store_const",
+        const=1,
+        dest="parallel",
+        help="force single-threaded execution, as --parallel 1",
     )
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_verify.set_defaults(func=_cmd_verify)

@@ -6,14 +6,14 @@ identities between subword and palindromic complexity rely on that
 convention, so callers should not truncate it away.
 
 Each profile has one kernel, linear in N up to the alphabet factor: the
-suffix automaton SuffixAutomaton (Blumer et al. 1985) gives D and C(n),
-the palindromic tree PalindromeIndex gives P(n), and a walk of the word
-tree carries either, undoing appends.  word_profile computes C, P, D, the
-structural indices and the palindromic factor list of a word once.  The
-indices R, K and the minimal period keep their own direct scans, so the
-claims that compare them with the profiles compare independent
-algorithms.  A walk of the word tree steps them from the parent's values
-(_r_index_step, _k_index_step and _minimal_period_from).
+suffix automaton SuffixAutomaton (Blumer et al. 1985) gives D, and C(n)
+as its running sums; the palindromic tree PalindromeIndex gives P(n); and
+a walk of the word tree carries either, undoing appends.  word_profile
+computes C, P, D, the structural indices and the palindromic factor list
+of a word once.  The indices R, K and the minimal period keep their own
+direct scans, so the claims that compare them with the profiles compare
+independent algorithms.  A walk of the word tree steps them from the
+parent's values (_r_index_step, _k_index_step and _minimal_period_from).
 The naive set-based C and P live in wordlab.oracle.
 
 The records here are NamedTuples, not frozen dataclasses: each class is
@@ -100,9 +100,13 @@ class SuffixAutomaton:
         return ch
 
 
+def _subword_of(d: list[int]) -> list[int]:
+    return list(accumulate([1, *d, -1]))  # C(0) = 1, C(n+1) = C(n) + D(n), C(N+1) = 0
+
+
 def subword_complexity(w: str) -> list[int]:
     """C[n] = number of distinct factors of w of length n, n = 0..N+1: running sums of 1, D, -1."""
-    return list(accumulate([1, *SuffixAutomaton(w).difference, -1]))
+    return _subword_of(SuffixAutomaton(w).difference)
 
 
 def _palindromic_profile(index: PalindromeIndex, n: int) -> list[int]:
@@ -147,16 +151,15 @@ def _run_decomposition(values: tuple[int, ...] | list[int]) -> tuple[int, int] |
     return None
 
 
-def _difference_of(c: list[int]) -> DifferenceProfile:
-    values = tuple(c[n + 1] - c[n] for n in range(len(c) - 2))
-    return DifferenceProfile(values, _run_decomposition(values))
+def _difference_of(d: list[int]) -> DifferenceProfile:
+    return DifferenceProfile(tuple(d), _run_decomposition(d))
 
 
 def difference_profile(w: str) -> DifferenceProfile:
     """Difference vector of the subword complexity, indexed 0..N-1."""
     if not w:
         raise ValueError("difference profile undefined for the empty word")
-    return _difference_of(subword_complexity(w))
+    return _difference_of(SuffixAutomaton(w).difference)
 
 
 def _has_right_special(w: str, p: int) -> bool:
@@ -297,13 +300,13 @@ class WordProfile(NamedTuple):
 
 
 def word_profile(w: str) -> WordProfile:
-    """Compute every profile of w once; P and the factors share one tree."""
+    """Compute every profile of w once; P and the factors share one tree, C and D one automaton."""
     index = PalindromeIndex(w)
-    c = subword_complexity(w)
+    d = SuffixAutomaton(w).difference
     return WordProfile(
-        subword=tuple(c),
+        subword=tuple(_subword_of(d)),
         palindromic=tuple(_palindromic_profile(index, len(w))),
-        difference=_difference_of(c) if w else None,
+        difference=_difference_of(d) if w else None,
         indices=structural_indices(w),
         palindromic_factors=tuple(
             sorted(index.distinct_palindromes(), key=lambda f: (len(f), f))

@@ -95,9 +95,12 @@ def _check_thm_fgc(w: str, index: PalindromeIndex, state: None) -> str | None:
 
 
 def _check_thm_main(w: str, index: None, flag: None) -> str | None:
-    sturmian_pal = is_sturmian_palindrome(w)
+    # every condition asks for a palindrome, so a non-palindrome fails all three
+    if not is_palindrome(w):
+        return None
+    sturmian_pal = is_finite_sturmian(w)
     symmetric = condition_B_prime(w)
-    trapezoidal_pal = is_palindrome(w) and is_trapezoidal(w)
+    trapezoidal_pal = is_trapezoidal(w)
     if not (sturmian_pal == symmetric == trapezoidal_pal):
         return (
             f"sturmian palindrome={sturmian_pal}, symmetric P-profile={symmetric}, "

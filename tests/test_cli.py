@@ -15,7 +15,7 @@ import types
 import pytest
 
 from wordlab import census, difference_profile, find_class_members, lower_christoffel
-from wordlab import sturmian_corpus, theorems, verify_claim
+from wordlab import cli, sturmian_corpus, theorems, verify_claim
 from wordlab.classify import is_balanced
 from wordlab.cli import analyze_payload, main
 from wordlab.core import MAX_WORD_LENGTH, UsageError, check_alphabet
@@ -192,10 +192,43 @@ def test_verify_exit_zero_and_report(capsys):
 
 def test_verify_sequential_and_parallel_bytes_match(capsys):
     args = ["verify", "PROP1", "--alphabet", "ab", "--max-len", "8", "--format", "json"]
-    code1, out1, _ = run_cli(capsys, *args, "--sequential")
-    code2, out2, _ = run_cli(capsys, *args, "--parallel", "8")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    modes = [["--sequential"], ["--parallel", "1"], [], ["--parallel", "8"]]
+    results = [run_cli(capsys, *args, *mode) for mode in modes]
+    assert results[0][0] == 0
+    assert results == [results[0]] * len(modes)
+
+
+@pytest.mark.parametrize(
+    "mode,workers",
+    [([], 3), (["--sequential"], 1), (["--parallel", "1"], 1), (["--parallel", "5"], 5)],
+    ids=["no-flag", "sequential", "parallel-1", "parallel-5"],
+)
+def test_verify_worker_setting(capsys, monkeypatch, mode, workers):
+    # --sequential is --parallel 1, and no flag asks for the CPU count
+    calls = []
+
+    def cpu_count():
+        calls.append("cpu_count")
+        return 3
+
+    def record(*args, **kwargs):
+        calls.append(kwargs["workers"])
+        return theorems.VerificationReport("PROP1", "ab", 4, 31, [], 0.0)
+
+    monkeypatch.setattr(cli.os, "cpu_count", cpu_count)
+    monkeypatch.setattr(cli, "verify_claim", record)
+    code, _, _ = run_cli(capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "4", *mode)
+    assert code == 0
+    assert calls == ([] if mode else ["cpu_count"]) + [workers]
+
+
+def test_verify_sequential_and_parallel_exclude_each_other(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "2",
+        "--sequential", "--parallel", "2",
+    )
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
 
 
 _PROP1_TEXT = (
