@@ -6,9 +6,8 @@ prefix-order walk (_walk) serves verify, enumerate and census.  Claims and
 classes are defined by symbol equality, so a word and its letter renamings
 agree: the walk visits one canonical word per renaming class, weighted by
 its renamings, and verify checks each other renaming of a failing one alone.
-Census, PROP1, PROP2 and THM_FGC read the PalindromeIndex the walk carries
-(THM_FGC builds P and D only on palindromes), PROFILE_EQUIV a
-SuffixAutomaton.  The walk also steps a state from each word to its
+Census, PROP1 and PROP2 read the PalindromeIndex the walk carries,
+PROFILE_EQUIV a SuffixAutomaton.  The walk also steps a state from each word to its
 children (ClaimSpec.step, and census's trapezoidal and balanced flags,
 the latter read off the tree): a state that is falsy outside a
 prefix-closed property, or a per-word value stepped from the parent's,
@@ -16,6 +15,9 @@ such as (R, K) for PROFILE_EQUIV.  PROP2 and BINARY_TRAP walk only the
 trapezoidal words and their children, and count each subtree below a
 falsy state in closed form (TRAP_CLOSED guards that pruning); census
 walks only the rich, trapezoidal and balanced words and their children.
+THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
+test, so they walk only the palindromes, each built from its right half
+by the same walk (_palindromes), and count the other words in closed form.
 Fixed subtree blocks and sorted counterexamples make parallel and
 sequential verify reports identical.
 Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
@@ -79,10 +81,11 @@ def _check_prop2(w: str, index: PalindromeIndex, rk: tuple[int, int]) -> str | N
     return None
 
 
-def _check_thm_fgc(w: str, index: PalindromeIndex, state: None) -> str | None:
+def _check_thm_fgc(w: str, index: None, state: None) -> str | None:
     # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff w is a palindrome
     if not is_palindrome(w):
         return None
+    index = PalindromeIndex(w)
     rich = index.palindrome_count == len(w)
     d = SuffixAutomaton(w).difference
     mismatch = next(_B_mismatches(d, _palindromic_profile(index, len(w))), None)
@@ -208,11 +211,15 @@ class ClaimSpec:
     """checker(w, index, state) returns a diagnostic or None.
 
     A claim with an index class gets the one the walk carries, holding w,
-    else None: a PalindromeIndex for PROP1, PROP2 and THM_FGC, a
-    SuffixAutomaton for PROFILE_EQUIV.  PAL_BOUND's count and PROP1's
-    returns route are what the tree is checked against.  THM_FGC settles
-    a word that is not a palindrome without reading the tree, and builds
-    P and D only for the palindromes.
+    else None: a PalindromeIndex for PROP1 and PROP2, a SuffixAutomaton
+    for PROFILE_EQUIV.  PAL_BOUND's count and PROP1's returns route are
+    what the tree is checked against.
+
+    A claim with palindromes set (THM_FGC, THM_MAIN) is checked on the
+    palindromes alone: its checker passes every other word before reading
+    it, so verify counts those instead of walking them.  The walk's words
+    are then right halves, not the words checked, so such a claim carries
+    neither index nor step; THM_FGC builds its tree and D per palindrome.
 
     A claim with a step gets the state of w that _walk steps, else None:
     step runs only under a truthy parent state, a falsy one passes to
@@ -241,6 +248,7 @@ class ClaimSpec:
     index: type[Undoable] | None = None
     step: Callable[[str, object], object] | None = None
     inside: bool = False
+    palindromes: bool = False
 
 
 CLAIMS: dict[str, ClaimSpec] = {
@@ -260,11 +268,12 @@ CLAIMS: dict[str, ClaimSpec] = {
     "THM_FGC": ClaimSpec(
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
-        index=PalindromeIndex,
+        palindromes=True,
     ),
     "THM_MAIN": ClaimSpec(
         "Sturmian palindrome == symmetric palindromic complexity == trapezoidal palindrome",
         _check_thm_main,
+        palindromes=True,
     ),
     "PAL_BOUND": ClaimSpec(
         "no word has more than |w|+1 distinct palindromic factors",
@@ -412,9 +421,29 @@ def _blocks(symbols: str, max_len: int) -> list[tuple[str, int]]:
     return [("", head - 1), *subtrees] if head else subtrees
 
 
-def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, str]]]:
-    """(words the walked words stand for, (word, diagnostic) of each failing one) of a block."""
-    claim, symbols, prefix, depth = task
+def _palindromes(symbols: str, halves, max_len: int):
+    """Yield (p, weight, None) for the palindromes p of each half h that the walk halves
+    yields, those no longer than max_len, each renamed to its canonical form.
+
+    h is p's right half read from the centre: p is h[:0:-1] + h (odd, h nonempty) or
+    h[::-1] + h (even), and xpx has the half hx.  So the canonical halves up to
+    ceil(max_len / 2) give each canonical palindrome once, and p, with h's letters,
+    carries h's weight.
+    """
+    for h, weight, _ in halves:
+        for p in (h[:0:-1] + h, h[::-1] + h) if h else ("",):
+            if len(p) <= max_len:
+                used = "".join(dict.fromkeys(p))
+                yield p.translate(str.maketrans(used, symbols[: len(used)])), weight, None
+
+
+def _run_block(task: tuple[str, str, str, int, int | None]) -> tuple[int, list[tuple[str, str]]]:
+    """(words the walked words stand for, (word, diagnostic) of each failing one) of a block.
+
+    With a palindrome bound, the block's words are right halves, and it checks the
+    palindromes up to that bound that they give.
+    """
+    claim, symbols, prefix, depth, palindrome_bound = task
     spec = CLAIMS[claim]
     checker, inside = spec.checker, spec.inside
     index = spec.index() if spec.index else None
@@ -424,7 +453,10 @@ def _run_block(task: tuple[str, str, str, int]) -> tuple[int, list[tuple[str, st
     for _ in range(depth):
         below.append(len(symbols) * (below[-1] + 1))
     checked, bad = 0, []
-    for w, weight, state in _walk(symbols, prefix, depth, index, spec.step, inside):
+    words = _walk(symbols, prefix, depth, index, spec.step, inside)
+    if palindrome_bound is not None:
+        words = _palindromes(symbols, words, palindrome_bound)
+    for w, weight, state in words:
         checked += weight
         if inside and not state:
             checked += weight * below[limit - len(w)]
@@ -455,7 +487,12 @@ def verify_claim(
     check_alphabet(alphabet)
     check_walk("max_len", max_len, len(alphabet), budget)
     started = time.perf_counter()
-    tasks = [(claim, alphabet, prefix, depth) for prefix, depth in _blocks(alphabet, max_len)]
+    k, palindromes = len(alphabet), CLAIMS[claim].palindromes
+    # a palindrome claim walks the right halves, ceil(max_len / 2) long, and passes the
+    # k^n - k^ceil(n/2) other words of each length unread
+    bound, walked = (max_len, (max_len + 1) // 2) if palindromes else (None, max_len)
+    rest = sum(k**n - k ** ((n + 1) // 2) for n in range(max_len + 1)) if palindromes else 0
+    tasks = [(claim, alphabet, prefix, depth, bound) for prefix, depth in _blocks(alphabet, walked)]
     processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         with Pool(processes=processes) as pool:
@@ -464,15 +501,16 @@ def verify_claim(
         results = [_run_block(t) for t in tasks]
     bad = [hit for _, hits in results for hit in hits]
     # a failing canonical word stands for its other renamings too: each is a block of one
-    # word, its ancestors stepped from the empty word, so its diagnostic is its own
+    # word, not of halves, its ancestors stepped from the empty word, so its diagnostic is
+    # its own
     images = [v for w, _ in bad for v in _renamings(w, alphabet)[1:]]
-    bad += [hit for v in images for hit in _run_block((claim, alphabet, v, 0))[1]]
+    bad += [hit for v in images for hit in _run_block((claim, alphabet, v, 0, None))[1]]
     order = _alphabet_order(alphabet)
     return VerificationReport(
         claim=claim,
         alphabet=alphabet,
         max_len=max_len,
-        words_checked=sum(c for c, _ in results),
+        words_checked=rest + sum(c for c, _ in results),
         counterexamples=sorted(bad, key=lambda hit: order(hit[0])),
         elapsed_seconds=time.perf_counter() - started,
     )

@@ -59,22 +59,25 @@ def test_criterion_01_richness_routes_agree():
 
 
 def test_criterion_02_rich_palindrome_identity():
-    rep = verify_claim("THM_FGC", "ab", 18)
+    binary = verify_claim("THM_FGC", "ab", 25)  # the default budget's binary ceiling
+    ternary = verify_claim("THM_FGC", "abc", 15)
     report(
         2,
-        "rich palindrome <=> P(n)+P(n+1) = C(n+1)-C(n)+2 pointwise, binary <=18",
-        rep.counterexamples,
-        f"{rep.words_checked} words",
+        "rich palindrome <=> P(n)+P(n+1) = C(n+1)-C(n)+2 pointwise, binary <=25, ternary <=15",
+        binary.counterexamples + ternary.counterexamples,
+        f"{binary.words_checked + ternary.words_checked} words",
     )
 
 
 def test_criterion_03_sturmian_palindrome_three_way():
-    rep = verify_claim("THM_MAIN", "ab", 20)
+    binary = verify_claim("THM_MAIN", "ab", 25)
+    ternary = verify_claim("THM_MAIN", "abc", 15)
     report(
         3,
-        "Sturmian palindrome == symmetric P-profile == trapezoidal palindrome, binary <=20",
-        rep.counterexamples,
-        f"{rep.words_checked} words",
+        "Sturmian palindrome == symmetric P-profile == trapezoidal palindrome, "
+        "binary <=25, ternary <=15",
+        binary.counterexamples + ternary.counterexamples,
+        f"{binary.words_checked + ternary.words_checked} words",
     )
 
 

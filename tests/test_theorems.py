@@ -305,7 +305,7 @@ def _states_seen(monkeypatch, claim, symbols, prefix, depth):
         theorems.CLAIMS[claim], checker=lambda w, index, state: seen.append((w, state)), inside=False
     )
     monkeypatch.setitem(theorems.CLAIMS, claim, spec)
-    checked, _ = theorems._run_block((claim, symbols, prefix, depth))
+    checked, _ = theorems._run_block((claim, symbols, prefix, depth, None))
     assert checked == sum(_weight(w, symbols) for w, _ in seen)
     return seen
 
@@ -433,6 +433,58 @@ def test_carried_flag_starts_from_the_prefix_ancestors(monkeypatch):
     assert [flag for _, flag in seen] == [False] * 13
 
 
+def test_palindrome_claims_carry_no_index_and_no_step():
+    # their walk's words are right halves, not the words the checker sees
+    palindromes = [claim for claim, spec in CLAIMS.items() if spec.palindromes]
+    assert palindromes == ["THM_FGC", "THM_MAIN"]
+    for claim in palindromes:
+        spec = CLAIMS[claim]
+        assert (spec.index, spec.step, spec.inside) == (None, None, False), claim
+
+
+def _palindrome_walk(symbols, max_len):
+    # every block of the right halves, ceil(max_len / 2) long, as verify splits them
+    return [
+        item
+        for prefix, depth in theorems._blocks(symbols, (max_len + 1) // 2)
+        for item in theorems._palindromes(symbols, theorems._walk(symbols, prefix, depth), max_len)
+    ]
+
+
+@pytest.mark.parametrize(
+    "symbols,max_len",
+    [("ab", 14), ("ab", 13), ("abc", 8), ("abc", 7), ("ba", 12), ("cab", 8), ("a", 9), ("ab", 0)],
+)
+def test_palindrome_walk_yields_each_palindrome_once(symbols, max_len):
+    walked = _palindrome_walk(symbols, max_len)
+    assert all(_is_canonical(p, symbols) for p, _, _ in walked)
+    assert all(weight == _weight(p, symbols) for p, weight, _ in walked)
+    renamings = [v for p, _, _ in walked for v in theorems._renamings(p, symbols)]
+    assert sorted(renamings) == sorted(w for w in words_up_to(symbols, max_len) if w == w[::-1])
+
+
+# ab/24 and abc/15 split their halves into 3 and 4 blocks
+@pytest.mark.parametrize(
+    "symbols,max_len", [("ab", 24), ("ab", 25), ("abc", 15), ("abcd", 10), ("a", 40)]
+)
+def test_palindrome_walk_weights_count_the_palindromes(symbols, max_len):
+    # a palindrome of length n is fixed by its last ceil(n/2) symbols
+    per_length = [0] * (max_len + 1)
+    for p, weight, _ in _palindrome_walk(symbols, max_len):
+        per_length[len(p)] += weight
+    assert per_length == [len(symbols) ** ((n + 1) // 2) for n in range(max_len + 1)]
+
+
+@pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if spec.palindromes])
+def test_palindrome_claims_are_refused_at_the_full_count(claim):
+    # the budget counts every word, as for the claims that walk every word
+    for symbols, max_len in (("ab", 9), ("abc", 6)):
+        total = word_count(len(symbols), max_len)
+        with pytest.raises(BudgetExceededError):
+            verify_claim(claim, symbols, max_len, budget=total - 1)
+        assert verify_claim(claim, symbols, max_len, budget=total).words_checked == total
+
+
 def test_every_inside_claim_carries_a_state():
     # an inside claim's checker and walk both stop below a falsy state, so it needs a step
     inside = [claim for claim, spec in CLAIMS.items() if spec.inside]
@@ -454,7 +506,7 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
     monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
     assert verify_claim(claim, "abc", 7).verified
     blocks = [*theorems._blocks("abc", 7), ("abcaa", 2)]  # abc, and so abcaa, is not trapezoidal
-    theorems._run_block((claim, "abc", "abcaa", 2))  # ancestors of a prefix under the same rule
+    theorems._run_block((claim, "abc", "abcaa", 2, None))  # ancestors of a prefix under the same rule
     # each block steps its prefix's proper ancestors, then walks its subtree
     walked = []
     for prefix, depth in blocks:
@@ -556,13 +608,28 @@ def test_restricted_claim_reports_every_trapezoidal_word_in_order(
         assert report.words_checked == word_count(len(symbols), max_len), claim
 
 
+def _checked_words(spec, symbols, max_len):
+    # the words a claim's checker sees: the trapezoidal ones, the palindromes, or all
+    words = words_up_to(symbols, max_len)
+    if spec.inside:
+        return [w for w in words if is_trapezoidal(w)]
+    return [w for w in words if w == w[::-1]] if spec.palindromes else list(words)
+
+
+# at this cap every bound but a/31 splits into several blocks, and the palindrome walk's halves
+# too; the odd bounds drop the even palindromes of the longest halves
 @pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if not spec.inside])
-def test_claims_outside_the_restriction_check_every_word(monkeypatch, claim):
-    planted = dataclasses.replace(theorems.CLAIMS[claim], checker=_planted_everywhere)
-    monkeypatch.setitem(theorems.CLAIMS, claim, planted)
-    report = verify_claim(claim, "abc", 6)
-    assert report.counterexamples == [(w, "planted") for w in words_up_to("abc", 6)]
-    assert report.words_checked == word_count(3, 6)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_claims_outside_the_restriction_check_every_word(monkeypatch, claim, workers):
+    spec = dataclasses.replace(theorems.CLAIMS[claim], checker=_planted_everywhere)
+    monkeypatch.setitem(theorems.CLAIMS, claim, spec)
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    for symbols, max_len in (("abc", 7), ("ba", 11), ("cab", 8), ("ba", 12), ("a", 31)):
+        report = verify_claim(claim, symbols, max_len, workers=workers)
+        expected = [(w, "planted") for w in _checked_words(spec, symbols, max_len)]
+        assert report.counterexamples == expected, symbols
+        assert report.words_checked == word_count(len(symbols), max_len), symbols
 
 
 def test_prop1_catches_a_pop_that_keeps_the_node(monkeypatch):
@@ -601,15 +668,17 @@ def test_profile_equiv_reads_the_carried_automaton(monkeypatch):
     assert ("aab", "index trapezoidal=True, difference-profile runs=None") in report.counterexamples
 
 
-class _StubTree:
-    """A palindromic tree that reports the given node lengths, empty word included."""
+def _stub_tree(lengths):
+    class StubTree:
+        """A palindromic tree that reports the given node lengths, empty word included."""
 
-    def __init__(self, lengths):
-        self._lengths = lengths
-        self.palindrome_count = len(lengths) - 1
+        def __init__(self, w):
+            self.palindrome_count = len(lengths) - 1
 
-    def lengths(self):
-        return self._lengths
+        def lengths(self):
+            return lengths
+
+    return StubTree
 
 
 def _stub_automaton(difference):
@@ -621,22 +690,23 @@ def _stub_automaton(difference):
 
 
 def test_thm_fgc_reports_each_side_of_the_equivalence(monkeypatch):
+    # the checker builds its own tree and automaton of w; the walk carries neither
     check = theorems._check_thm_fgc
-    assert check("aba", PalindromeIndex("aba"), None) is None
-    assert check("ab", PalindromeIndex("ab"), None) is None
+    assert check("aba", None, None) is None
+    assert check("ab", None, None) is None
     # a planted D breaks the coupling of the rich palindrome aba at n = 1
     monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1, -1]))
-    assert check("aba", PalindromeIndex("aba"), None) == (
+    assert check("aba", None, None) == (
         "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 2 != 3"
     )
     # a tree that misses the b of aba makes it a palindrome that is not rich, and a D that
     # fits the P read off that tree is reported
     monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([0, -1, -1]))
-    assert check("aba", _StubTree([0, 1, 3]), None) == (
-        "complexity coupling holds but not a rich palindrome"
-    )
-    # a non-palindrome is settled before the tree is read, whatever the tree claims
-    assert check("ab", _StubTree([0, 1, 1, 2]), None) is None
+    monkeypatch.setattr(theorems, "PalindromeIndex", _stub_tree([0, 1, 3]))
+    assert check("aba", None, None) == "complexity coupling holds but not a rich palindrome"
+    # a non-palindrome is settled before its tree is built, whatever the tree would claim
+    monkeypatch.setattr(theorems, "PalindromeIndex", _stub_tree([0, 1, 1, 2]))
+    assert check("ab", None, None) is None
 
 
 def _palindromes_up_to(k, max_len):
@@ -644,32 +714,49 @@ def _palindromes_up_to(k, max_len):
     return 1 + sum(k ** ((n + 1) // 2) for n in range(1, max_len + 1))
 
 
-def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch):
-    def unbuilt(self, word=""):
-        raise AssertionError(f"automaton built for {word!r}")
+def _unread(name, *args, **kwargs):
+    raise AssertionError(f"{name} called on {args[:1]}")
 
-    monkeypatch.setattr(SuffixAutomaton, "__init__", unbuilt)
-    index = PalindromeIndex()
+
+def _settle_non_palindromes(check, symbols, max_len):
+    # verify counts these words instead of walking them, because the checker passes each
     settled = 0
-    for w, weight, _ in theorems._walk("ab", "", 10, index):
+    for w in words_up_to(symbols, max_len):
         if w != w[::-1]:
-            assert theorems._check_thm_fgc(w, index, None) is None, w
-            settled += weight
-    assert settled == word_count(2, 10) - _palindromes_up_to(2, 10)
+            assert check(w, None, None) is None, w
+            settled += 1
+    assert settled == word_count(len(symbols), max_len) - _palindromes_up_to(len(symbols), max_len)
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 10), ("abc", 7)])
+def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch, symbols, max_len):
+    for cls in (SuffixAutomaton, PalindromeIndex):
+        monkeypatch.setattr(cls, "__init__", functools.partialmethod(_unread, cls.__name__))
+    _settle_non_palindromes(theorems._check_thm_fgc, symbols, max_len)
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 8)])
+def test_thm_main_settles_a_non_palindrome_without_its_conditions(monkeypatch, symbols, max_len):
+    for name in ("is_finite_sturmian", "condition_B_prime", "is_trapezoidal"):
+        monkeypatch.setattr(theorems, name, functools.partial(_unread, name))
+    _settle_non_palindromes(theorems._check_thm_main, symbols, max_len)
 
 
 @pytest.mark.parametrize("symbols,max_len,built", [("ab", 12, 253), ("abc", 7, 160)])
 def test_thm_fgc_builds_one_automaton_per_palindrome(monkeypatch, symbols, max_len, built):
     assert built == _palindromes_up_to(len(symbols), max_len)
-    init, words = SuffixAutomaton.__init__, []
+    built_for = {SuffixAutomaton: [], PalindromeIndex: []}
+    for cls, words in built_for.items():
 
-    def counted(self, word=""):
-        words.append(word)
-        init(self, word)
+        def counted(self, word="", init=cls.__init__, words=words):
+            words.append(word)
+            init(self, word)
 
-    monkeypatch.setattr(SuffixAutomaton, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     assert verify_claim("THM_FGC", symbols, max_len).verified
-    # one per canonical palindrome, and their renamings are every palindrome
+    # one tree and one automaton per canonical palindrome, and their renamings are every one
+    words = built_for[SuffixAutomaton]
+    assert built_for[PalindromeIndex] == words
     assert all(w == w[::-1] and _is_canonical(w, symbols) for w in words)
     assert sum(_weight(w, symbols) for w in words) == built
 
@@ -740,7 +827,7 @@ def test_each_renaming_of_a_counterexample_is_checked_on_its_own(monkeypatch, cl
     monkeypatch.setitem(theorems.CLAIMS, claim, spec)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     for symbols, max_len in (("cab", 8), ("abcd", 5)):
-        checked = [w for w in words_up_to(symbols, max_len) if not spec.inside or is_trapezoidal(w)]
+        checked = _checked_words(spec, symbols, max_len)
         expected = [(w, f"planted at {w!r}") for w in checked if not _scattered(w)]
         report = verify_claim(claim, symbols, max_len, workers=workers)
         assert report.counterexamples == expected, symbols
