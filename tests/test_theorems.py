@@ -463,7 +463,7 @@ def test_palindrome_walk_yields_each_palindrome_once(symbols, max_len):
     assert sorted(renamings) == sorted(w for w in words_up_to(symbols, max_len) if w == w[::-1])
 
 
-# ab/24 and abc/15 split their halves into 3 and 4 blocks
+# ab/24 and abc/15 split their halves into 3 blocks, ab/25 into 5
 @pytest.mark.parametrize(
     "symbols,max_len", [("ab", 24), ("ab", 25), ("abc", 15), ("abcd", 10), ("a", 40)]
 )
@@ -506,7 +506,7 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
     monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
     assert verify_claim(claim, "abc", 7).verified
     blocks = [*theorems._blocks("abc", 7), ("abcaa", 2)]  # abc, and so abcaa, is not trapezoidal
-    theorems._run_block((claim, "abc", "abcaa", 2, None))  # ancestors of a prefix under the same rule
+    theorems._run_block((claim, "abc", "abcaa", 2, None))  # ancestors of a prefix, same rule
     # each block steps its prefix's proper ancestors, then walks its subtree
     walked = []
     for prefix, depth in blocks:
@@ -714,8 +714,11 @@ def _palindromes_up_to(k, max_len):
     return 1 + sum(k ** ((n + 1) // 2) for n in range(1, max_len + 1))
 
 
-def _unread(name, *args, **kwargs):
-    raise AssertionError(f"{name} called on {args[:1]}")
+def _refused(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called on {args[-1:]}")
+
+    return refuse
 
 
 def _settle_non_palindromes(check, symbols, max_len):
@@ -731,34 +734,38 @@ def _settle_non_palindromes(check, symbols, max_len):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 10), ("abc", 7)])
 def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch, symbols, max_len):
     for cls in (SuffixAutomaton, PalindromeIndex):
-        monkeypatch.setattr(cls, "__init__", functools.partialmethod(_unread, cls.__name__))
+        monkeypatch.setattr(cls, "__init__", _refused(cls.__name__))
     _settle_non_palindromes(theorems._check_thm_fgc, symbols, max_len)
 
 
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 8)])
 def test_thm_main_settles_a_non_palindrome_without_its_conditions(monkeypatch, symbols, max_len):
     for name in ("is_finite_sturmian", "condition_B_prime", "is_trapezoidal"):
-        monkeypatch.setattr(theorems, name, functools.partial(_unread, name))
+        monkeypatch.setattr(theorems, name, _refused(name))
     _settle_non_palindromes(theorems._check_thm_main, symbols, max_len)
+
+
+def _record_builds(monkeypatch, cls):
+    init, words = cls.__init__, []
+
+    def counted(self, word=""):
+        words.append(word)
+        init(self, word)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return words
 
 
 @pytest.mark.parametrize("symbols,max_len,built", [("ab", 12, 253), ("abc", 7, 160)])
 def test_thm_fgc_builds_one_automaton_per_palindrome(monkeypatch, symbols, max_len, built):
     assert built == _palindromes_up_to(len(symbols), max_len)
-    built_for = {SuffixAutomaton: [], PalindromeIndex: []}
-    for cls, words in built_for.items():
-
-        def counted(self, word="", init=cls.__init__, words=words):
-            words.append(word)
-            init(self, word)
-
-        monkeypatch.setattr(cls, "__init__", counted)
+    automata = _record_builds(monkeypatch, SuffixAutomaton)
+    trees = _record_builds(monkeypatch, PalindromeIndex)
     assert verify_claim("THM_FGC", symbols, max_len).verified
     # one tree and one automaton per canonical palindrome, and their renamings are every one
-    words = built_for[SuffixAutomaton]
-    assert built_for[PalindromeIndex] == words
-    assert all(w == w[::-1] and _is_canonical(w, symbols) for w in words)
-    assert sum(_weight(w, symbols) for w in words) == built
+    assert trees == automata
+    assert all(w == w[::-1] and _is_canonical(w, symbols) for w in automata)
+    assert sum(_weight(w, symbols) for w in automata) == built
 
 
 def _trapezoidal_by_extension(symbols, max_len):
