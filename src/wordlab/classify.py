@@ -14,7 +14,7 @@ factors, while the unbalance witness is read off the palindromic
 factors (a binary word is unbalanced iff some palindrome U has both
 aUa and bUb as factors).  classify derives its verdict from the
 witness, and census walks the same route one symbol at a time on its
-palindromic tree (PalindromeIndex.new_palindrome_twinned).
+palindromic tree (PalindromeIndex.new_palindrome_unbalances).
 """
 
 from __future__ import annotations

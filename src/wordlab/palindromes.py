@@ -10,9 +10,10 @@ one index can follow a depth-first walk of the word tree.
 The index is the production kernel for everything palindromic about a
 word: the count behind richness, the palindromic complexity P(n), the
 factor list that analyze reports, the unbalance witness read off it and
-census's balance flag.  The test suite checks it against the naive
-set-based wordlab.oracle, and the PAL_BOUND and PROP1 claims against the
-one string search over palindromic suffixes, core._palindromic_suffixes.
+census's balance flag (new_palindrome_unbalances, which names no
+letter).  The test suite checks it against the naive set-based
+wordlab.oracle, and the PAL_BOUND and PROP1 claims against the one
+string search over palindromic suffixes, core._palindromic_suffixes.
 """
 
 from __future__ import annotations
@@ -112,21 +113,26 @@ class PalindromeIndex:
         return len(self._len) - 2
 
     @property
-    def new_palindrome_twinned(self) -> bool:
+    def new_palindrome_unbalances(self) -> bool:
         """True iff the last append created a palindrome xUx whose centre U,
-        possibly empty, already extends to yUy, y != x: both are factors.
+        possibly empty, already extends to yUy, y != x, so that both are
+        factors, or gave the word a third (or later) distinct letter: a
+        third child of the length -1 root.  That root is no centre
+        otherwise, since a single symbol has no twin.
 
-        The length -1 root is no centre: a single symbol has no twin.  On
-        a balanced binary word, this is exactly when appending x makes the
-        word unbalanced (the unbalance witness U of classify); any pair
-        xUx, yUy that the append completes has the new palindrome in it.
-        O(1), read off the node just created.
+        On a balanced word, this is exactly when the append makes the word
+        unbalanced: a balanced word has at most two letters, and a binary
+        word is unbalanced iff some palindrome U has both aUa and bUb as
+        factors (the unbalance witness U of classify); any pair xUx, yUy
+        that the append completes has the new palindrome in it.  No letter
+        is named, so a word and its renamings agree.  O(1), read off the
+        node just created.
         """
         counts = self.prefix_counts
         if len(counts) < 2 or counts[-1] == counts[-2]:
             return False
         centre = self._via[-1][0]  # type: ignore[index]
-        return centre != _IMAGINARY and len(self._next[centre]) > 1
+        return len(self._next[centre]) > (2 if centre == _IMAGINARY else 1)
 
     @property
     def longest_suffix_palindrome(self) -> int:

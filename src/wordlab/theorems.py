@@ -7,14 +7,16 @@ classes are defined by symbol equality, so a word and its letter renamings
 agree: the walk visits one canonical word per renaming class, weighted by
 its renamings, and verify checks each other renaming of a failing one alone.
 Census, PROP1 and PROP2 read the PalindromeIndex the walk carries,
-PROFILE_EQUIV a SuffixAutomaton.  The walk also steps a state from each word to its
-children (ClaimSpec.step, and census's trapezoidal and balanced flags,
-the latter read off the tree): a state that is falsy outside a
+PROFILE_EQUIV a SuffixAutomaton.  The walk also steps a state from each
+word to its children, by one form of step, step(w, index, parent), given
+the index holding w (ClaimSpec.step, and census's _census_step, whose
+balanced flag is read off the tree): a state that is falsy outside a
 prefix-closed property, or a per-word value stepped from the parent's,
-such as (R, K) for PROFILE_EQUIV.  PROP2 and BINARY_TRAP walk only the
-trapezoidal words and their children, and count each subtree below a
-falsy state in closed form (TRAP_CLOSED guards that pruning); census
-walks only the rich, trapezoidal and balanced words and their children.
+such as (R, K) for PROFILE_EQUIV.  No checker or step names a letter.
+PROP2 and BINARY_TRAP walk only the trapezoidal words and their
+children, and count each subtree below a falsy state in closed form
+(TRAP_CLOSED guards that pruning); census walks only the rich,
+trapezoidal and balanced words and their children.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
 by the same walk (_palindromes), and count the other words in closed form.
@@ -157,53 +159,49 @@ def _check_trap_closed(w: str, index: None, state: tuple[int, int, bool]) -> str
     return None
 
 
-# Steps: step(w, state of w[:-1]) is the state of w, and of "" the empty word's.
+# Steps: step(w, index, state of w[:-1]) is the state of w, and of "" the empty word's;
+# index is the one the walk carries, holding w, or None.  Only census's step reads it.
 
 
-def _returns_step(w: str, rich: bool) -> bool:
+def _returns_step(w: str, index: PalindromeIndex, rich: bool) -> bool:
     return _end_returns_are_palindromes(w)  # the walk steps only under a rich parent
 
 
-def _palindrome_count_step(w: str, count: int) -> int:
+def _palindrome_count_step(w: str, index: None, count: int) -> int:
     return count + len(_palindromic_suffixes(w)[0]) if w else 1
 
 
-def _r_and_period_step(w: str, parent: tuple[int, int | None]) -> tuple[int, int | None]:
+def _r_and_period_step(w: str, index: None, parent: tuple) -> tuple[int, int | None]:
     # R and the minimal period never decrease along prefixes, so each scan starts at the parent's
     if not w:
         return (0, None)
     return (_r_index_step(w, parent[0]), _minimal_period_from(w, parent[1] or 1))
 
 
-def _r_and_k_step(w: str, parent: tuple[int, ...]) -> tuple[int, int]:
+def _r_and_k_step(w: str, index: Undoable | None, parent: tuple[int, ...]) -> tuple[int, int]:
     return (_r_index_step(w, parent[0]), _k_index_step(w, parent[1])) if w else (0, 0)
 
 
-def _trapezoidal_step(w: str, parent: tuple[int, int]) -> tuple[int, int] | bool:
+def _trapezoidal_step(w: str, index: Undoable | None, parent: tuple) -> tuple[int, int] | bool:
     # (R, K) while w is trapezoidal, |w| = R + K, else False; only a trapezoidal parent steps
-    rk = _r_and_k_step(w, parent)
+    rk = _r_and_k_step(w, index, parent)
     return len(w) == rk[0] + rk[1] and rk
 
 
-def _census_step(index: PalindromeIndex, symbols: str) -> Callable[[str, object], object]:
-    """census's step over an index that holds w: (the trapezoidal state, whether w is
-    balanced), or False when w is neither of those nor rich, and so no word below it is."""
-    third = symbols[2:3]  # a canonical word that adds it gets its third letter
-
-    def step(w: str, parent: tuple) -> tuple[tuple[int, int] | bool, bool] | bool:
-        if not w:
-            return (0, 0), True
-        trap, bal = parent  # all three classes are closed under prefixes
-        trap = trap and _trapezoidal_step(w, trap)
-        bal = bal and w[-1] != third and not index.new_palindrome_twinned
-        return (trap, bal) if trap or bal or index.palindrome_count == len(w) else False
-
-    return step
+def _census_step(w: str, index: PalindromeIndex, parent: tuple) -> tuple | bool:
+    """(the trapezoidal state, whether w is balanced), or False when w is neither of
+    those nor rich, and so no word below it is."""
+    if not w:
+        return (0, 0), True
+    trap, bal = parent  # all three classes are closed under prefixes
+    trap = trap and _trapezoidal_step(w, index, trap)
+    bal = bal and not index.new_palindrome_unbalances
+    return (trap, bal) if trap or bal or index.palindrome_count == len(w) else False
 
 
-def _trap_closed_step(w: str, parent: tuple[int, int, bool]) -> tuple[int, int, bool]:
+def _trap_closed_step(w: str, index: None, parent: tuple[int, int, bool]) -> tuple[int, int, bool]:
     # the parent's R and K give its own verdict, which answers w[:-1]
-    return (*_r_and_k_step(w, parent), len(w) - 1 == parent[0] + parent[1]) if w else (0, 0, True)
+    return (*_r_and_k_step(w, index, parent), len(w) - 1 == sum(parent[:2])) if w else (0, 0, True)
 
 
 @dataclass(frozen=True)
@@ -222,9 +220,10 @@ class ClaimSpec:
     neither index nor step; THM_FGC builds its tree and D per palindrome.
 
     A claim with a step gets the state of w that _walk steps, else None:
-    step runs only under a truthy parent state, a falsy one passes to
-    every descendant, and step("", True) is the empty word's state.  Two
-    kinds of state:
+    step(w, index, parent) reads the index holding w (None without an
+    index class; the claims' steps ignore it), runs only under a truthy
+    parent state, a falsy one passes to every descendant, and
+    step("", index, True) is the empty word's state.  Two kinds of state:
 
     - Falsy exactly outside a property closed under prefixes, so it
       follows the property of w alone: the flag of richness by complete
@@ -240,13 +239,14 @@ class ClaimSpec:
       pruning and so carries no falsy state.
 
     These are fixed properties of each claim, not options.  Checker and
-    step may compare symbols only with each other, never with a named
-    letter: the walk visits one word per renaming of the letters.
+    step, census's too, may compare symbols only with each other, never
+    with a named letter: the walk visits one word per renaming of the
+    letters.
     """
     description: str
     checker: Callable[[str, Undoable | None, object], str | None]
     index: type[Undoable] | None = None
-    step: Callable[[str, object], object] | None = None
+    step: Callable[[str, Undoable | None, object], object] | None = None
     inside: bool = False
     palindromes: bool = False
 
@@ -345,7 +345,7 @@ def _walk(
     prefix: str,
     depth: int,
     index: Undoable | None = None,
-    step: Callable[[str, object], object] | None = None,
+    step: Callable[[str, Undoable | None, object], object] | None = None,
     prune: bool = False,
 ):
     """Yield (w, weight, state) for prefix, then each canonical extension by 1..depth symbols.
@@ -359,9 +359,10 @@ def _walk(
     in lexicographic order.  The walk keeps its own stack, so depth is not
     bounded by Python's recursion limit.  A given index must start empty; it
     then holds each word yielded (pop to the parent, append).  A given step
-    sets state(w) = state(w[:-1]) and step(w, state(w[:-1])), the empty
-    word's parent state being True; with none, every state is None.  The
-    prefix's proper ancestors are replayed into the index and stepped first.
+    sets state(w) = state(w[:-1]) and step(w, index, state(w[:-1])), with
+    the index holding w (None when none is given), the empty word's parent
+    state being True; with no step, every state is None.  The prefix's
+    proper ancestors are replayed into the index and stepped first.
     With prune, the children of a word with a falsy state are not walked.
     """
     k = len(symbols)
@@ -376,7 +377,7 @@ def _walk(
     for n in range(len(prefix)):  # the proper ancestors prefix[:n]
         if index is not None and n:
             index.append(prefix[n - 1])
-        state = state and step(prefix[:n], state)
+        state = state and step(prefix[:n], index, state)
     stack = [(prefix, len(set(prefix)), state)]
     while stack:
         w, used, parent = stack.pop()
@@ -386,7 +387,7 @@ def _walk(
                 held -= 1
             index.append(w[-1])
             held += 1
-        state = parent and step(w, parent)
+        state = parent and step(w, index, parent)
         yield w, weights[used], state
         if len(w) < limit and (state or not prune):
             for s, j in children[used]:
@@ -605,10 +606,10 @@ class CensusTable:
 def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusTable:
     """Count class members per length in one walk of the canonical words.
 
-    _walk carries one PalindromeIndex and the _census_step state along the
-    tree, and each canonical word adds its weight, the number of its
-    renamings, to every count it is in; total is k^n in closed form.  The
-    columns:
+    _walk carries one PalindromeIndex and steps _census_step, which reads
+    it, along the tree, and each canonical word adds its weight, the number
+    of its renamings, to every count it is in; total is k^n in closed form.
+    The columns:
 
     - rich: the word has n distinct non-empty palindromic factors, read
       off the index.
@@ -618,7 +619,8 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
       children of members, trapezoidal ones by stepping the parent's
       (R, K).  A balanced word's child is unbalanced exactly when it adds
       a third letter, or when the palindrome its last symbol created
-      completes a pair xUx, yUy (PalindromeIndex.new_palindrome_twinned).
+      completes a pair xUx, yUy.  The tree shows both without naming a
+      letter (PalindromeIndex.new_palindrome_unbalances).
     - sturmian_palindrome, condition_B and condition_B_prime: each holds
       only on palindromes, so they are evaluated only on palindromes,
       from one P read off the index and, for condition_B, the
@@ -639,7 +641,7 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    walk = _walk(alphabet, "", max_len, index, _census_step(index, alphabet), prune=True)
+    walk = _walk(alphabet, "", max_len, index, _census_step, prune=True)
     next(walk)  # skip the empty word
     for w, weight, state in walk:
         if not state:

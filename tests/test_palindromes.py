@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordlab import PalindromeIndex
+from wordlab.classify import is_finite_sturmian
 from wordlab.oracle import palindromic_factors, words_up_to
 from wordlab.generate import random_words
 from wordlab.palindromes import index_count_palindromes
@@ -93,7 +94,7 @@ def _state(idx):
         idx.distinct_palindromes(),
         idx.palindrome_count,
         idx.longest_suffix_palindrome,
-        idx.new_palindrome_twinned,
+        idx.new_palindrome_unbalances,
     )
 
 
@@ -136,8 +137,11 @@ def test_pop_on_empty_index_raises_and_leaves_it_usable():
     assert _state(idx) == _state(PalindromeIndex())
 
 
-def _twinned_naively(w):
-    # the palindromes w has and w[:-1] lacks, each xUx with yUy also a factor of w
+def _unbalances_naively(w):
+    # w's last symbol is a third distinct letter, or it created a palindrome xUx with yUy,
+    # y != x, also a factor of w
+    if w and w[-1] not in w[:-1] and len(set(w)) > 2:
+        return True
     factors = palindromic_factors(w)
     new = factors - palindromic_factors(w[:-1]) if w else set()
     return any(
@@ -145,18 +149,33 @@ def _twinned_naively(w):
     )
 
 
-@pytest.mark.parametrize("symbols,max_len", [("ab", 10), ("abc", 7), ("abcd", 5)])
-def test_new_palindrome_twinned_matches_naive(symbols, max_len):
+WORD_SETS = [("ab", 12), ("abc", 8), ("abcd", 6)]
+
+
+@pytest.mark.parametrize("symbols,max_len", WORD_SETS)
+def test_new_palindrome_unbalances_matches_naive(symbols, max_len):
     for w in words_up_to(symbols, max_len):
-        assert PalindromeIndex(w).new_palindrome_twinned == _twinned_naively(w), w
+        assert PalindromeIndex(w).new_palindrome_unbalances == _unbalances_naively(w), w
+
+
+@pytest.mark.parametrize("symbols,max_len", WORD_SETS)
+def test_new_palindrome_unbalances_is_the_counting_route_below_a_balanced_word(symbols, max_len):
+    # is_finite_sturmian counts letters and reads no tree; a word over 3+ letters is unbalanced
+    seen = set()
+    for w in words_up_to(symbols, max_len):
+        if w and is_finite_sturmian(w[:-1]):
+            unbalances = PalindromeIndex(w).new_palindrome_unbalances
+            assert unbalances == (not is_finite_sturmian(w)), w
+            seen.add(unbalances)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize(
-    "w,twinned",
+    "w,unbalances",
     [
         ("", False),
         ("a", False),
-        ("ab", False),  # b extends the length -1 root, which is no centre
+        ("ab", False),  # b is a second child of the length -1 root, which is no centre
         ("aab", False),
         ("aabb", True),  # bb and aa share the empty centre
         ("aabba", False),  # no new palindrome
@@ -164,9 +183,10 @@ def test_new_palindrome_twinned_matches_naive(symbols, max_len):
         ("aaaabaab", True),  # baab against aaaa: the centre aa
         ("aaaaabaaab", True),  # baaab against aaaaa: the centre aaa
         ("abab", False),
-        ("abc", False),  # a third letter makes no twin; census checks for it apart
+        ("abc", True),  # a third letter: a third child of the length -1 root
+        ("abcd", True),  # and a fourth
         ("cbcaba", True),  # aba against cbc: the centre b
     ],
 )
-def test_new_palindrome_twinned_examples(w, twinned):
-    assert PalindromeIndex(w).new_palindrome_twinned is twinned
+def test_new_palindrome_unbalances_examples(w, unbalances):
+    assert PalindromeIndex(w).new_palindrome_unbalances is unbalances

@@ -58,10 +58,10 @@ def test_balance_routes_do_not_use_the_palindromic_tree(monkeypatch):
 
 
 def fold(step, w: str):
-    """The state a walk steps to w from the empty word, as _walk does."""
+    """The state a walk that carries no index steps to w from the empty word, as _walk does."""
     state = True
     for n in range(len(w) + 1):
-        state = state and step(w[:n], state)
+        state = state and step(w[:n], None, state)
     return state
 
 

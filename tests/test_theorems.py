@@ -249,7 +249,8 @@ def _scattered(w):
 @pytest.mark.parametrize("keep", [_scattered, is_trapezoidal], ids=["scattered", "trapezoidal"])
 def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(symbols, max_len, keep):
     keep = functools.cache(keep)
-    step = lambda w, parent: keep(w)  # the state of w: keep passes w and each of its prefixes
+    # the state of w: keep passes w and each of its prefixes
+    step = lambda w, index, parent: keep(w)
     canonical = [w for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols)]
     expected = [w for w in canonical if all(keep(w[:i]) for i in range(len(w)))]
     pruned = theorems._walk(symbols, "", max_len, step=step, prune=True)
@@ -344,32 +345,40 @@ def test_walk_states_are_the_invariants_of_each_word(monkeypatch, symbols, max_l
                 assert state == direct(w), (claim, w)
 
 
-def _own_states_and_verdicts(claim, symbols, max_len):
+# every step a walk carries, each with the index class it reads: each claim's, and census's
+STEPS = {c: (spec.index, spec.step) for c, spec in CLAIMS.items() if spec.step}
+STEPS["census"] = (PalindromeIndex, theorems._census_step)
+
+
+def _own_states_and_verdicts(name, symbols, max_len):
     """word -> (carried state, whether the checker passes it), each word on its own.
 
-    Each state steps from the parent's, so from the empty word down, with no walk; the
-    verdict comes from an index built for the word alone, None where the claim skips it.
+    Each state steps from the parent's, so from the empty word down, with no walk, over
+    an index built for the word alone, which the verdict reads too; the verdict is None
+    where the claim skips the word, and for census, which has no checker.
     """
-    spec, states, seen = CLAIMS[claim], {}, {}
+    spec = CLAIMS.get(name)
+    index_class, step = STEPS[name] if name in STEPS else (spec.index, None)
+    states, seen = {}, {}
     for w in words_up_to(symbols, max_len):  # shortest first, so each parent comes first
         parent = states[w[:-1]] if w else True
-        state = states[w] = spec.step and (parent and spec.step(w, parent))
+        index = index_class(w) if index_class else None
+        state = states[w] = step and (parent and step(w, index, parent))
         verdict = None
-        if not (spec.inside and not state):
-            index = spec.index(w) if spec.index else None
+        if spec and not (spec.inside and not state):
             verdict = spec.checker(w, index, state) is None
         seen[w] = (state, verdict)
     return seen
 
 
-# the reduction to canonical words: no claim may tell a word from a renaming of it
+# the reduction to canonical words: no claim, and no step, may tell a word from a renaming of it
 @pytest.mark.parametrize("symbols,max_len", [("ab", 11), ("abc", 7), ("abcd", 5), ("ba", 10)])
-@pytest.mark.parametrize("claim", list(CLAIMS))
-def test_every_word_carries_the_state_and_verdict_of_its_canonical_form(claim, symbols, max_len):
-    seen = _own_states_and_verdicts(claim, symbols, max_len)
-    assert any(state for state, _ in seen.values()) or CLAIMS[claim].step is None
+@pytest.mark.parametrize("name", [*CLAIMS, "census"])
+def test_every_word_carries_the_state_and_verdict_of_its_canonical_form(name, symbols, max_len):
+    seen = _own_states_and_verdicts(name, symbols, max_len)
+    assert any(state for state, _ in seen.values()) or name not in STEPS
     for w, state_and_verdict in seen.items():
-        assert state_and_verdict == seen[_canonical_form(w, symbols)], (claim, w)
+        assert state_and_verdict == seen[_canonical_form(w, symbols)], (name, w)
 
 
 @pytest.mark.parametrize("claim", list(CLAIMS))
@@ -497,10 +506,10 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
     spec = theorems.CLAIMS[claim]
     stepped, states = [], []
 
-    def step(w, parent):
+    def step(w, index, parent):
         assert parent, (w, parent)
         stepped.append(w)
-        states.append(spec.step(w, parent))
+        states.append(spec.step(w, index, parent))
         return states[-1]
 
     monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
@@ -520,31 +529,23 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
         assert all(states) and stepped == walked
 
 
-def _census_on_a_tree():
-    index = PalindromeIndex()
-    return index, theorems._census_step(index, "abc")
-
-
-# every step the walk carries, each with a new index of what it reads: each claim's, and census's
-STEPS = {c: (lambda step=spec.step: (None, step)) for c, spec in CLAIMS.items() if spec.step}
-STEPS["census"] = _census_on_a_tree
-
-
 def _stepped_from_the_empty_word(name, w):
-    index, step = STEPS[name]()
+    index_class, step = STEPS[name]
+    index = index_class() if index_class else None
     state = True  # the empty word's parent state
     for n in range(len(w) + 1):
         if index is not None and n:
             index.append(w[n - 1])
-        state = state and step(w[:n], state)
+        state = state and step(w[:n], index, state)
     return state
 
 
 @pytest.mark.parametrize("name", list(STEPS))
 def test_walk_yields_the_state_stepped_along_each_prefix(name):
+    index_class, step = STEPS[name]
     for prefix, depth in [*theorems._blocks("abc", 7), ("abcaa", 2)]:
         for prune in (False, True):
-            index, step = STEPS[name]()
+            index = index_class() if index_class else None
             for w, _, state in theorems._walk("abc", prefix, depth, index, step, prune):
                 assert state == _stepped_from_the_empty_word(name, w), (w, prune)
 
@@ -944,9 +945,8 @@ def test_census_balance_flag_is_the_counting_route(symbols, max_len):
     # the full walk pops the tree back to each parent; a word whose state is False has no flag,
     # and is in none of census's classes, so it is not balanced
     index = PalindromeIndex()
-    step = theorems._census_step(index, symbols)
     walked = 0
-    for w, _, state in theorems._walk(symbols, "", max_len, index, step):
+    for w, _, state in theorems._walk(symbols, "", max_len, index, theorems._census_step):
         assert bool(state and state[1]) == is_finite_sturmian(w), w
         walked += 1
     assert walked == sum(1 for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols))
