@@ -13,9 +13,11 @@ the index holding w (ClaimSpec.step, and census's _census_step, whose
 balanced flag is read off the tree): a state that is falsy outside a
 prefix-closed property, or a per-word value stepped from the parent's,
 such as (R, K) for PROFILE_EQUIV.  No checker or step names a letter.
-PROP2 and BINARY_TRAP walk only the trapezoidal words and their
-children, and count each subtree below a falsy state in closed form
-(TRAP_CLOSED guards that pruning); census walks only the rich,
+One rule prunes every walk: a stepped walk stops below a falsy state,
+and verify counts that subtree in closed form.  So PROP1 walks only the
+words rich by count or by returns and their children (PAL_BOUND guards
+that pruning), PROP2 and BINARY_TRAP only the trapezoidal words and
+their children (TRAP_CLOSED guards it), and census only the rich,
 trapezoidal and balanced words and their children.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
@@ -70,8 +72,8 @@ Undoable = PalindromeIndex | SuffixAutomaton  # what a walk can carry: append, a
 # ---------------------------------------------------------------------------
 
 
-def _check_prop1(w: str, index: PalindromeIndex, by_returns: bool) -> str | None:
-    by_count = index.palindrome_count == len(w)
+def _check_prop1(w: str, index: PalindromeIndex, rich: tuple[bool, bool]) -> str | None:
+    by_returns, by_count = rich
     if by_count != by_returns:
         return f"rich by count={by_count}, rich by returns={by_returns}"
     return None
@@ -160,11 +162,19 @@ def _check_trap_closed(w: str, index: None, state: tuple[int, int, bool]) -> str
 
 
 # Steps: step(w, index, state of w[:-1]) is the state of w, and of "" the empty word's;
-# index is the one the walk carries, holding w, or None.  Only census's step reads it.
+# index is the one the walk carries, holding w, or None.  Only PROP1's and census's steps read it.
 
 
-def _returns_step(w: str, index: PalindromeIndex, rich: bool) -> bool:
-    return _end_returns_are_palindromes(w)  # the walk steps only under a rich parent
+def _returns_step(w: str, index: PalindromeIndex, parent: tuple) -> tuple[bool, bool] | bool:
+    """(rich by complete returns, rich by count), or False when w is neither, and so no
+    word below it is: the count grows by at most one per symbol (PAL_BOUND)."""
+    if not w:
+        return True, True
+    # _end_returns_are_palindromes tests only the returns ending at w's last symbol; the
+    # parent's flag covers the others
+    by_returns = parent[0] and _end_returns_are_palindromes(w)
+    by_count = index.palindrome_count == len(w)
+    return (by_returns or by_count) and (by_returns, by_count)
 
 
 def _palindrome_count_step(w: str, index: None, count: int) -> int:
@@ -221,16 +231,16 @@ class ClaimSpec:
 
     A claim with a step gets the state of w that _walk steps, else None:
     step(w, index, parent) reads the index holding w (None without an
-    index class; the claims' steps ignore it), runs only under a truthy
-    parent state, a falsy one passes to every descendant, and
-    step("", index, True) is the empty word's state.  Two kinds of state:
+    index class), runs only under a truthy parent state, and
+    step("", index, True) is the empty word's state.  The walk stops
+    below a falsy state: the checker skips that word, and the subtree
+    below it is counted, not walked.  Two kinds of state:
 
-    - Falsy exactly outside a property closed under prefixes, so it
-      follows the property of w alone: the flag of richness by complete
-      returns (PROP1), and (R, K) while w is trapezoidal, False otherwise
-      (PROP2, BINARY_TRAP).  With inside set, the walk is pruned: the
-      checker runs only on words whose state is truthy, and the subtree
-      below a falsy one is counted, not walked.
+    - Falsy exactly outside a property closed under prefixes, on which
+      the claim holds, so it follows the property of w alone: (rich by
+      complete returns, rich by count) while w is rich by either, False
+      otherwise (PROP1, whose pruning PAL_BOUND guards); and (R, K) while
+      w is trapezoidal, False otherwise (PROP2, BINARY_TRAP).
     - A value, never falsy, each from a fact about appending a symbol:
       the number of distinct palindromic factors, the empty word
       included, for PAL_BOUND (the new ones are palindromic suffixes);
@@ -247,7 +257,6 @@ class ClaimSpec:
     checker: Callable[[str, Undoable | None, object], str | None]
     index: type[Undoable] | None = None
     step: Callable[[str, Undoable | None, object], object] | None = None
-    inside: bool = False
     palindromes: bool = False
 
 
@@ -263,7 +272,6 @@ CLAIMS: dict[str, ClaimSpec] = {
         _check_prop2,
         index=PalindromeIndex,
         step=_trapezoidal_step,  # closed under factors (de Luca 1999); see TRAP_CLOSED
-        inside=True,
     ),
     "THM_FGC": ClaimSpec(
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
@@ -289,7 +297,6 @@ CLAIMS: dict[str, ClaimSpec] = {
         "no trapezoidal word uses three or more distinct symbols",
         _check_binary_trap,
         step=_trapezoidal_step,
-        inside=True,
     ),
     "PROFILE_EQUIV": ClaimSpec(
         "|w| = R+K agrees with the 1^r 0^s (-1)^r difference-profile shape",
@@ -346,7 +353,6 @@ def _walk(
     depth: int,
     index: Undoable | None = None,
     step: Callable[[str, Undoable | None, object], object] | None = None,
-    prune: bool = False,
 ):
     """Yield (w, weight, state) for prefix, then each canonical extension by 1..depth symbols.
 
@@ -363,7 +369,7 @@ def _walk(
     the index holding w (None when none is given), the empty word's parent
     state being True; with no step, every state is None.  The prefix's
     proper ancestors are replayed into the index and stepped first.
-    With prune, the children of a word with a falsy state are not walked.
+    With a step, the children of a word whose state is falsy are not walked.
     """
     k = len(symbols)
     weights = [perm(k, j) for j in range(k + 1)]
@@ -389,7 +395,7 @@ def _walk(
             held += 1
         state = parent and step(w, index, parent)
         yield w, weights[used], state
-        if len(w) < limit and (state or not prune):
+        if len(w) < limit and (state or not step):
             for s, j in children[used]:
                 stack.append((w + s, j, state))
 
@@ -446,20 +452,20 @@ def _run_block(task: tuple[str, str, str, int, int | None]) -> tuple[int, list[t
     """
     claim, symbols, prefix, depth, palindrome_bound = task
     spec = CLAIMS[claim]
-    checker, inside = spec.checker, spec.inside
+    checker, step = spec.checker, spec.step
     index = spec.index() if spec.index else None
     limit = len(prefix) + depth
-    # an inside claim's walk stops at a falsy state, whose subtree is counted, not checked
+    # a stepped walk stops at a falsy state, whose subtree is counted, not checked
     below = [0]  # below[j]: words under one that has j levels of the block beneath it
     for _ in range(depth):
         below.append(len(symbols) * (below[-1] + 1))
     checked, bad = 0, []
-    words = _walk(symbols, prefix, depth, index, spec.step, inside)
+    words = _walk(symbols, prefix, depth, index, step)
     if palindrome_bound is not None:
         words = _palindromes(symbols, words, palindrome_bound)
     for w, weight, state in words:
         checked += weight
-        if inside and not state:
+        if step and not state:
             checked += weight * below[limit - len(w)]
         elif (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
@@ -641,7 +647,7 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    walk = _walk(alphabet, "", max_len, index, _census_step, prune=True)
+    walk = _walk(alphabet, "", max_len, index, _census_step)
     next(walk)  # skip the empty word
     for w, weight, state in walk:
         if not state:

@@ -310,7 +310,7 @@ def test_verify_checker_value_error_exit_four(capsys, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", [["--sequential"], ["--parallel", "2"]])
 def test_verify_carried_step_value_error_exit_four(capsys, monkeypatch, mode):
-    # the step that carries PROP1's flag runs inside the walk too
+    # the step that carries PROP1's two flags, and prunes its walk, runs inside the walk too
     code, out, err = _verify_with_checker(capsys, monkeypatch, _value_fault, mode, "step")
     assert code == 4
     assert out == ""
