@@ -12,13 +12,18 @@ word to its children, by one form of step, step(w, index, parent), given
 the index holding w (ClaimSpec.step, and census's _census_step, whose
 balanced flag is read off the tree): a state that is falsy outside a
 prefix-closed property, or a per-word value stepped from the parent's,
-such as (R, K) for PROFILE_EQUIV.  No checker or step names a letter.
-One rule prunes every walk: a stepped walk stops below a falsy state,
-and verify counts that subtree in closed form.  So PROP1 walks only the
-words rich by count or by returns and their children (PAL_BOUND guards
-that pruning), PROP2 and BINARY_TRAP only the trapezoidal words and
-their children (TRAP_CLOSED guards it), and census only the rich,
-trapezoidal and balanced words and their children.
+such as (R, K) and the parent's verdict for TRAP_CLOSED.  No checker or
+step names a letter.  One rule prunes every walk: a stepped walk stops
+below a falsy state, and verify counts that subtree in closed form.  So
+PROP1 walks only the words rich by count or by returns and their
+children (PAL_BOUND guards that pruning), PROP2 and BINARY_TRAP only the
+trapezoidal words and their children (TRAP_CLOSED guards it), and census
+only the rich, trapezoidal and balanced words and their children.
+PROFILE_EQUIV walks every word, for its profile route, but wraps PROP2's
+state in a tuple that is never falsy, so R and K are stepped only below
+trapezoidal words and its R + K route settles to False below the rest.
+Only TRAP_CLOSED steps R and K on every word, and PERIOD_INEQ R alone;
+TRAP_CLOSED guards every other claim that reads them.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
 by the same walk (_palindromes), and count the other words in closed form.
@@ -139,10 +144,10 @@ def _check_binary_trap(w: str, index: None, rk: tuple[int, int]) -> str | None:
     return None
 
 
-def _check_profile_equiv(w: str, automaton: SuffixAutomaton, rk: tuple[int, int]) -> str | None:
+def _check_profile_equiv(w: str, automaton: SuffixAutomaton, state: tuple) -> str | None:
     if not w:
         return None  # difference profile undefined for the empty word
-    by_indices = len(w) == sum(rk)
+    by_indices = bool(state[0])
     runs = _run_decomposition(automaton.difference)
     if by_indices != (runs is not None):
         return f"index trapezoidal={by_indices}, difference-profile runs={runs}"
@@ -198,6 +203,12 @@ def _trapezoidal_step(w: str, index: Undoable | None, parent: tuple) -> tuple[in
     return len(w) == rk[0] + rk[1] and rk
 
 
+def _profile_step(w: str, index: Undoable | None, parent: tuple) -> tuple:
+    # (the trapezoidal state,), never falsy, so every word is walked; R and K are stepped
+    # only under a trapezoidal parent, as no word below a non-trapezoidal one is (TRAP_CLOSED)
+    return (parent[0] and _trapezoidal_step(w, index, parent[0]),) if w else ((0, 0),)
+
+
 def _census_step(w: str, index: PalindromeIndex, parent: tuple) -> tuple | bool:
     """(the trapezoidal state, whether w is balanced), or False when w is neither of
     those nor rich, and so no word below it is."""
@@ -244,9 +255,15 @@ class ClaimSpec:
     - A value, never falsy, each from a fact about appending a symbol:
       the number of distinct palindromic factors, the empty word
       included, for PAL_BOUND (the new ones are palindromic suffixes);
-      (R, minimal period) for PERIOD_INEQ; (R, K) for PROFILE_EQUIV; and
-      (R, K) with the parent's verdict for TRAP_CLOSED, which guards the
-      pruning and so carries no falsy state.
+      (R, minimal period) for PERIOD_INEQ; and (R, K) with the parent's
+      verdict for TRAP_CLOSED, which guards the pruning and so carries
+      no falsy state.  These two are the only steps of R or K on every
+      word.
+
+    PROFILE_EQUIV wraps PROP2's state in a 1-tuple, never falsy, so it
+    walks and checks every word, as its profile route needs, yet steps
+    R and K only under a trapezoidal parent: below any other word its
+    R + K route is settled to False, which TRAP_CLOSED guards too.
 
     These are fixed properties of each claim, not options.  Checker and
     step, census's too, may compare symbols only with each other, never
@@ -302,7 +319,7 @@ CLAIMS: dict[str, ClaimSpec] = {
         "|w| = R+K agrees with the 1^r 0^s (-1)^r difference-profile shape",
         _check_profile_equiv,
         index=SuffixAutomaton,
-        step=_r_and_k_step,
+        step=_profile_step,
     ),
     "TRAP_CLOSED": ClaimSpec(
         "if w is trapezoidal, so are w[:-1], w[1:] and the reversal of w",

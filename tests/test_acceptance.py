@@ -214,12 +214,17 @@ def test_criterion_10_christoffel_pipeline():
 
 
 def test_criterion_11_trapezoid_routes_agree():
-    rep = verify_claim("PROFILE_EQUIV", "ab", 16)
+    # the R+K route settles to False below a non-trapezoidal word; criterion 15, at the same
+    # bounds, checks the closure that rests on
+    binary = verify_claim("PROFILE_EQUIV", "ab", 18)
+    ternary = verify_claim("PROFILE_EQUIV", "abc", 11)
     report(
         11,
-        "|w| = R+K classification matches 1^r 0^s (-1)^r profile shape, binary <=16",
-        rep.counterexamples,
-        f"{rep.words_checked} words, discrepancies reported as findings",
+        "|w| = R+K classification matches 1^r 0^s (-1)^r profile shape, "
+        "binary <=18 and ternary <=11",
+        binary.counterexamples + ternary.counterexamples,
+        f"{binary.words_checked + ternary.words_checked} words, "
+        "discrepancies reported as findings",
     )
 
 
@@ -278,7 +283,8 @@ def test_criterion_14_census_closed_forms():
 
 
 def test_criterion_15_trapezoidal_words_are_closed_under_factors():
-    # PROP2 and BINARY_TRAP check only the trapezoidal subtree, which this justifies
+    # PROP2 and BINARY_TRAP check only the trapezoidal subtree, and PROFILE_EQUIV settles its
+    # R+K route below it, which this justifies
     binary = verify_claim("TRAP_CLOSED", "ab", 18)
     ternary = verify_claim("TRAP_CLOSED", "abc", 11)
     report(

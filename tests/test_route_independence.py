@@ -3,11 +3,13 @@ compared with.
 
 THM_MAIN's balanced condition, and the reference census is tested against,
 count symbols and never read the palindromic tree; the structural indices
-R, K and the minimal period, and the steps PROFILE_EQUIV and PROP2 carry,
-scan the word and never read the suffix automaton.  Each test refuses the
-other kernel in every module that could reach it, shows that the refusal
-bites, and then runs the route.  (test_palindrome_scan.py guards the
-richness routes the same way.)
+R, K and the minimal period, and the steps the walk carries, scan the word
+and never read the suffix automaton.  R and K are stepped on every word only
+by TRAP_CLOSED, and R alone by PERIOD_INEQ; PROP2, BINARY_TRAP and
+PROFILE_EQUIV step them only below trapezoidal words, which TRAP_CLOSED
+guards.  Each test refuses the other kernel in every module that could
+reach it, shows that the refusal bites, and then runs the route.
+(test_palindrome_scan.py guards the richness routes the same way.)
 """
 
 import sys
@@ -25,7 +27,7 @@ from wordlab.classify import (
 )
 from wordlab.complexity import _k_index_step, _r_index_step, k_index, minimal_period, r_index
 from wordlab.oracle import words_up_to
-from wordlab.theorems import _r_and_k_step, _trapezoidal_step
+from wordlab.theorems import _profile_step, _r_and_k_step, _trapezoidal_step
 
 from test_palindrome_scan import structured_words
 
@@ -78,11 +80,13 @@ def test_index_routes_do_not_use_the_suffix_automaton(monkeypatch):
         with pytest.raises(AssertionError, match="SuffixAutomaton used"):
             refused()
     assert [(r_index(w), k_index(w), minimal_period(w) if w else None) for w in words] == expected
-    # the steps of the walk: R and K alone, together (PROFILE_EQUIV), and within the
-    # trapezoidal words (PROP2), each stepped over the prefixes of w
+    # the steps of the walk: R and K alone, together on every word (TRAP_CLOSED), and
+    # within the trapezoidal words (PROP2, and PROFILE_EQUIV, which settles below them),
+    # each stepped over the prefixes of w
     for w, (r, k, _), trap in zip(words, expected, trapezoidal):
         stepped = (0, 0)
         for n in range(1, len(w) + 1):
             stepped = (_r_index_step(w[:n], stepped[0]), _k_index_step(w[:n], stepped[1]))
         assert stepped == fold(_r_and_k_step, w) == (r, k), w
         assert fold(_trapezoidal_step, w) == ((r, k) if trap else False), w
+        assert fold(_profile_step, w) == (fold(_trapezoidal_step, w),), w

@@ -370,11 +370,21 @@ def _indices(w, *names):
     return tuple(getattr(indices, name) for name in names)
 
 
+_trapezoidal = functools.cache(is_trapezoidal)
+
+
+def _settled_trapezoidal_state(w):
+    # (R, K) while w and all its ancestors are trapezoidal, else False, settled for good
+    if all(_trapezoidal(w[:n]) for n in range(len(w) + 1)):
+        return _indices(w, "r_index", "k_index")
+    return False
+
+
 # the carried values against direct computations of each word
 INVARIANTS = {
     "PAL_BOUND": lambda w: len(oracle.palindromic_factors(w)),
     "PERIOD_INEQ": lambda w: _indices(w, "r_index", "min_period"),
-    "PROFILE_EQUIV": lambda w: _indices(w, "r_index", "k_index"),
+    "PROFILE_EQUIV": lambda w: (_settled_trapezoidal_state(w),),
     "TRAP_CLOSED": lambda w: (*_indices(w, "r_index", "k_index"), is_trapezoidal(w[:-1])),
 }
 
@@ -441,8 +451,11 @@ def _long_prefixes():
     "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
 )
 def test_walk_states_from_a_long_prefix(monkeypatch, symbols, prefix):
-    # the 300 ancestors are stepped before the block, so the seeded scans run at N = 300
+    # the 300 ancestors are stepped before the block, so the seeded scans run at N = 300; the
+    # christoffel and a299b prefixes are balanced, so trapezoidal, and PROFILE_EQUIV steps R
+    # and K at N = 300 under them too, while under the random ones it has settled to False
     assert len(prefix) == 300
+    assert bool(_settled_trapezoidal_state(prefix)) == is_finite_sturmian(prefix)
     for claim, direct in INVARIANTS.items():
         seen = _states_seen(monkeypatch, claim, symbols, prefix, 2)
         assert len(seen) == 1 + len(symbols) + len(symbols) ** 2
@@ -825,6 +838,34 @@ def test_profile_equiv_reads_the_carried_automaton(monkeypatch):
     assert ("aab", "index trapezoidal=True, difference-profile runs=None") in report.counterexamples
 
 
+def _index_step_calls(monkeypatch, claim, symbols, max_len):
+    """The words R's and K's steps run on in one sequential verify of the claim."""
+    calls = {"_r_index_step": [], "_k_index_step": []}
+    with monkeypatch.context() as patch:
+        for name, words in calls.items():
+            kernel = getattr(theorems, name)
+
+            def recorded(w, value, kernel=kernel, words=words):
+                words.append(w)
+                return kernel(w, value)
+
+            patch.setattr(theorems, name, recorded)
+        assert verify_claim(claim, symbols, max_len).verified
+    return calls["_r_index_step"], calls["_k_index_step"]
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
+def test_profile_equiv_steps_r_and_k_only_where_prop2_walks(monkeypatch, symbols, max_len):
+    # below a non-trapezoidal word the index route is settled, not stepped: R and K run only
+    # on the children of trapezoidal words, as PROP2 steps them, call for call (each block
+    # steps its prefix's ancestors again)
+    r_calls, k_calls = _index_step_calls(monkeypatch, "PROFILE_EQUIV", symbols, max_len)
+    assert r_calls == k_calls == _index_step_calls(monkeypatch, "PROP2", symbols, max_len)[0]
+    canonical = [w for w in words_up_to(symbols, max_len) if w and _is_canonical(w, symbols)]
+    assert sorted(set(r_calls)) == sorted(w for w in canonical if is_trapezoidal(w[:-1]))
+    assert len(set(r_calls)) < len(canonical) // 2
+
+
 def _stub_tree(lengths):
     class StubTree:
         """A palindromic tree that reports the given node lengths, empty word included."""
@@ -959,6 +1000,30 @@ def test_trap_closed_reports_each_non_trapezoidal_part():
     # planted states: the checker trusts the carried verdicts and rechecks the other two parts
     assert check("abca", None, (2, 2, True)) == "trapezoidal, but w[1:] = 'bca' is not"
     assert check("cab", None, (1, 2, True)) == "trapezoidal, but the reversal = 'bac' is not"
+
+
+def test_trap_closed_guards_the_settled_route_of_profile_equiv(monkeypatch):
+    """PROFILE_EQUIV settles its index route to False below a word with |w| != R + K and
+    steps R and K no further there.  That rests on the closure TRAP_CLOSED checks, so this
+    claim now guards PROFILE_EQUIV's settled route as it guards PROP2's and BINARY_TRAP's
+    pruning: steps that lift a word below a non-trapezoidal one back to |w| = R + K, which
+    the settled route would never see, must show in TRAP_CLOSED's report."""
+    k_step = theorems._k_index_step
+    # one too many at length 6 passes the words with R + K = 5 for trapezoidal, such as
+    # aabbaa, below aabba, which is not
+    monkeypatch.setattr(theorems, "_k_index_step", lambda w, k: k_step(w, k) + (len(w) == 6))
+    rk = {"": (0, 0)}
+    for w in list(words_up_to("ab", 8))[1:]:  # shortest first, so each parent comes first
+        rk[w] = theorems._r_and_k_step(w, None, rk[w[:-1]])
+    lifted = [w for w in rk if w and len(w) == sum(rk[w]) and len(w) - 1 != sum(rk[w[:-1]])]
+    assert "aabbaa" in lifted and len(lifted) == 78
+    settled = _own_states_and_verdicts("PROFILE_EQUIV", "ab", 8)
+    assert all(settled[w][0] == (False,) for w in lifted)  # the index route never sees them
+    report = verify_claim("TRAP_CLOSED", "ab", 8)
+    assert len(report.counterexamples) == 88  # and 10 whose w[1:] or reversal is not
+    assert [hit for hit in report.counterexamples if "w[:-1]" in hit[1]] == [
+        (w, f"trapezoidal, but w[:-1] = {w[:-1]!r} is not") for w in lifted
+    ]
 
 
 def _planted(w, index=None, flag=None):
