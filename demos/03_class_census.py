@@ -17,17 +17,7 @@ def main() -> None:
     table = census("ab", MAX_LEN)
     header = ["len", "total", "rich", "trap", "balanced", "spal", "B", "B'"]
     print("  ".join(h.rjust(6) for h in header))
-    for i, n in enumerate(table.lengths):
-        row = [
-            n,
-            table.total[i],
-            table.counts["rich"][i],
-            table.counts["trapezoidal"][i],
-            table.counts["balanced"][i],
-            table.counts["sturmian_palindrome"][i],
-            table.counts["condition_B"][i],
-            table.counts["condition_B_prime"][i],
-        ]
+    for row in table.rows():  # length, total, then the classes in the header's order
         print("  ".join(str(v).rjust(6) for v in row))
     print()
 

@@ -251,6 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="text", help="output format"
     )
+    # the walk commands' shared inputs, checked by core.check_walk
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument("--alphabet", required=True, help="alphabet symbols, e.g. ab")
+    walk.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="most words to check (default 2^26)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser(
@@ -261,12 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, walk],
         help="check a claim on every word up to a length bound",
         epilog="claims: " + ", ".join(CLAIMS),
     )
     p_verify.add_argument("claim", help="claim identifier, e.g. THM_MAIN")
-    p_verify.add_argument("--alphabet", required=True, help="alphabet symbols, e.g. ab")
     p_verify.add_argument("--max-len", type=int, required=True)
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument(
@@ -282,27 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
         dest="parallel",
         help="force single-threaded execution, as --parallel 1",
     )
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_enum = sub.add_parser(
         "enumerate",
-        parents=[common],
+        parents=[common, walk],
         help="list all words of one length in a class",
         epilog="predicates: " + ", ".join(PREDICATES),
     )
     p_enum.add_argument("predicate", help="predicate identifier, e.g. rich")
-    p_enum.add_argument("--alphabet", required=True)
     p_enum.add_argument("--len", type=int, required=True)
-    p_enum.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_enum.set_defaults(func=_cmd_enumerate)
 
-    p_census = sub.add_parser(
-        "census", parents=[common], help="per-length class counts"
-    )
-    p_census.add_argument("--alphabet", required=True)
+    p_census = sub.add_parser("census", parents=[common, walk], help="per-length class counts")
     p_census.add_argument("--max-len", type=int, required=True)
-    p_census.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_census.set_defaults(func=_cmd_census)
 
     p_corpus = sub.add_parser(

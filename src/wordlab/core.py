@@ -10,7 +10,9 @@ palindromic_factors is its fold over the prefixes of a word.  It does
 not use the palindromic tree, so neither claim checks the tree against
 itself.  Only a check of caller input raises UsageError, and
 check_budget and check_length raise BudgetExceededError; any other
-exception is a fault.  The CLI exits 2, 3 and 4 on these.
+exception is a fault.  The CLI exits 2, 3 and 4 on these.  The walk
+commands (verify, enumerate, census) share one such check, check_walk,
+of their three inputs: the alphabet, the length and the word budget.
 """
 
 from __future__ import annotations
@@ -67,14 +69,17 @@ def check_length(name: str, length: int) -> None:
         )
 
 
-def check_walk(name: str, length: int, symbols: int, budget: int, exact: bool = False) -> None:
-    """Before any word is built, refuse a negative length (UsageError), a length
-    over MAX_WORD_LENGTH, or more words than budget: those of length 0..length
-    over that many symbols, or of that length only (BudgetExceededError)."""
+def check_walk(name: str, length: int, alphabet: str, budget: int, exact: bool = False) -> None:
+    """The one boundary of the walk commands (verify, enumerate, census): before
+    any word is built, refuse, in this order, a bad alphabet (check_alphabet) or
+    a negative length (UsageError), a length over MAX_WORD_LENGTH, or more words
+    than budget: those of length 0..length over the alphabet, or of that length
+    only (BudgetExceededError)."""
+    check_alphabet(alphabet)
     if length < 0:
         raise UsageError(f"{name} must be non-negative")
     check_length(name, length)
-    words = symbols**length if exact else word_count(symbols, length)
+    words = len(alphabet) ** length if exact else word_count(len(alphabet), length)
     check_budget(words, budget, f"words of length {'' if exact else '<= '}{length}")
 
 

@@ -30,7 +30,8 @@ by the same walk (_palindromes), and count the other words in closed form.
 Fixed subtree blocks and sorted counterexamples make parallel and
 sequential verify reports identical.
 Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
-before any walk; nothing raised inside a walk is caught.
+before any walk, the alphabet, length and budget of verify, enumerate and
+census by one core.check_walk call; nothing raised inside a walk is caught.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .complexity import (
     _run_decomposition,
 )
 from .complexity import r_index  # bound here for perfbench, whose smoke test reads it
-from .core import DEFAULT_BUDGET, SCHEMA_VERSION, UsageError, check_alphabet, check_walk
+from .core import DEFAULT_BUDGET, SCHEMA_VERSION, UsageError, check_walk
 from .core import _palindromic_suffixes
 from .palindromes import PalindromeIndex
 
@@ -508,8 +509,7 @@ def verify_claim(
         raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
     if workers is not None and workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
-    check_alphabet(alphabet)
-    check_walk("max_len", max_len, len(alphabet), budget)
+    check_walk("max_len", max_len, alphabet, budget)
     started = time.perf_counter()
     k, palindromes = len(alphabet), CLAIMS[claim].palindromes
     # a palindrome claim walks the right halves, ceil(max_len / 2) long, and passes the
@@ -577,8 +577,7 @@ def find_class_members(
     in lexicographic order: the renamings of each canonical member."""
     if predicate not in PREDICATES:
         raise UsageError(f"unknown predicate {predicate!r}; known: {', '.join(PREDICATES)}")
-    check_alphabet(alphabet)
-    check_walk("length", length, len(alphabet), budget, exact=True)
+    check_walk("length", length, alphabet, budget, exact=True)
     check = PREDICATES[predicate]
     members = [w for w, _, _ in _walk(alphabet, "", length) if len(w) == length and check(w)]
     images = (v for w in members for v in _renamings(w, alphabet))
@@ -657,8 +656,7 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
     summing condition_B_prime's gives 2 sum P = 2(N + 1); either way
     sum P = N + 1, which is richness.
     """
-    check_alphabet(alphabet)
-    check_walk("max_len", max_len, len(alphabet), budget)
+    check_walk("max_len", max_len, alphabet, budget)
     counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
     rich, trapezoidal, balanced = counts["rich"], counts["trapezoidal"], counts["balanced"]
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]

@@ -18,7 +18,7 @@ from wordlab import census, difference_profile, find_class_members, lower_christ
 from wordlab import cli, sturmian_corpus, theorems, verify_claim
 from wordlab.classify import is_balanced
 from wordlab.cli import analyze_payload, main
-from wordlab.core import MAX_WORD_LENGTH, UsageError, check_alphabet
+from wordlab.core import DEFAULT_BUDGET, MAX_WORD_LENGTH, UsageError, check_alphabet
 
 
 def run_cli(capsys, *argv):
@@ -421,6 +421,39 @@ def test_verify_bad_alphabet_exit_two(capsys):
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and message in err
+
+
+# each walk command's argv before its alphabet, length and budget, its length's name, and
+# the words it counts against the budget at ab/3: every length up to 3, or 3 alone
+WALK_COMMANDS = {
+    "verify": (["verify", "PROP1"], "--max-len", "max_len", "15 words of length <= 3"),
+    "enumerate": (["enumerate", "rich"], "--len", "length", "8 words of length 3"),
+    "census": (["census"], "--max-len", "max_len", "15 words of length <= 3"),
+}
+
+
+@pytest.mark.parametrize("command", list(WALK_COMMANDS))
+def test_walk_commands_refuse_their_inputs_in_one_order(capsys, command):
+    # a bad alphabet, then a negative length, then an over-long word, then the budget
+    argv, length_option, name, words = WALK_COMMANDS[command]
+    over = MAX_WORD_LENGTH + 1
+    for alphabet, length, budget, code, message in (
+        ("aa", -1, -1, 2, "duplicate symbol: 'a'"),
+        ("ab", -1, -1, 2, f"{name} must be non-negative"),
+        ("a", over, -1, 3, f"{name} {over} exceeds the word-length limit of {MAX_WORD_LENGTH}"),
+        ("ab", 3, -1, 2, "budget must be non-negative, got -1"),
+        ("ab", 3, 0, 3, f"{words} exceeds the budget of 0"),
+    ):
+        options = ["--alphabet", alphabet, length_option, str(length), "--budget", str(budget)]
+        assert run_cli(capsys, *argv, *options) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", list(WALK_COMMANDS))
+def test_walk_commands_share_alphabet_and_budget(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert "alphabet symbols, e.g. ab" in out
+    assert "most words to check (default 2^26)" in out and DEFAULT_BUDGET == 2**26
 
 
 def test_verify_negative_max_len_exit_two(capsys):

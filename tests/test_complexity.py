@@ -14,13 +14,16 @@ from wordlab.complexity import (
     r_index,
     structural_indices,
 )
-from wordlab.generate import lower_christoffel
+from wordlab.generate import lower_christoffel, random_words
 from wordlab.oracle import (
+    all_words,
     longest_border,
     palindromic_factors,
     right_special_factors,
     words_up_to,
 )
+
+from test_palindrome_scan import structured_words
 
 binary_words = st.text(alphabet="ab", max_size=40)
 
@@ -185,6 +188,20 @@ def test_suffix_automaton_deep_one_symbol_walk():
             assert _automaton(automaton) == _automaton(SuffixAutomaton("a" * n)), n
     assert elapsed < 0.5
     assert _automaton(automaton) == _automaton(SuffixAutomaton())
+
+
+def test_suffix_automaton_append_is_one_less_than_k_index():
+    # append returns the longest suffix seen before, the longest repeated one, and every suffix
+    # of a repeated suffix is repeated: so it is K - 1, from a kernel that shares no code with
+    # k_index.  Every word is a prefix of a longest one, so appending those reaches them all
+    words = [
+        w for alphabet, n in (("ab", 12), ("abc", 8), ("abcd", 6)) for w in all_words(alphabet, n)
+    ]
+    words += [*structured_words(), *random_words("ab", 400, 20, seed=29)]
+    for w in words:
+        automaton = SuffixAutomaton()
+        for n, s in enumerate(w, 1):
+            assert automaton.append(s) == k_index(w[:n]) - 1, w[:n]
 
 
 def test_difference_values_sum_to_zero_exhaustive():

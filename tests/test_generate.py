@@ -140,3 +140,9 @@ def test_random_words_deterministic_and_shaped():
     assert len(ws) == 20
     assert all(len(w) == 7 and set(w) <= set("abc") for w in ws)
     assert random_words("ab", 10, 3, seed=1) != random_words("ab", 10, 3, seed=2)
+
+
+@pytest.mark.parametrize("length,count", [(-1, 3), (3, -1), (-1, -1)])
+def test_random_words_rejects_a_negative_length_or_count(length, count):
+    with pytest.raises(ValueError, match="^length and count must be non-negative$"):
+        random_words("ab", length, count, seed=0)

@@ -907,6 +907,101 @@ def test_thm_fgc_reports_each_side_of_the_equivalence(monkeypatch):
     assert check("ab", None, None) is None
 
 
+def _one_palindrome_short(monkeypatch):
+    class OneShort(PalindromeIndex):
+        """A tree whose count misses one palindrome of every nonempty word."""
+
+        @property
+        def palindrome_count(self):
+            return super().palindrome_count - bool(self._chars)
+
+    spec = dataclasses.replace(theorems.CLAIMS["PROP2"], index=OneShort)
+    monkeypatch.setitem(theorems.CLAIMS, "PROP2", spec)
+    return lambda w: "trapezoidal but not rich" if w and is_trapezoidal(w) else None
+
+
+def _trapezoidal_verdict_flipped(monkeypatch):
+    # on a palindrome the other two routes agree with the true verdict (THM_MAIN), so each
+    # palindrome is reported, with that verdict twice and its negation once
+    monkeypatch.setattr(theorems, "is_trapezoidal", lambda w: not is_trapezoidal(w))
+
+    def diagnostic(w):
+        if w != w[::-1]:
+            return None
+        t = is_trapezoidal(w)
+        return f"sturmian palindrome={t}, symmetric P-profile={t}, trapezoidal palindrome={not t}"
+
+    return diagnostic
+
+
+def _periods_one_short(monkeypatch):
+    # still a valid start for each child's scan, as the period never decreases along prefixes
+    original = theorems._minimal_period_from
+    monkeypatch.setattr(theorems, "_minimal_period_from", lambda w, start: original(w, start) - 1)
+
+    def diagnostic(w):
+        period, bound = len(w) - len(oracle.longest_border(w)) - 1, r_index(w) + 1
+        return f"minimal period {period} < R+1 = {bound}" if w and period < bound else None
+
+    return diagnostic
+
+
+def _every_word_trapezoidal(monkeypatch):
+    # R + K = |w| on every word, so nothing is pruned and every word of 3+ letters is reported
+    monkeypatch.setattr(
+        theorems, "_r_and_k_step", lambda w, index, parent: (r_index(w), len(w) - r_index(w))
+    )
+
+    def diagnostic(w):
+        symbols = len(set(w))
+        return f"trapezoidal word over {symbols} distinct symbols" if symbols >= 3 else None
+
+    return diagnostic
+
+
+# claim -> a plant in the kernel its checker or step reads, returning the diagnostic each word
+# must then get (None for none), and the exact text of some of them
+PLANTED_FAULTS = {
+    "PROP2": (_one_palindrome_short, {"ab": "trapezoidal but not rich"}),
+    "THM_MAIN": (
+        _trapezoidal_verdict_flipped,
+        {
+            "aba": "sturmian palindrome=True, symmetric P-profile=True, "
+            "trapezoidal palindrome=False",
+            "aabbaa": "sturmian palindrome=False, symmetric P-profile=False, "
+            "trapezoidal palindrome=True",
+        },
+    ),
+    "PERIOD_INEQ": (
+        _periods_one_short,
+        {"a": "minimal period 0 < R+1 = 1", "aab": "minimal period 2 < R+1 = 3"},
+    ),
+    "BINARY_TRAP": (
+        _every_word_trapezoidal,
+        {
+            "abc": "trapezoidal word over 3 distinct symbols",
+            "abcd": "trapezoidal word over 4 distinct symbols",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", list(PLANTED_FAULTS))
+def test_planted_faults_are_reported_with_their_diagnostics(monkeypatch, claim):
+    plant, pinned = PLANTED_FAULTS[claim]
+    diagnostic = plant(monkeypatch)
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    reported = {}
+    for symbols, max_len in (("ab", 10), ("abc", 7), ("abcd", 5), ("ba", 8)):
+        sequential, parallel = (verify_claim(claim, symbols, max_len, workers=n) for n in (1, 2))
+        assert sequential.to_json_dict() == parallel.to_json_dict(), symbols
+        words = words_up_to(symbols, max_len)
+        assert sequential.counterexamples == [(w, d) for w in words if (d := diagnostic(w))]
+        reported.update(sequential.counterexamples)
+    assert {w: reported.get(w) for w in pinned} == pinned
+
+
 def _palindromes_up_to(k, max_len):
     # a palindrome of length n is fixed by its first ceil(n/2) symbols; the empty word is one
     return 1 + sum(k ** ((n + 1) // 2) for n in range(1, max_len + 1))
