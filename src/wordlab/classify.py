@@ -15,6 +15,11 @@ factors (a binary word is unbalanced iff some palindrome U has both
 aUa and bUb as factors).  classify derives its verdict from the
 witness, and census walks the same route one symbol at a time on its
 palindromic tree (PalindromeIndex.new_palindrome_unbalances).
+
+classify is the one place that builds a word's profiles: C and D on one
+suffix automaton, P and the palindromic factors on one palindromic tree,
+and the structural indices.  Its ClassificationReport holds them next
+to every verdict read off them, the one record that analyze prints.
 """
 
 from __future__ import annotations
@@ -23,14 +28,17 @@ from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .complexity import (
+    DifferenceProfile,
     StructuralIndices,
     SuffixAutomaton,
-    WordProfile,
+    _difference_of,
+    _palindromic_profile,
+    _subword_of,
     difference_profile,
     k_index,
     palindromic_complexity,
     r_index,
-    word_profile,
+    structural_indices,
 )
 from .core import _palindromic_suffixes, is_palindrome
 from .palindromes import PalindromeIndex, index_count_palindromes
@@ -196,12 +204,14 @@ def condition_B_prime(w: str) -> bool:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Every per-word verdict and index in one immutable record.
+    """Every per-word verdict, profile and index in one immutable record.
 
     is_balanced and unbalance_witness are None for words using three or
-    more distinct symbols, where balance is undefined.  profile holds the
-    profiles and indices the verdicts were read from.  palindrome_count
-    includes the empty word, so is_rich means palindrome_count == |w|+1.
+    more distinct symbols, where balance is undefined.  subword and
+    palindromic are C and P indexed 0..N+1, and difference is None for
+    the empty word.  palindromic_factors includes the empty word and is
+    sorted by length, then lexicographically, so palindrome_count counts
+    it too and is_rich means palindrome_count == |w|+1.
     """
 
     word: str
@@ -213,43 +223,48 @@ class ClassificationReport:
     is_sturmian_palindrome: bool
     condition_B: bool
     condition_B_prime: bool
-    profile: WordProfile
+    subword: tuple[int, ...]
+    palindromic: tuple[int, ...]
+    difference: DifferenceProfile | None
+    indices: StructuralIndices
+    palindromic_factors: tuple[str, ...]
     unbalance_witness: str | None
 
     @property
-    def indices(self) -> StructuralIndices:
-        return self.profile.indices
-
-    @property
     def palindrome_count(self) -> int:
-        return len(self.profile.palindromic_factors)
+        return len(self.palindromic_factors)
 
 
 def classify(w: str) -> ClassificationReport:
-    """Compute the full classification of one word from its profile."""
-    profile = word_profile(w)
-    idx = profile.indices
-    d = profile.difference.values if w else ()
+    """Compute every profile of w once and read the full classification off them.
+
+    P and the factor list share one palindromic tree, C and D one suffix automaton.
+    """
+    index = PalindromeIndex(w)
+    d = SuffixAutomaton(w).difference
+    palindromic = tuple(_palindromic_profile(index, len(w)))
+    factors = tuple(sorted(index.distinct_palindromes(), key=lambda f: (len(f), f)))
+    idx = structural_indices(w)
     pal = is_palindrome(w)
     letters = sorted(set(w))
+    balanced = witness = None
     if len(letters) <= 2:
-        witness = _witness_in(letters, profile.palindromic_factors)
-        balanced: bool | None = witness is None
-        sturmian = bool(balanced)
-    else:
-        balanced = None
-        witness = None
-        sturmian = False
+        witness = _witness_in(letters, factors)
+        balanced = witness is None
     return ClassificationReport(
         word=w,
         is_palindrome=pal,
-        is_rich=len(profile.palindromic_factors) == len(w) + 1,
+        is_rich=len(factors) == len(w) + 1,
         is_trapezoidal=len(w) == idx.r_index + idx.k_index,
         is_balanced=balanced,
-        is_finite_sturmian=sturmian,
-        is_sturmian_palindrome=pal and sturmian,
-        condition_B=next(_B_mismatches(d, profile.palindromic), None) is None,
-        condition_B_prime=not _B_prime_mismatches(profile.palindromic),
-        profile=profile,
+        is_finite_sturmian=bool(balanced),
+        is_sturmian_palindrome=pal and bool(balanced),
+        condition_B=next(_B_mismatches(d, palindromic), None) is None,
+        condition_B_prime=not _B_prime_mismatches(palindromic),
+        subword=tuple(_subword_of(d)),
+        palindromic=palindromic,
+        difference=_difference_of(d) if w else None,
+        indices=idx,
+        palindromic_factors=factors,
         unbalance_witness=witness,
     )

@@ -101,23 +101,22 @@ def analyze_payload(word: str) -> dict:
         check_alphabet(alphabet)  # printable, <= 26 symbols
     check_length("word of length", len(word))
     report = classify(word)
-    profile = report.profile
-    d = profile.difference
+    d = report.difference
     runs = d.trapezoid_runs if d is not None else None
     return {
         "schema_version": SCHEMA_VERSION,
         "word": word,
         "length": len(word),
         "alphabet": alphabet,
-        "C": list(profile.subword),
-        "P": list(profile.palindromic),
+        "C": list(report.subword),
+        "P": list(report.palindromic),
         "D": list(d.values) if d is not None else None,
         "trapezoid_runs": list(runs) if runs is not None else None,
         "R": report.indices.r_index,
         "K": report.indices.k_index,
         "pi": report.indices.min_period,
         "palindrome_count": report.palindrome_count,
-        "palindromic_factors": list(profile.palindromic_factors),
+        "palindromic_factors": list(report.palindromic_factors),
         **{key: getattr(report, field) for key, field in _VERDICTS},
         "unbalance_witness": report.unbalance_witness,
     }
@@ -339,7 +338,3 @@ def main(argv: list[str] | None = None) -> int:
         # a fault in the program, not a finding: exit 1 would read as counterexamples
         traceback.print_exc()
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

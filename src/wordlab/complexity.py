@@ -8,12 +8,13 @@ convention, so callers should not truncate it away.
 Each profile has one kernel, linear in N up to the alphabet factor: the
 suffix automaton SuffixAutomaton (Blumer et al. 1985) gives D, and C(n)
 as its running sums; the palindromic tree PalindromeIndex gives P(n); and
-a walk of the word tree carries either, undoing appends.  word_profile
-computes C, P, D, the structural indices and the palindromic factor list
-of a word once.  The indices R, K and the minimal period keep their own
-direct scans, so the claims that compare them with the profiles compare
-independent algorithms.  A walk of the word tree steps them from the
-parent's values (_r_index_step, _k_index_step and _minimal_period_from).
+a walk of the word tree carries either, undoing appends.  classify.classify
+builds C, P, D, the structural indices and the palindromic factor list of
+a word once, from these kernels.  The indices R, K and the minimal period
+keep their own direct scans, so the claims that compare them with the
+profiles compare independent algorithms.  A walk of the word tree steps
+them from the parent's values (_r_index_step, _k_index_step and
+_minimal_period_from).
 The naive set-based C and P live in wordlab.oracle.
 
 The records here are NamedTuples, not frozen dataclasses: each class is
@@ -281,34 +282,4 @@ def structural_indices(w: str) -> StructuralIndices:
         r_index=r_index(w),
         k_index=k_index(w),
         min_period=minimal_period(w) if w else None,
-    )
-
-
-class WordProfile(NamedTuple):
-    """C, P, D, the structural indices and the palindromic factors of one word.
-
-    subword and palindromic are C and P indexed 0..N+1; difference is None
-    for the empty word.  palindromic_factors includes the empty word and
-    is sorted by length, then lexicographically.
-    """
-
-    subword: tuple[int, ...]
-    palindromic: tuple[int, ...]
-    difference: DifferenceProfile | None
-    indices: StructuralIndices
-    palindromic_factors: tuple[str, ...]
-
-
-def word_profile(w: str) -> WordProfile:
-    """Compute every profile of w once; P and the factors share one tree, C and D one automaton."""
-    index = PalindromeIndex(w)
-    d = SuffixAutomaton(w).difference
-    return WordProfile(
-        subword=tuple(_subword_of(d)),
-        palindromic=tuple(_palindromic_profile(index, len(w))),
-        difference=_difference_of(d) if w else None,
-        indices=structural_indices(w),
-        palindromic_factors=tuple(
-            sorted(index.distinct_palindromes(), key=lambda f: (len(f), f))
-        ),
     )

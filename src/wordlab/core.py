@@ -34,9 +34,7 @@ class BudgetExceededError(RuntimeError):
 
 
 def check_budget(words: int, budget: int, what: str) -> None:
-    """Refuse a negative budget, and an enumeration of more words than it."""
-    if budget < 0:
-        raise UsageError(f"budget must be non-negative, got {budget}")
+    """Refuse an enumeration of more words than budget."""
     if words > budget:
         raise BudgetExceededError(f"{words} {what} exceeds the budget of {budget}")
 
@@ -71,13 +69,16 @@ def check_length(name: str, length: int) -> None:
 
 def check_walk(name: str, length: int, alphabet: str, budget: int, exact: bool = False) -> None:
     """The one boundary of the walk commands (verify, enumerate, census): before
-    any word is built, refuse, in this order, a bad alphabet (check_alphabet) or
-    a negative length (UsageError), a length over MAX_WORD_LENGTH, or more words
-    than budget: those of length 0..length over the alphabet, or of that length
-    only (BudgetExceededError)."""
+    any word is built, refuse, in this order, a bad alphabet (check_alphabet), a
+    negative length or a negative budget (UsageError), then a length over
+    MAX_WORD_LENGTH or more words than budget: those of length 0..length over the
+    alphabet, or of that length only (BudgetExceededError).  So every usage error
+    is reported before any refusal."""
     check_alphabet(alphabet)
     if length < 0:
         raise UsageError(f"{name} must be non-negative")
+    if budget < 0:
+        raise UsageError(f"budget must be non-negative, got {budget}")
     check_length(name, length)
     words = len(alphabet) ** length if exact else word_count(len(alphabet), length)
     check_budget(words, budget, f"words of length {'' if exact else '<= '}{length}")

@@ -17,7 +17,6 @@ from wordlab.classify import (
     is_rich_by_returns,
     unbalance_witness,
 )
-from wordlab.complexity import word_profile
 from wordlab.core import is_palindrome
 from wordlab.generate import lower_christoffel
 from wordlab import oracle
@@ -269,7 +268,6 @@ def test_classification_report_is_consistent(w):
     assert rep.is_balanced == is_balanced(w)
     assert rep.is_trapezoidal == (len(w) == rep.indices.r_index + rep.indices.k_index)
     assert rep.palindrome_count == len(palindromic_factors(w))
-    assert rep.profile == word_profile(w)
 
 
 def test_classification_report_three_symbol_word():

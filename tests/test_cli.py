@@ -19,6 +19,7 @@ from wordlab import cli, sturmian_corpus, theorems, verify_claim
 from wordlab.classify import is_balanced
 from wordlab.cli import analyze_payload, main
 from wordlab.core import DEFAULT_BUDGET, MAX_WORD_LENGTH, UsageError, check_alphabet
+from wordlab.oracle import words_up_to
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,21 @@ def test_analyze_length_limit(capsys):
     code, out, _ = run_cli(capsys, "analyze", "a" * MAX_WORD_LENGTH, "--format", "json")
     assert code == 0
     assert json.loads(out)["length"] == MAX_WORD_LENGTH
+
+
+def test_analyze_verdicts_match_the_predicate_registry():
+    # analyze reads its verdicts off classify, enumerate and census off PREDICATES; they
+    # differ only where balance is undefined, which analyze prints as None
+    assert all(key in theorems.PREDICATES for key, _ in cli._VERDICTS)
+    words = [*words_up_to("ab", 12), *words_up_to("abc", 7), *words_up_to("abcd", 5)]
+    for w in words:
+        payload = analyze_payload(w)
+        for key, _ in cli._VERDICTS:
+            expected = theorems.PREDICATES[key](w)
+            if key == "balanced" and len(set(w)) >= 3:
+                assert payload[key] is None and expected is False, w
+            else:
+                assert payload[key] is expected, (w, key)
 
 
 @pytest.mark.parametrize(
@@ -434,13 +450,15 @@ WALK_COMMANDS = {
 
 @pytest.mark.parametrize("command", list(WALK_COMMANDS))
 def test_walk_commands_refuse_their_inputs_in_one_order(capsys, command):
-    # a bad alphabet, then a negative length, then an over-long word, then the budget
+    # a bad alphabet, a negative length, a negative budget, then an over-long word, then
+    # the budget: every usage error (exit 2) before any refusal (exit 3)
     argv, length_option, name, words = WALK_COMMANDS[command]
     over = MAX_WORD_LENGTH + 1
     for alphabet, length, budget, code, message in (
         ("aa", -1, -1, 2, "duplicate symbol: 'a'"),
         ("ab", -1, -1, 2, f"{name} must be non-negative"),
-        ("a", over, -1, 3, f"{name} {over} exceeds the word-length limit of {MAX_WORD_LENGTH}"),
+        ("a", over, -1, 2, "budget must be non-negative, got -1"),
+        ("a", over, 0, 3, f"{name} {over} exceeds the word-length limit of {MAX_WORD_LENGTH}"),
         ("ab", 3, -1, 2, "budget must be non-negative, got -1"),
         ("ab", 3, 0, 3, f"{words} exceeds the budget of 0"),
     ):

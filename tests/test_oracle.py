@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import wordlab
 from wordlab import palindromic_complexity, subword_complexity
-from wordlab.complexity import StructuralIndices, k_index, r_index, word_profile
+from wordlab.classify import classify
+from wordlab.complexity import StructuralIndices, k_index, r_index
 from wordlab import oracle
 from wordlab.oracle import all_words, longest_border, palindromic_factors, words_up_to
 
@@ -71,32 +72,32 @@ def _trapezoid_runs(values):
 
 
 def _assert_profile_matches_oracle(w):
-    profile = word_profile(w)
+    report = classify(w)
     c = oracle.subword_complexity(w)
-    assert profile.subword == tuple(c)
-    assert profile.palindromic == tuple(oracle.palindromic_complexity(w))
+    assert report.subword == tuple(c)
+    assert report.palindromic == tuple(oracle.palindromic_complexity(w))
     if w:
         values = tuple(c[n + 1] - c[n] for n in range(len(w)))
-        assert profile.difference.values == values
-        assert profile.difference.trapezoid_runs == _trapezoid_runs(values)
+        assert report.difference.values == values
+        assert report.difference.trapezoid_runs == _trapezoid_runs(values)
     else:
-        assert profile.difference is None
-    assert profile.indices == StructuralIndices(
+        assert report.difference is None
+    assert report.indices == StructuralIndices(
         r_index(w), k_index(w), len(w) - len(longest_border(w)) if w else None
     )
-    assert profile.palindromic_factors == tuple(
+    assert report.palindromic_factors == tuple(
         sorted(palindromic_factors(w), key=lambda f: (len(f), f))
     )
 
 
-def test_word_profile_matches_oracle_on_ternary_words_up_to_6():
+def test_classify_profiles_match_oracle_on_ternary_words_up_to_6():
     for w in words_up_to("abc", 6):
         _assert_profile_matches_oracle(w)
 
 
 @settings(deadline=None)
 @given(words_over_up_to_26_letters(120))
-def test_word_profile_matches_oracle_on_random_words(w):
+def test_classify_profiles_match_oracle_on_random_words(w):
     _assert_profile_matches_oracle(w)
 
 
