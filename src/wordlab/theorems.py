@@ -16,9 +16,12 @@ such as (R, K) and the parent's verdict for TRAP_CLOSED.  No checker or
 step names a letter.  One rule prunes every walk: a stepped walk stops
 below a falsy state, and verify counts that subtree in closed form.  So
 PROP1 walks only the words rich by count or by returns and their
-children (PAL_BOUND guards that pruning), PROP2 and BINARY_TRAP only the
-trapezoidal words and their children (TRAP_CLOSED guards it), and census
-only the rich, trapezoidal and balanced words and their children.
+children (the pruning rests on the tree creating at most one palindrome
+per append, which tests/test_palindromes.py checks; PAL_BOUND checks
+only the total, with the independent string scan), PROP2 and BINARY_TRAP
+only the trapezoidal words and their children (TRAP_CLOSED guards it),
+and census only the rich, trapezoidal and balanced words and their
+children.
 PROFILE_EQUIV walks every word, for its profile route, but wraps PROP2's
 state in a tuple that is never falsy, so R and K are stepped only below
 trapezoidal words and its R + K route settles to False below the rest.
@@ -27,8 +30,11 @@ TRAP_CLOSED guards every other claim that reads them.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
 by the same walk (_palindromes), and count the other words in closed form.
-Fixed subtree blocks and sorted counterexamples make parallel and
-sequential verify reports identical.
+Verify's blocks come from the claim's own walk down to a head length:
+each head it reaches starts a block from its parent's state, with no
+replay of the head's ancestors, and no head lies below a falsy state.
+That fixed plan and sorted counterexamples make parallel and sequential
+verify reports identical.
 Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
 before any walk, the alphabet, length and budget of verify, enumerate and
 census by one core.check_walk call; nothing raised inside a walk is caught.
@@ -173,7 +179,8 @@ def _check_trap_closed(w: str, index: None, state: tuple[int, int, bool]) -> str
 
 def _returns_step(w: str, index: PalindromeIndex, parent: tuple) -> tuple[bool, bool] | bool:
     """(rich by complete returns, rich by count), or False when w is neither, and so no
-    word below it is: the count grows by at most one per symbol (PAL_BOUND)."""
+    word below it is: the count grows by at most one per symbol, as the tree creates at
+    most one node per append (PAL_BOUND checks only the total, |w| + 1)."""
     if not w:
         return True, True
     # _end_returns_are_palindromes tests only the returns ending at w's last symbol; the
@@ -251,8 +258,10 @@ class ClaimSpec:
     - Falsy exactly outside a property closed under prefixes, on which
       the claim holds, so it follows the property of w alone: (rich by
       complete returns, rich by count) while w is rich by either, False
-      otherwise (PROP1, whose pruning PAL_BOUND guards); and (R, K) while
-      w is trapezoidal, False otherwise (PROP2, BINARY_TRAP).
+      otherwise (PROP1, whose pruning rests on the tree's at most one
+      new palindrome per append, not on PAL_BOUND, which checks only the
+      total); and (R, K) while w is trapezoidal, False otherwise (PROP2,
+      BINARY_TRAP).
     - A value, never falsy, each from a fact about appending a symbol:
       the number of distinct palindromic factors, the empty word
       included, for PAL_BOUND (the new ones are palindromic suffixes);
@@ -371,6 +380,7 @@ def _walk(
     depth: int,
     index: Undoable | None = None,
     step: Callable[[str, Undoable | None, object], object] | None = None,
+    parent: object = True,
 ):
     """Yield (w, weight, state) for prefix, then each canonical extension by 1..depth symbols.
 
@@ -381,13 +391,13 @@ def _walk(
     k(k-1)...(k-j+1) for j distinct letters out of k.  Words come in prefix
     order, children in alphabet order, so the words of one length come out
     in lexicographic order.  The walk keeps its own stack, so depth is not
-    bounded by Python's recursion limit.  A given index must start empty; it
-    then holds each word yielded (pop to the parent, append).  A given step
-    sets state(w) = state(w[:-1]) and step(w, index, state(w[:-1])), with
-    the index holding w (None when none is given), the empty word's parent
-    state being True; with no step, every state is None.  The prefix's
-    proper ancestors are replayed into the index and stepped first.
-    With a step, the children of a word whose state is falsy are not walked.
+    bounded by Python's recursion limit.  A given index must hold
+    prefix[:-1]; it then holds each word yielded (pop to the parent,
+    append).  A given step sets state(w) = state(w[:-1]) and
+    step(w, index, state(w[:-1])), with the index holding w (None when none
+    is given), and parent is the state of prefix[:-1], True for the empty
+    word's; with no step, every state is None.  With a step, the children
+    of a word whose state is falsy are not walked.
     """
     k = len(symbols)
     weights = [perm(k, j) for j in range(k + 1)]
@@ -397,12 +407,7 @@ def _walk(
     ]
     limit = len(prefix) + depth
     held = max(len(prefix) - 1, 0)  # length of the word the index holds
-    state = True if step else None  # the parent state of the next word down the prefix
-    for n in range(len(prefix)):  # the proper ancestors prefix[:n]
-        if index is not None and n:
-            index.append(prefix[n - 1])
-        state = state and step(prefix[:n], index, state)
-    stack = [(prefix, len(set(prefix)), state)]
+    stack = [(prefix, len(set(prefix)), parent if step else None)]
     while stack:
         w, used, parent = stack.pop()
         if index is not None and w:
@@ -430,20 +435,26 @@ def _alphabet_order(symbols: str) -> Callable[[str], tuple[int, list[int]]]:
     return lambda w: (len(w), [rank[s] for s in w])
 
 
-def _blocks(symbols: str, max_len: int) -> list[tuple[str, int]]:
-    """Fixed partition of the canonical words of length <= max_len into (prefix, depth) subtrees.
+def _blocks(spec: ClaimSpec, symbols: str, max_len: int) -> list[tuple[str, object, int]]:
+    """Fixed plan of the canonical words of length <= max_len as (prefix, parent, depth) blocks.
 
-    Each canonical head-length prefix heads one subtree of at most _BLOCK_CAP
-    words; one head block holds the shorter words.  The partition depends
-    only on the alphabet and bound, never on the worker count.
+    The plan is the claim's own walk, with its step and a fresh index of its
+    class, down to the head length: each head-length word that walk reaches
+    heads one subtree of at most _BLOCK_CAP words, carrying parent, the state
+    of prefix[:-1] that the walk stepped, and one head block holds the
+    shorter words.  A head below a falsy state is not reached, and the head
+    block counts its subtree under that word.  The plan depends only on the
+    claim, the alphabet and the bound, never on the worker count.
     """
     depth, size = 0, 1  # the deepest subtree under the cap, and its word count
     while depth < max_len and size + len(symbols) ** (depth + 1) <= _BLOCK_CAP:
         depth += 1
         size += len(symbols) ** depth
     head = max_len - depth
-    subtrees = [(p, depth) for p, _, _ in _walk(symbols, "", head) if len(p) == head]
-    return [("", head - 1), *subtrees] if head else subtrees
+    index = spec.index() if spec.index else None
+    states = {w: state for w, _, state in _walk(symbols, "", head, index, spec.step)}
+    subtrees = [(p, states[p[:-1]] if p else True, depth) for p in states if len(p) == head]
+    return [("", True, head - 1), *subtrees] if head else subtrees
 
 
 def _palindromes(symbols: str, halves, max_len: int):
@@ -462,29 +473,31 @@ def _palindromes(symbols: str, halves, max_len: int):
                 yield p.translate(str.maketrans(used, symbols[: len(used)])), weight, None
 
 
-def _run_block(task: tuple[str, str, str, int, int | None]) -> tuple[int, list[tuple[str, str]]]:
+def _run_block(task: tuple[str, str, int, str, object, int]) -> tuple[int, list[tuple[str, str]]]:
     """(words the walked words stand for, (word, diagnostic) of each failing one) of a block.
 
-    With a palindrome bound, the block's words are right halves, and it checks the
-    palindromes up to that bound that they give.
+    task is (claim, alphabet, max_len, prefix, parent, depth), a block of the plan and
+    verify's bound.  The worker builds the claim's index from prefix[:-1] and walks on from
+    the parent state.  A falsy state's subtree is counted in closed form down to max_len,
+    the walk's bound, not the block's limit, so the head block also stands for the heads
+    the plan never lists.  With palindromes, the block's words are right halves, and it
+    checks the palindromes up to max_len that they give.
     """
-    claim, symbols, prefix, depth, palindrome_bound = task
+    claim, symbols, max_len, prefix, parent, depth = task
     spec = CLAIMS[claim]
     checker, step = spec.checker, spec.step
-    index = spec.index() if spec.index else None
-    limit = len(prefix) + depth
-    # a stepped walk stops at a falsy state, whose subtree is counted, not checked
-    below = [0]  # below[j]: words under one that has j levels of the block beneath it
-    for _ in range(depth):
+    index = spec.index(prefix[:-1]) if spec.index else None
+    below = [0]  # below[j]: words under one that has j levels of the walk beneath it
+    for _ in range(max_len):
         below.append(len(symbols) * (below[-1] + 1))
     checked, bad = 0, []
-    words = _walk(symbols, prefix, depth, index, step)
-    if palindrome_bound is not None:
-        words = _palindromes(symbols, words, palindrome_bound)
+    words = _walk(symbols, prefix, depth, index, step, parent)
+    if spec.palindromes:
+        words = _palindromes(symbols, words, max_len)
     for w, weight, state in words:
         checked += weight
         if step and not state:
-            checked += weight * below[limit - len(w)]
+            checked += weight * below[max_len - len(w)]
         elif (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
     return checked, bad
@@ -511,12 +524,12 @@ def verify_claim(
         raise UsageError(f"workers must be at least 1, got {workers}")
     check_walk("max_len", max_len, alphabet, budget)
     started = time.perf_counter()
-    k, palindromes = len(alphabet), CLAIMS[claim].palindromes
+    k, spec = len(alphabet), CLAIMS[claim]
     # a palindrome claim walks the right halves, ceil(max_len / 2) long, and passes the
     # k^n - k^ceil(n/2) other words of each length unread
-    bound, walked = (max_len, (max_len + 1) // 2) if palindromes else (None, max_len)
-    rest = sum(k**n - k ** ((n + 1) // 2) for n in range(max_len + 1)) if palindromes else 0
-    tasks = [(claim, alphabet, prefix, depth, bound) for prefix, depth in _blocks(alphabet, walked)]
+    walked = (max_len + 1) // 2 if spec.palindromes else max_len
+    rest = sum(k**n - k ** ((n + 1) // 2) for n in range(max_len + 1)) if spec.palindromes else 0
+    tasks = [(claim, alphabet, max_len, *block) for block in _blocks(spec, alphabet, walked)]
     processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         with Pool(processes=processes) as pool:
@@ -524,11 +537,16 @@ def verify_claim(
     else:
         results = [_run_block(t) for t in tasks]
     bad = [hit for _, hits in results for hit in hits]
-    # a failing canonical word stands for its other renamings too: each is a block of one
-    # word, not of halves, its ancestors stepped from the empty word, so its diagnostic is
-    # its own
-    images = [v for w, _ in bad for v in _renamings(w, alphabet)[1:]]
-    bad += [hit for v in images for hit in _run_block((claim, alphabet, v, 0, None))[1]]
+    # a failing canonical word stands for its other renamings too: each is checked alone, as a
+    # word, not a half, its state and index folded from the empty word's, so its diagnostic
+    # is its own; this is the only step of a state outside _walk
+    for v in [v for w, _ in bad for v in _renamings(w, alphabet)[1:]]:
+        state = True  # the empty word's parent state
+        for n in range(len(v) + 1):
+            index = spec.index and spec.index(v[:n])
+            state = spec.step and state and spec.step(v[:n], index, state)
+        if (state or not spec.step) and (diag := spec.checker(v, index, state)) is not None:
+            bad.append((v, diag))
     order = _alphabet_order(alphabet)
     return VerificationReport(
         claim=claim,

@@ -219,25 +219,88 @@ def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
     assert report.to_json_dict() == verify_claim("PROP1", "ab", max_len).to_json_dict()
 
 
+def _index(spec, w):
+    # the index a block headed by a child of w starts from: the claim's class, holding w
+    return spec.index(w) if spec.index else None
+
+
+def _walk_block(spec, symbols, block):
+    """The (w, weight, state) a worker walks in one (prefix, parent, depth) block."""
+    prefix, parent, depth = block
+    index = _index(spec, prefix[:-1])
+    return list(theorems._walk(symbols, prefix, depth, index, spec.step, parent))
+
+
+def _covered(spec, symbols, max_len, walked):
+    """(word, weight) of each canonical word a walked block stands for: each word walked
+    under a truthy state (every one, with no step), and each falsy one with its whole
+    subtree down to max_len, which the block counts in closed form."""
+    return [
+        item
+        for w, weight, state in walked
+        for item in (
+            [(w, weight)]
+            if state or not spec.step
+            else [(v, u) for v, u, _ in theorems._walk(symbols, w, max_len - len(w))]
+        )
+    ]
+
+
+# a claim with no step walks every word; each stepped one stops below its falsy states
+PLANS = {
+    "stepless": theorems.ClaimSpec("walks every word", lambda w, index, state: None),
+    **{claim: spec for claim, spec in CLAIMS.items() if spec.step},
+}
+
+
+# at the 32-word cap the heads are 9 letters long at ab/13, 5 at abc/8 and 8 at ba/12, so the
+# plans reach deep into each walk and the pruned ones list only some of the heads
 @pytest.mark.parametrize(
-    "symbols,max_len",
+    "symbols,max_len,cap",
     [
-        ("ab", 0), ("ab", 9), ("ab", 10), ("ab", 11), ("ab", 13),
-        ("abc", 8), ("abcd", 6), ("ba", 12), ("cab", 8), ("a", 9),
+        ("ab", 0, 2048), ("ab", 9, 2048), ("ab", 10, 2048), ("ab", 11, 2048), ("ab", 13, 2048),
+        ("abc", 8, 2048), ("abcd", 6, 2048), ("ba", 12, 2048), ("cab", 8, 2048), ("a", 9, 2048),
+        ("ab", 13, 32), ("abc", 8, 32), ("abcd", 6, 32), ("ba", 12, 32), ("a", 9, 32),
     ],
 )
-def test_blocks_cover_every_word_once(symbols, max_len):
-    walks = [
-        list(theorems._walk(symbols, prefix, depth))
-        for prefix, depth in theorems._blocks(symbols, max_len)
-    ]
+@pytest.mark.parametrize("name", list(PLANS))
+def test_blocks_cover_every_word_once(monkeypatch, name, symbols, max_len, cap):
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
+    spec = PLANS[name]
+    blocks = theorems._blocks(spec, symbols, max_len)
+    walks = [_walk_block(spec, symbols, block) for block in blocks]
+    covered = [item for walked in walks for item in _covered(spec, symbols, max_len, walked)]
     words = sorted(words_up_to(symbols, max_len))
-    walked = [w for walk in walks for w, _, _ in walk]
-    assert sorted(walked) == [w for w in words if _is_canonical(w, symbols)]  # each once
+    # each canonical word once: walked by one block, or counted under one falsy word
+    assert sorted(w for w, _ in covered) == [w for w in words if _is_canonical(w, symbols)]
     # their renamings are every word, each once, and each weight counts its word's renamings
-    assert sorted(v for w in walked for v in theorems._renamings(w, symbols)) == words
-    assert all(weight == _weight(w, symbols) for walk in walks for w, weight, _ in walk)
-    assert max(map(len, walks)) <= theorems._BLOCK_CAP
+    assert sorted(v for w, _ in covered for v in theorems._renamings(w, symbols)) == words
+    assert all(weight == _weight(w, symbols) for w, weight in covered)
+    # every subtree block, down to the bound, walks at most the cap
+    subtrees = [walked for (p, _, depth), walked in zip(blocks, walks) if len(p) + depth == max_len]
+    assert subtrees and max(map(len, subtrees)) <= cap
+
+
+@pytest.mark.parametrize(
+    "symbols,max_len", [("ab", 13), ("abc", 8), ("abcd", 6), ("ba", 12), ("a", 9)]
+)
+@pytest.mark.parametrize("name", [claim for claim in PLANS if claim in CLAIMS])
+def test_each_block_carries_its_parents_state(monkeypatch, name, symbols, max_len):
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    own = _own_states_and_verdicts(name, symbols, max_len)
+    blocks = theorems._blocks(CLAIMS[name], symbols, max_len)
+    depth = blocks[-1][2]
+    head = max_len - depth
+    if not head:  # one block holds every word
+        assert blocks == [("", True, max_len)]
+        return
+    # the heads the claim's walk reaches: those whose proper prefixes all have truthy states,
+    # each with the state folded from the empty word to its parent
+    heads = [p for p in words_up_to(symbols, head) if len(p) == head and _is_canonical(p, symbols)]
+    listed = [p for p in heads if all(own[p[:n]][0] for n in range(head))]
+    assert blocks == [("", True, head - 1), *((p, own[p[:-1]][0], depth) for p in listed)]
+    if (symbols, max_len) == ("ab", 13):
+        assert len(listed) < len(heads) if name in PRUNED_TO else listed == heads
 
 
 def _scattered(w):
@@ -247,32 +310,39 @@ def _scattered(w):
 
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7)])
 @pytest.mark.parametrize("keep", [_scattered, is_trapezoidal], ids=["scattered", "trapezoidal"])
-def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(symbols, max_len, keep):
+def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(
+    monkeypatch, symbols, max_len, keep
+):
     keep = functools.cache(keep)
     # the state of w: keep passes w and each of its prefixes
-    step = lambda w, index, parent: keep(w)
+    spec = theorems.ClaimSpec("keep", lambda w, index, state: None, step=lambda w, index, parent: keep(w))
     canonical = [w for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols)]
     expected = [w for w in canonical if all(keep(w[:i]) for i in range(len(w)))]
-    pruned = theorems._walk(symbols, "", max_len, step=step)
+    pruned = theorems._walk(symbols, "", max_len, step=spec.step)
     assert sorted(w for w, _, _ in pruned) == sorted(expected)
     assert len(expected) < len(canonical)
-    for prefix, depth in theorems._blocks(symbols, max_len):
-        walked = list(theorems._walk(symbols, prefix, depth, step=step))
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    for block in theorems._blocks(spec, symbols, max_len):
+        prefix, _, depth = block
+        assert all(keep(prefix[:i]) for i in range(len(prefix)))  # the plan's walk reached it
         # the prefix is always yielded; below it, the prefix's ancestors count too
         in_block = [
             (w, weight, all(keep(w[:i]) for i in range(len(w) + 1)))
             for w, weight, _ in theorems._walk(symbols, prefix, depth)
             if w == prefix or all(keep(w[:i]) for i in range(len(w)))
         ]
-        assert walked == in_block, prefix  # pruning drops subtrees and keeps the prefix order
+        assert _walk_block(spec, symbols, block) == in_block, prefix  # in prefix order
 
 
+# at the 32-word cap each block's index starts from a tree of up to 7 letters
+@pytest.mark.parametrize("cap", [2048, 32])
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
-def test_walk_index_is_the_tree_of_each_word(symbols, max_len):
-    blocks = theorems._blocks(symbols, max_len)
-    assert blocks[0][0] == "" and all(prefix for prefix, _ in blocks[1:])  # head and subtrees
-    for prefix, depth in blocks:
-        index = PalindromeIndex()
+def test_walk_index_is_the_tree_of_each_word(monkeypatch, symbols, max_len, cap):
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
+    blocks = theorems._blocks(PLANS["stepless"], symbols, max_len)
+    assert blocks[0][0] == "" and all(prefix for prefix, _, _ in blocks[1:])  # head and subtrees
+    for prefix, _, depth in blocks:
+        index = PalindromeIndex(prefix[:-1])
         for w, _, _ in theorems._walk(symbols, prefix, depth, index):
             fresh = PalindromeIndex(w)
             assert index.palindrome_count == fresh.palindrome_count, w
@@ -290,10 +360,12 @@ def _differences(w):
     return [c[n + 1] - c[n] for n in range(len(w))]
 
 
+@pytest.mark.parametrize("cap", [2048, 32])
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 6)])
-def test_walk_automaton_is_the_automaton_of_each_word(symbols, max_len):
-    for prefix, depth in theorems._blocks(symbols, max_len):
-        automaton = SuffixAutomaton()
+def test_walk_automaton_is_the_automaton_of_each_word(monkeypatch, symbols, max_len, cap):
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
+    for prefix, _, depth in theorems._blocks(PLANS["stepless"], symbols, max_len):
+        automaton = SuffixAutomaton(prefix[:-1])
         for w, _, _ in theorems._walk(symbols, prefix, depth, automaton):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
             assert automaton.difference == _differences(w), w
@@ -315,30 +387,29 @@ def _rich_by_either(w):
 PRUNED_TO = {"PROP1": _rich_by_either, "PROP2": is_trapezoidal, "BINARY_TRAP": is_trapezoidal}
 
 
-def _states_seen(monkeypatch, claim, symbols, prefix, depth):
-    """(word, carried state) for every canonical word one block walks.
+def _states_seen(monkeypatch, claim, symbols, max_len, block):
+    """(word, carried state) for every canonical word one (prefix, parent, depth) block of
+    a walk down to max_len walks.
 
     The checker sees exactly the walked words whose state is truthy, and the block
-    counts every canonical word under its prefix, the unwalked ones in closed form.
+    counts every canonical word it stands for, the unwalked ones in closed form.
     """
     walked, checked = [], []
 
     def recording_walk(*args):
         for item in walk(*args):
-            walked.append((item[0], item[2]))
+            walked.append(item)
             yield item
 
-    walk = theorems._walk
-    spec = dataclasses.replace(
-        theorems.CLAIMS[claim], checker=lambda w, index, state: checked.append((w, state))
-    )
+    walk, original = theorems._walk, theorems.CLAIMS[claim]
+    spec = dataclasses.replace(original, checker=lambda w, index, state: checked.append((w, state)))
     with monkeypatch.context() as patch:
         patch.setitem(theorems.CLAIMS, claim, spec)
         patch.setattr(theorems, "_walk", recording_walk)
-        count, _ = theorems._run_block((claim, symbols, prefix, depth, None))
-    assert checked == [(w, state) for w, state in walked if state]
-    assert count == sum(weight for _, weight, _ in walk(symbols, prefix, depth))
-    return walked
+        count, _ = theorems._run_block((claim, symbols, max_len, *block))
+    assert checked == [(w, state) for w, _, state in walked if state]
+    assert count == sum(weight for _, weight in _covered(original, symbols, max_len, walked))
+    return [(w, state) for w, _, state in walked]
 
 
 def _kept_walk(symbols, prefix, depth, keep):
@@ -347,16 +418,22 @@ def _kept_walk(symbols, prefix, depth, keep):
     return [w for w, _, _ in theorems._walk(symbols, prefix, depth) if w == prefix or keep(w[:-1])]
 
 
+# at this cap ab/12 plans heads of length 8, abc/7 of length 5 and ba/11 of length 7
+@pytest.mark.parametrize("cap", [2048, 32])
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
-def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_len):
-    for prefix, depth in theorems._blocks(symbols, max_len):
-        walked = _states_seen(monkeypatch, "PROP1", symbols, prefix, depth)
+def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_len, cap):
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
+    for block in theorems._blocks(CLAIMS["PROP1"], symbols, max_len):
+        prefix, _, depth = block
+        walked = _states_seen(monkeypatch, "PROP1", symbols, max_len, block)
         assert [w for w, _ in walked] == _kept_walk(symbols, prefix, depth, _rich_by_either)
         for w, state in walked:
             flags = (_rich_by_returns(w), _rich_by_count(w))
             assert state == (any(flags) and flags), w
             assert state is False or all(type(flag) is bool for flag in state), w
-        walked = _states_seen(monkeypatch, "PROP2", symbols, prefix, depth)
+    for block in theorems._blocks(CLAIMS["PROP2"], symbols, max_len):
+        prefix, _, depth = block
+        walked = _states_seen(monkeypatch, "PROP2", symbols, max_len, block)
         assert [w for w, _ in walked] == _kept_walk(symbols, prefix, depth, is_trapezoidal)
         for w, state in walked:
             if is_trapezoidal(w):
@@ -389,11 +466,13 @@ INVARIANTS = {
 }
 
 
+@pytest.mark.parametrize("cap", [2048, 32])
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
-def test_walk_states_are_the_invariants_of_each_word(monkeypatch, symbols, max_len):
-    for prefix, depth in theorems._blocks(symbols, max_len):
-        for claim, direct in INVARIANTS.items():
-            for w, state in _states_seen(monkeypatch, claim, symbols, prefix, depth):
+def test_walk_states_are_the_invariants_of_each_word(monkeypatch, symbols, max_len, cap):
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
+    for claim, direct in INVARIANTS.items():
+        for block in theorems._blocks(CLAIMS[claim], symbols, max_len):
+            for w, state in _states_seen(monkeypatch, claim, symbols, max_len, block):
                 assert state == direct(w), (claim, w)
 
 
@@ -451,13 +530,15 @@ def _long_prefixes():
     "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
 )
 def test_walk_states_from_a_long_prefix(monkeypatch, symbols, prefix):
-    # the 300 ancestors are stepped before the block, so the seeded scans run at N = 300; the
+    # the block starts from the state folded along the 299 ancestors and an index of
+    # prefix[:-1], as the plan hands it over, so the seeded scans run at N = 300; the
     # christoffel and a299b prefixes are balanced, so trapezoidal, and PROFILE_EQUIV steps R
     # and K at N = 300 under them too, while under the random ones it has settled to False
     assert len(prefix) == 300
     assert bool(_settled_trapezoidal_state(prefix)) == is_finite_sturmian(prefix)
     for claim, direct in INVARIANTS.items():
-        seen = _states_seen(monkeypatch, claim, symbols, prefix, 2)
+        block = (prefix, _stepped_from_the_empty_word(claim, prefix[:-1]), 2)
+        seen = _states_seen(monkeypatch, claim, symbols, 302, block)
         assert len(seen) == 1 + len(symbols) + len(symbols) ** 2
         for w, state in seen:
             assert state == direct(w), (claim, w)
@@ -478,23 +559,29 @@ def test_step_kernels_along_a_long_prefix(symbols, prefix):
     "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
 )
 def test_walk_automaton_under_a_long_prefix(symbols, prefix):
-    # pop re-walks a suffix-link chain instead of replaying a journal; it must stay cheap at N = 300
+    # pop re-walks a suffix-link chain instead of replaying a journal; it must stay cheap at
+    # N = 300, under a block's automaton built from prefix[:-1]
     started = time.perf_counter()
-    for _ in theorems._walk(symbols, prefix, 6, SuffixAutomaton()):
+    for _ in theorems._walk(symbols, prefix, 6, SuffixAutomaton(prefix[:-1])):
         pass
     assert time.perf_counter() - started < 0.5  # about 10 ms; a rebuild per pop takes seconds
-    automaton = SuffixAutomaton()
+    automaton = SuffixAutomaton(prefix[:-1])
     for w, _, _ in theorems._walk(symbols, prefix, 6, automaton):
         if w.endswith(symbols[0]):  # each first child, reached by popping back from a sibling
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
     assert _automaton(automaton) == _automaton(SuffixAutomaton(w))
 
 
-def test_carried_flag_starts_from_the_prefix_ancestors(monkeypatch):
-    # abca is rich by neither route; abcaa ends in no bad return, so only its parent's flag
-    # says so, and the block stops at its prefix and counts the 12 words below it
+def test_carried_flag_starts_from_the_parent_state(monkeypatch):
+    # abca is rich by neither route; abcaa ends in no bad return, so only its parent's flag,
+    # folded from the empty word, says so, and the block stops at its prefix and counts the
+    # 12 words below it; from a parent rich by both routes the block walks on
     assert theorems._end_returns_are_palindromes("abcaa")
-    assert _states_seen(monkeypatch, "PROP1", "abc", "abcaa", 2) == [("abcaa", False)]
+    parent = _stepped_from_the_empty_word("PROP1", "abca")
+    assert parent is False
+    assert _states_seen(monkeypatch, "PROP1", "abc", 7, ("abcaa", parent, 2)) == [("abcaa", False)]
+    seen = _states_seen(monkeypatch, "PROP1", "abc", 7, ("abcaa", (True, True), 2))
+    assert seen[0] == ("abcaa", (True, False)) and len(seen) > 1
 
 
 def test_palindrome_claims_carry_no_index_and_no_step():
@@ -510,7 +597,7 @@ def _palindrome_walk(symbols, max_len):
     # every block of the right halves, ceil(max_len / 2) long, as verify splits them
     return [
         item
-        for prefix, depth in theorems._blocks(symbols, (max_len + 1) // 2)
+        for prefix, _, depth in theorems._blocks(CLAIMS["THM_MAIN"], symbols, (max_len + 1) // 2)
         for item in theorems._palindromes(symbols, theorems._walk(symbols, prefix, depth), max_len)
     ]
 
@@ -572,14 +659,17 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
         return states[-1]
 
     monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
     assert verify_claim(claim, "abc", 7).verified
-    # abc, and so abcaa, is not trapezoidal, and abca, and so abcaa, is not rich
-    blocks = [*theorems._blocks("abc", 7), ("abcaa", 2)]
-    theorems._run_block((claim, "abc", "abcaa", 2, None))  # ancestors of a prefix, same rule
-    # each block steps its prefix's proper ancestors, then walks its subtree
-    walked = []
-    for prefix, depth in blocks:
-        walked += [prefix[:n] for n in range(len(prefix))]
+    # abc, and so abcaa, is not trapezoidal, and abca, and so abcaa, is not rich; a block
+    # from the state folded along abca runs under the same rule
+    parent = _stepped_from_the_empty_word(claim, "abca")
+    theorems._run_block((claim, "abc", 7, "abcaa", parent, 2))
+    # the plan walks down to the head length, then each block walks its subtree
+    blocks = theorems._blocks(spec, "abc", 7)
+    head = len(blocks[-1][0])
+    walked = [w for w, _, _ in theorems._walk("abc", "", head)]
+    for prefix, _, depth in [*blocks, ("abcaa", parent, 2)]:
         walked += [w for w, _, _ in theorems._walk("abc", prefix, depth)]
     if claim in PRUNED_TO:  # the empty word, and the children of the class's words, are stepped
         assert stepped == [w for w in walked if not w or PRUNED_TO[claim](w[:-1])]
@@ -600,12 +690,15 @@ def _stepped_from_the_empty_word(name, w):
 
 
 @pytest.mark.parametrize("name", list(STEPS))
-def test_walk_yields_the_state_stepped_along_each_prefix(name):
-    # and stops below each falsy one
+def test_walk_yields_the_state_stepped_along_each_prefix(monkeypatch, name):
+    # and stops below each falsy one, each block from the parent state the plan hands it
     index_class, step = STEPS[name]
-    for prefix, depth in [*theorems._blocks("abc", 7), ("abcaa", 2)]:
-        index = index_class() if index_class else None
-        walked = list(theorems._walk("abc", prefix, depth, index, step))
+    spec = theorems.ClaimSpec(name, lambda w, index, state: None, index_class, step)
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    below_abca = ("abcaa", _stepped_from_the_empty_word(name, "abca"), 2)
+    for prefix, parent, depth in [*theorems._blocks(spec, "abc", 7), below_abca]:
+        index = _index(spec, prefix[:-1])
+        walked = list(theorems._walk("abc", prefix, depth, index, step, parent))
         kept = lambda w: _stepped_from_the_empty_word(name, w)
         assert [w for w, _, _ in walked] == _kept_walk("abc", prefix, depth, kept), prefix
         for w, _, state in walked:
@@ -649,8 +742,8 @@ def _trapezoidal_words(symbols, max_len):
     return [w for w in words_up_to(symbols, max_len) if is_trapezoidal(w)]
 
 
-# ba/12 and cab/8 merge 5 and 10 blocks; abc/10 seeds each block's flag from a length-4 prefix,
-# 36 of which are not trapezoidal, so those blocks are counted below their first word
+# ba/12 and cab/8 merge 3 blocks each; abc/10 plans 11 heads of length 4 from PROP2's walk, 3 of
+# which are not trapezoidal, so those blocks are counted below their first word
 @pytest.mark.parametrize(
     "symbols,max_len",
     [("ba", 12), ("cab", 8), ("abc", 10), ("ab", 14), ("abc", 8), ("abcd", 6), ("a", 30)],
@@ -751,7 +844,7 @@ def _quoting_the_state(w, index, state):
     return repr(state)
 
 
-# at this cap the bounds split into 16 to 129 blocks, and with both routes 10 of them are
+# at this cap the bounds split into 16 to 129 blocks, and with both routes 7 of them are
 # headed by a word rich by neither, so counted below their first word
 @pytest.mark.parametrize("routes", list(PROP1_ROUTES))
 @pytest.mark.parametrize("workers", [1, 2])
@@ -798,7 +891,8 @@ def test_prop1_steps_the_empty_word_and_the_children_of_rich_words(monkeypatch, 
             for w in words_up_to(symbols, max_len)
             if _is_canonical(w, symbols) and (not w or state(w[:-1]))
         ]
-        # each block steps its prefix's ancestors again, so compare the words, not the calls
+        # the blocks step again the words the plan's walk stepped, so compare the words, not
+        # the calls
         assert sorted(set(stepped)) == sorted(expected), symbols
 
 
@@ -857,13 +951,23 @@ def _index_step_calls(monkeypatch, claim, symbols, max_len):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_profile_equiv_steps_r_and_k_only_where_prop2_walks(monkeypatch, symbols, max_len):
     # below a non-trapezoidal word the index route is settled, not stepped: R and K run only
-    # on the children of trapezoidal words, as PROP2 steps them, call for call (each block
-    # steps its prefix's ancestors again)
+    # on the children of trapezoidal words, as PROP2 steps them, call for call (the head
+    # block and the subtree blocks step again the words the plan's walk stepped)
     r_calls, k_calls = _index_step_calls(monkeypatch, "PROFILE_EQUIV", symbols, max_len)
     assert r_calls == k_calls == _index_step_calls(monkeypatch, "PROP2", symbols, max_len)[0]
     canonical = [w for w in words_up_to(symbols, max_len) if w and _is_canonical(w, symbols)]
     assert sorted(set(r_calls)) == sorted(w for w in canonical if is_trapezoidal(w[:-1]))
     assert len(set(r_calls)) < len(canonical) // 2
+
+
+@pytest.mark.parametrize("claim", ["BINARY_TRAP", "PROFILE_EQUIV"])
+def test_blocks_step_r_no_more_than_the_plan_and_the_blocks_walk(monkeypatch, claim):
+    # the 6 467 canonical words at ab/20 whose parents are trapezoidal, and again the words
+    # down to the head length, which the plan's walk and a block both step; blocks that
+    # stepped their heads' ancestors again would make 10 327 calls
+    r_calls, _ = _index_step_calls(monkeypatch, claim, "ab", 20)
+    assert len(set(r_calls)) == 6467
+    assert len(r_calls) <= 7400
 
 
 def _stub_tree(lengths):
