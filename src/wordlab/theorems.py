@@ -30,11 +30,13 @@ TRAP_CLOSED guards every other claim that reads them.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
 by the same walk (_palindromes), and count the other words in closed form.
-Verify's blocks come from the claim's own walk down to a head length:
-each head it reaches starts a block from its parent's state, with no
-replay of the head's ancestors, and no head lies below a falsy state.
-That fixed plan and sorted counterexamples make parallel and sequential
-verify reports identical.
+Verify runs the claim's own walk in-process down to a head length,
+checking and counting the words above it, and each head that walk
+reaches with a truthy state becomes one task, started from its parent's
+state with no replay of the head's ancestors; a falsy head is counted
+with its subtree in closed form by that head run.  That fixed plan and
+sorted counterexamples make parallel and sequential verify reports
+identical.
 Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
 before any walk, the alphabet, length and budget of verify, enumerate and
 census by one core.check_walk call; nothing raised inside a walk is caught.
@@ -75,7 +77,7 @@ from .core import DEFAULT_BUDGET, SCHEMA_VERSION, UsageError, check_walk
 from .core import _palindromic_suffixes
 from .palindromes import PalindromeIndex
 
-_BLOCK_CAP = 2048  # max words enumerated per work block
+_BLOCK_CAP = 2048  # max words enumerated per task
 Undoable = PalindromeIndex | SuffixAutomaton  # what a walk can carry: append, and pop to undo it
 
 
@@ -381,6 +383,7 @@ def _walk(
     index: Undoable | None = None,
     step: Callable[[str, Undoable | None, object], object] | None = None,
     parent: object = True,
+    heads: list[tuple[str, object]] | None = None,
 ):
     """Yield (w, weight, state) for prefix, then each canonical extension by 1..depth symbols.
 
@@ -397,7 +400,10 @@ def _walk(
     step(w, index, state(w[:-1])), with the index holding w (None when none
     is given), and parent is the state of prefix[:-1], True for the empty
     word's; with no step, every state is None.  With a step, the children
-    of a word whose state is falsy are not walked.
+    of a word whose state is falsy are not walked.  Given a heads list, a
+    word at the walk's limit whose state is truthy (every one, with no
+    step) is not yielded but recorded there as (w, state of w[:-1]), the
+    head of a subtree left to another walk; a falsy one is still yielded.
     """
     k = len(symbols)
     weights = [perm(k, j) for j in range(k + 1)]
@@ -417,10 +423,13 @@ def _walk(
             index.append(w[-1])
             held += 1
         state = parent and step(w, index, parent)
-        yield w, weights[used], state
         if len(w) < limit and (state or not step):
             for s, j in children[used]:
                 stack.append((w + s, j, state))
+        elif heads is not None and (state or not step):
+            heads.append((w, parent))
+            continue
+        yield w, weights[used], state
 
 
 def _renamings(w: str, symbols: str) -> list[str]:
@@ -433,28 +442,6 @@ def _alphabet_order(symbols: str) -> Callable[[str], tuple[int, list[int]]]:
     """Sort key: by length, then lexicographically in the alphabet's order."""
     rank = {s: i for i, s in enumerate(symbols)}
     return lambda w: (len(w), [rank[s] for s in w])
-
-
-def _blocks(spec: ClaimSpec, symbols: str, max_len: int) -> list[tuple[str, object, int]]:
-    """Fixed plan of the canonical words of length <= max_len as (prefix, parent, depth) blocks.
-
-    The plan is the claim's own walk, with its step and a fresh index of its
-    class, down to the head length: each head-length word that walk reaches
-    heads one subtree of at most _BLOCK_CAP words, carrying parent, the state
-    of prefix[:-1] that the walk stepped, and one head block holds the
-    shorter words.  A head below a falsy state is not reached, and the head
-    block counts its subtree under that word.  The plan depends only on the
-    claim, the alphabet and the bound, never on the worker count.
-    """
-    depth, size = 0, 1  # the deepest subtree under the cap, and its word count
-    while depth < max_len and size + len(symbols) ** (depth + 1) <= _BLOCK_CAP:
-        depth += 1
-        size += len(symbols) ** depth
-    head = max_len - depth
-    index = spec.index() if spec.index else None
-    states = {w: state for w, _, state in _walk(symbols, "", head, index, spec.step)}
-    subtrees = [(p, states[p[:-1]] if p else True, depth) for p in states if len(p) == head]
-    return [("", True, head - 1), *subtrees] if head else subtrees
 
 
 def _palindromes(symbols: str, halves, max_len: int):
@@ -473,15 +460,16 @@ def _palindromes(symbols: str, halves, max_len: int):
                 yield p.translate(str.maketrans(used, symbols[: len(used)])), weight, None
 
 
-def _run_block(task: tuple[str, str, int, str, object, int]) -> tuple[int, list[tuple[str, str]]]:
+def _run_block(task: tuple, heads: list | None = None) -> tuple[int, list[tuple[str, str]]]:
     """(words the walked words stand for, (word, diagnostic) of each failing one) of a block.
 
-    task is (claim, alphabet, max_len, prefix, parent, depth), a block of the plan and
-    verify's bound.  The worker builds the claim's index from prefix[:-1] and walks on from
-    the parent state.  A falsy state's subtree is counted in closed form down to max_len,
-    the walk's bound, not the block's limit, so the head block also stands for the heads
-    the plan never lists.  With palindromes, the block's words are right halves, and it
-    checks the palindromes up to max_len that they give.
+    task is (claim, alphabet, max_len, prefix, parent, depth), a block and verify's bound.
+    The block builds the claim's index from prefix[:-1] and walks on from the parent state,
+    handing heads to _walk: verify's head run passes a list and leaves the heads recorded
+    there to one task each.  A falsy state's subtree is counted in closed form down to
+    max_len, so a falsy word at the head run's limit stands for its subtree too.  With
+    palindromes, the block's words are right halves, and it checks the palindromes up to
+    max_len that they give.
     """
     claim, symbols, max_len, prefix, parent, depth = task
     spec = CLAIMS[claim]
@@ -491,7 +479,7 @@ def _run_block(task: tuple[str, str, int, str, object, int]) -> tuple[int, list[
     for _ in range(max_len):
         below.append(len(symbols) * (below[-1] + 1))
     checked, bad = 0, []
-    words = _walk(symbols, prefix, depth, index, step, parent)
+    words = _walk(symbols, prefix, depth, index, step, parent, heads)
     if spec.palindromes:
         words = _palindromes(symbols, words, max_len)
     for w, weight, state in words:
@@ -512,11 +500,16 @@ def verify_claim(
 ) -> VerificationReport:
     """Evaluate a named claim on every word of length 0..max_len.
 
-    workers=None or 1 runs sequentially; higher values fan blocks out to
-    a process pool of at most min(workers, CPU count, number of blocks)
-    processes.  Either way the report is identical.  Raises
-    BudgetExceededError before enumerating more than `budget` words, or
-    words longer than core.MAX_WORD_LENGTH.
+    The claim's own walk runs in this process down to a head length, and
+    each head it reaches with a truthy state becomes a task, the subtree
+    of at most _BLOCK_CAP words below it, started from its parent's state.
+    workers=None or 1 runs the tasks sequentially; higher values fan them
+    out to a process pool of at most min(workers, CPU count, number of
+    tasks) processes.  Either way the report is identical.  Before any
+    walk, raises UsageError for an unknown claim, workers < 1, a bad
+    alphabet, or a negative max_len or budget (core.check_walk), and
+    BudgetExceededError for words longer than core.MAX_WORD_LENGTH or
+    more than `budget` words.
     """
     if claim not in CLAIMS:
         raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
@@ -529,13 +522,19 @@ def verify_claim(
     # k^n - k^ceil(n/2) other words of each length unread
     walked = (max_len + 1) // 2 if spec.palindromes else max_len
     rest = sum(k**n - k ** ((n + 1) // 2) for n in range(max_len + 1)) if spec.palindromes else 0
-    tasks = [(claim, alphabet, max_len, *block) for block in _blocks(spec, alphabet, walked)]
+    depth, size = 0, 1  # the deepest subtree under the cap, and its word count
+    while depth < walked and size + k ** (depth + 1) <= _BLOCK_CAP:
+        depth += 1
+        size += k**depth
+    heads = []  # (head, state of head[:-1]) of each task the head run leaves
+    results = [_run_block((claim, alphabet, max_len, "", True, walked - depth), heads)]
+    tasks = [(claim, alphabet, max_len, head, parent, depth) for head, parent in heads]
     processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
     if processes > 1:
         with Pool(processes=processes) as pool:
-            results = pool.map(_run_block, tasks)
+            results += pool.map(_run_block, tasks)
     else:
-        results = [_run_block(t) for t in tasks]
+        results += [_run_block(t) for t in tasks]
     bad = [hit for _, hits in results for hit in hits]
     # a failing canonical word stands for its other renamings too: each is checked alone, as a
     # word, not a half, its state and index folded from the empty word's, so its diagnostic

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -201,15 +202,16 @@ class _RecordingPool:
 @pytest.mark.parametrize(
     "workers,cpus,max_len,expected",
     [
-        (64, 4, 12, [4]),  # capped by the CPU count
-        (3, 64, 12, [3]),  # the requested count fits
-        (64, 64, 12, [5]),  # capped by the number of blocks
+        (64, 3, 12, [3]),  # capped by the CPU count alone
+        (2, 64, 12, [2]),  # the requested count fits, and caps alone
+        (64, 64, 12, [4]),  # capped by the number of tasks alone
         (8, None, 12, []),  # unknown CPU count: sequential, no pool
         (1, 64, 12, []),
     ],
 )
 def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
-    # at this cap ab/12 has 5 blocks: the head block and 4 canonical subtrees under aaa..abc
+    # at this cap ab/12 runs its head run in this process and 4 tasks, the canonical subtrees
+    # under aaa..abb
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 1024)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(theorems, "Pool", _RecordingPool)
@@ -224,11 +226,29 @@ def _index(spec, w):
     return spec.index(w) if spec.index else None
 
 
-def _walk_block(spec, symbols, block):
-    """The (w, weight, state) a worker walks in one (prefix, parent, depth) block."""
+def _plan(monkeypatch, spec, symbols, max_len):
+    """(block, heads) of each _run_block call a sequential verify_claim with spec makes: the
+    head run's block ("", True, head) with a fresh list for the heads it records, then the
+    (head, parent, depth) block of each task, with None."""
+    blocks, run_block = [], theorems._run_block
+
+    def recording(task, heads=None):
+        blocks.append((task[3:], heads))
+        return run_block(task, heads)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(theorems.CLAIMS, "PLANNED", spec)
+        patch.setattr(theorems, "_run_block", recording)
+        verify_claim("PLANNED", symbols, max_len)
+    assert [heads is None for _, heads in blocks] == [False] + [True] * (len(blocks) - 1)
+    return [(block, None if heads is None else []) for block, heads in blocks]
+
+
+def _walk_block(spec, symbols, block, heads=None):
+    """The (w, weight, state) a block's walk yields, recording its heads in heads if given."""
     prefix, parent, depth = block
     index = _index(spec, prefix[:-1])
-    return list(theorems._walk(symbols, prefix, depth, index, spec.step, parent))
+    return list(theorems._walk(symbols, prefix, depth, index, spec.step, parent, heads))
 
 
 def _covered(spec, symbols, max_len, walked):
@@ -254,7 +274,7 @@ PLANS = {
 
 
 # at the 32-word cap the heads are 9 letters long at ab/13, 5 at abc/8 and 8 at ba/12, so the
-# plans reach deep into each walk and the pruned ones list only some of the heads
+# head runs reach deep into each walk and the pruned ones leave only some heads to tasks
 @pytest.mark.parametrize(
     "symbols,max_len,cap",
     [
@@ -264,41 +284,43 @@ PLANS = {
     ],
 )
 @pytest.mark.parametrize("name", list(PLANS))
-def test_blocks_cover_every_word_once(monkeypatch, name, symbols, max_len, cap):
+def test_head_run_and_tasks_cover_every_word_once(monkeypatch, name, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
     spec = PLANS[name]
-    blocks = theorems._blocks(spec, symbols, max_len)
-    walks = [_walk_block(spec, symbols, block) for block in blocks]
+    (head_run, heads), *tasks = _plan(monkeypatch, spec, symbols, max_len)
+    walks = [_walk_block(spec, symbols, head_run, heads)]
+    # the head run leaves each head it records to one task, which starts from the head's parent
+    assert [(prefix, parent) for (prefix, parent, _), _ in tasks] == heads
+    assert tasks and all(len(prefix) + depth == max_len for (prefix, _, depth), _ in tasks)
+    walks += [_walk_block(spec, symbols, task) for task, _ in tasks]
     covered = [item for walked in walks for item in _covered(spec, symbols, max_len, walked)]
     words = sorted(words_up_to(symbols, max_len))
-    # each canonical word once: walked by one block, or counted under one falsy word
+    # each canonical word once: walked by the head run or one task, or counted under one
+    # falsy word
     assert sorted(w for w, _ in covered) == [w for w in words if _is_canonical(w, symbols)]
     # their renamings are every word, each once, and each weight counts its word's renamings
     assert sorted(v for w, _ in covered for v in theorems._renamings(w, symbols)) == words
     assert all(weight == _weight(w, symbols) for w, weight in covered)
-    # every subtree block, down to the bound, walks at most the cap
-    subtrees = [walked for (p, _, depth), walked in zip(blocks, walks) if len(p) + depth == max_len]
-    assert subtrees and max(map(len, subtrees)) <= cap
+    # every task, down to the bound, walks at most the cap
+    assert max(map(len, walks[1:])) <= cap
 
 
 @pytest.mark.parametrize(
     "symbols,max_len", [("ab", 13), ("abc", 8), ("abcd", 6), ("ba", 12), ("a", 9)]
 )
 @pytest.mark.parametrize("name", [claim for claim in PLANS if claim in CLAIMS])
-def test_each_block_carries_its_parents_state(monkeypatch, name, symbols, max_len):
+def test_each_task_carries_its_heads_parent_state(monkeypatch, name, symbols, max_len):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
     own = _own_states_and_verdicts(name, symbols, max_len)
-    blocks = theorems._blocks(CLAIMS[name], symbols, max_len)
-    depth = blocks[-1][2]
-    head = max_len - depth
-    if not head:  # one block holds every word
-        assert blocks == [("", True, max_len)]
-        return
-    # the heads the claim's walk reaches: those whose proper prefixes all have truthy states,
-    # each with the state folded from the empty word to its parent
+    ((_, _, head), _), *tasks = _plan(monkeypatch, CLAIMS[name], symbols, max_len)
+    # the heads the claim's walk reaches with a truthy state: those whose prefixes all have
+    # truthy states, each with the state folded from the empty word to its parent (the empty
+    # word's parent state is True); at a/9 the head is the empty word, and one task walks
+    # every word
     heads = [p for p in words_up_to(symbols, head) if len(p) == head and _is_canonical(p, symbols)]
-    listed = [p for p in heads if all(own[p[:n]][0] for n in range(head))]
-    assert blocks == [("", True, head - 1), *((p, own[p[:-1]][0], depth) for p in listed)]
+    listed = [p for p in heads if all(own[p[:n]][0] for n in range(head + 1))]
+    expected = [(p, own[p[:-1]][0] if p else True, max_len - head) for p in listed]
+    assert [task for task, _ in tasks] == expected
     if (symbols, max_len) == ("ab", 13):
         assert len(listed) < len(heads) if name in PRUNED_TO else listed == heads
 
@@ -322,16 +344,21 @@ def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(
     assert sorted(w for w, _, _ in pruned) == sorted(expected)
     assert len(expected) < len(canonical)
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
-    for block in theorems._blocks(spec, symbols, max_len):
+    for block, heads in _plan(monkeypatch, spec, symbols, max_len):
         prefix, _, depth = block
-        assert all(keep(prefix[:i]) for i in range(len(prefix)))  # the plan's walk reached it
+        # the head run reached it with a truthy state, and so recorded it
+        assert all(keep(prefix[:i]) for i in range(len(prefix) + 1))
         # the prefix is always yielded; below it, the prefix's ancestors count too
         in_block = [
             (w, weight, all(keep(w[:i]) for i in range(len(w) + 1)))
             for w, weight, _ in theorems._walk(symbols, prefix, depth)
             if w == prefix or all(keep(w[:i]) for i in range(len(w)))
         ]
-        assert _walk_block(spec, symbols, block) == in_block, prefix  # in prefix order
+        walked = _walk_block(spec, symbols, block, heads)
+        if heads is not None:  # the head run records, not yields, each head with a truthy state
+            assert heads == [(w, True) for w, _, kept in in_block if len(w) == depth and kept]
+            in_block = [item for item in in_block if len(item[0]) < depth or not item[2]]
+        assert walked == in_block, prefix  # in prefix order
 
 
 # at the 32-word cap each block's index starts from a tree of up to 7 letters
@@ -339,11 +366,11 @@ def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_walk_index_is_the_tree_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
-    blocks = theorems._blocks(PLANS["stepless"], symbols, max_len)
-    assert blocks[0][0] == "" and all(prefix for prefix, _, _ in blocks[1:])  # head and subtrees
-    for prefix, _, depth in blocks:
+    blocks = _plan(monkeypatch, PLANS["stepless"], symbols, max_len)
+    assert blocks[0][0][0] == "" and all(prefix for (prefix, _, _), _ in blocks[1:])
+    for (prefix, _, depth), heads in blocks:
         index = PalindromeIndex(prefix[:-1])
-        for w, _, _ in theorems._walk(symbols, prefix, depth, index):
+        for w, _, _ in theorems._walk(symbols, prefix, depth, index, heads=heads):
             fresh = PalindromeIndex(w)
             assert index.palindrome_count == fresh.palindrome_count, w
             assert index.prefix_counts == fresh.prefix_counts, w
@@ -364,9 +391,9 @@ def _differences(w):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 6)])
 def test_walk_automaton_is_the_automaton_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
-    for prefix, _, depth in theorems._blocks(PLANS["stepless"], symbols, max_len):
+    for (prefix, _, depth), heads in _plan(monkeypatch, PLANS["stepless"], symbols, max_len):
         automaton = SuffixAutomaton(prefix[:-1])
-        for w, _, _ in theorems._walk(symbols, prefix, depth, automaton):
+        for w, _, _ in theorems._walk(symbols, prefix, depth, automaton, heads=heads):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
             assert automaton.difference == _differences(w), w
 
@@ -387,9 +414,20 @@ def _rich_by_either(w):
 PRUNED_TO = {"PROP1": _rich_by_either, "PROP2": is_trapezoidal, "BINARY_TRAP": is_trapezoidal}
 
 
-def _states_seen(monkeypatch, claim, symbols, max_len, block):
+@pytest.mark.parametrize("name", list(PRUNED_TO))
+def test_no_task_is_headed_by_a_falsy_state(monkeypatch, name):
+    # the head run counts each falsy head's subtree itself, so the pool never gets a task
+    # that only counts one subtree in closed form; ab/13 has such heads for each claim
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    own = _own_states_and_verdicts(name, "ab", 13)
+    ((_, _, head), _), *tasks = _plan(monkeypatch, CLAIMS[name], "ab", 13)
+    assert any(len(w) == head and own[w[:-1]][0] and not own[w][0] for w in own)
+    assert tasks and all(own[prefix][0] for (prefix, _, _), _ in tasks)
+
+
+def _states_seen(monkeypatch, claim, symbols, max_len, block, heads=None):
     """(word, carried state) for every canonical word one (prefix, parent, depth) block of
-    a walk down to max_len walks.
+    a walk down to max_len walks, handing heads to _run_block.
 
     The checker sees exactly the walked words whose state is truthy, and the block
     counts every canonical word it stands for, the unwalked ones in closed form.
@@ -406,16 +444,22 @@ def _states_seen(monkeypatch, claim, symbols, max_len, block):
     with monkeypatch.context() as patch:
         patch.setitem(theorems.CLAIMS, claim, spec)
         patch.setattr(theorems, "_walk", recording_walk)
-        count, _ = theorems._run_block((claim, symbols, max_len, *block))
+        count, _ = theorems._run_block((claim, symbols, max_len, *block), heads)
     assert checked == [(w, state) for w, _, state in walked if state]
     assert count == sum(weight for _, weight in _covered(original, symbols, max_len, walked))
     return [(w, state) for w, _, state in walked]
 
 
-def _kept_walk(symbols, prefix, depth, keep):
+def _kept_walk(symbols, prefix, depth, keep, heads=None):
     # a block that stops below each word keep refuses, keep closed under prefixes, yields its
-    # prefix, then each word whose parent keep passes
-    return [w for w, _, _ in theorems._walk(symbols, prefix, depth) if w == prefix or keep(w[:-1])]
+    # prefix, then each word whose parent keep passes; a head run (heads given) records, not
+    # yields, each word at its limit that keep passes
+    return [
+        w
+        for w, _, _ in theorems._walk(symbols, prefix, depth)
+        if (w == prefix or keep(w[:-1]))
+        and (heads is None or len(w) < len(prefix) + depth or not keep(w))
+    ]
 
 
 # at this cap ab/12 plans heads of length 8, abc/7 of length 5 and ba/11 of length 7
@@ -423,18 +467,19 @@ def _kept_walk(symbols, prefix, depth, keep):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
-    for block in theorems._blocks(CLAIMS["PROP1"], symbols, max_len):
+    for block, heads in _plan(monkeypatch, CLAIMS["PROP1"], symbols, max_len):
         prefix, _, depth = block
-        walked = _states_seen(monkeypatch, "PROP1", symbols, max_len, block)
-        assert [w for w, _ in walked] == _kept_walk(symbols, prefix, depth, _rich_by_either)
+        walked = _states_seen(monkeypatch, "PROP1", symbols, max_len, block, heads)
+        kept = _kept_walk(symbols, prefix, depth, _rich_by_either, heads)
+        assert [w for w, _ in walked] == kept
         for w, state in walked:
             flags = (_rich_by_returns(w), _rich_by_count(w))
             assert state == (any(flags) and flags), w
             assert state is False or all(type(flag) is bool for flag in state), w
-    for block in theorems._blocks(CLAIMS["PROP2"], symbols, max_len):
+    for block, heads in _plan(monkeypatch, CLAIMS["PROP2"], symbols, max_len):
         prefix, _, depth = block
-        walked = _states_seen(monkeypatch, "PROP2", symbols, max_len, block)
-        assert [w for w, _ in walked] == _kept_walk(symbols, prefix, depth, is_trapezoidal)
+        walked = _states_seen(monkeypatch, "PROP2", symbols, max_len, block, heads)
+        assert [w for w, _ in walked] == _kept_walk(symbols, prefix, depth, is_trapezoidal, heads)
         for w, state in walked:
             if is_trapezoidal(w):
                 assert state == (r_index(w), k_index(w)), w
@@ -471,8 +516,8 @@ INVARIANTS = {
 def test_walk_states_are_the_invariants_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
     for claim, direct in INVARIANTS.items():
-        for block in theorems._blocks(CLAIMS[claim], symbols, max_len):
-            for w, state in _states_seen(monkeypatch, claim, symbols, max_len, block):
+        for block, heads in _plan(monkeypatch, CLAIMS[claim], symbols, max_len):
+            for w, state in _states_seen(monkeypatch, claim, symbols, max_len, block, heads):
                 assert state == direct(w), (claim, w)
 
 
@@ -531,7 +576,7 @@ def _long_prefixes():
 )
 def test_walk_states_from_a_long_prefix(monkeypatch, symbols, prefix):
     # the block starts from the state folded along the 299 ancestors and an index of
-    # prefix[:-1], as the plan hands it over, so the seeded scans run at N = 300; the
+    # prefix[:-1], as the head run hands it over, so the seeded scans run at N = 300; the
     # christoffel and a299b prefixes are balanced, so trapezoidal, and PROFILE_EQUIV steps R
     # and K at N = 300 under them too, while under the random ones it has settled to False
     assert len(prefix) == 300
@@ -593,12 +638,16 @@ def test_palindrome_claims_carry_no_index_and_no_step():
         assert (spec.index, spec.step) == (None, None), claim
 
 
-def _palindrome_walk(symbols, max_len):
-    # every block of the right halves, ceil(max_len / 2) long, as verify splits them
+def _palindrome_walk(monkeypatch, symbols, max_len):
+    # the head run and every task of the right halves, ceil(max_len / 2) long, as verify
+    # splits them, each half turned into its palindromes after the head run records its heads
+    spec = theorems.ClaimSpec("halves", lambda w, index, state: None, palindromes=True)
     return [
         item
-        for prefix, _, depth in theorems._blocks(CLAIMS["THM_MAIN"], symbols, (max_len + 1) // 2)
-        for item in theorems._palindromes(symbols, theorems._walk(symbols, prefix, depth), max_len)
+        for (prefix, _, depth), heads in _plan(monkeypatch, spec, symbols, max_len)
+        for item in theorems._palindromes(
+            symbols, theorems._walk(symbols, prefix, depth, heads=heads), max_len
+        )
     ]
 
 
@@ -606,22 +655,22 @@ def _palindrome_walk(symbols, max_len):
     "symbols,max_len",
     [("ab", 14), ("ab", 13), ("abc", 8), ("abc", 7), ("ba", 12), ("cab", 8), ("a", 9), ("ab", 0)],
 )
-def test_palindrome_walk_yields_each_palindrome_once(symbols, max_len):
-    walked = _palindrome_walk(symbols, max_len)
+def test_palindrome_walk_yields_each_palindrome_once(monkeypatch, symbols, max_len):
+    walked = _palindrome_walk(monkeypatch, symbols, max_len)
     assert all(_is_canonical(p, symbols) for p, _, _ in walked)
     assert all(weight == _weight(p, symbols) for p, weight, _ in walked)
     renamings = [v for p, _, _ in walked for v in theorems._renamings(p, symbols)]
     assert sorted(renamings) == sorted(w for w in words_up_to(symbols, max_len) if w == w[::-1])
 
 
-# ab/24 and abc/15 split their halves into 3 blocks, ab/25 into 5
+# ab/24 and abc/15 leave 2 tasks of halves after the head run, ab/25 4
 @pytest.mark.parametrize(
     "symbols,max_len", [("ab", 24), ("ab", 25), ("abc", 15), ("abcd", 10), ("a", 40)]
 )
-def test_palindrome_walk_weights_count_the_palindromes(symbols, max_len):
+def test_palindrome_walk_weights_count_the_palindromes(monkeypatch, symbols, max_len):
     # a palindrome of length n is fixed by its last ceil(n/2) symbols
     per_length = [0] * (max_len + 1)
-    for p, weight, _ in _palindrome_walk(symbols, max_len):
+    for p, weight, _ in _palindrome_walk(monkeypatch, symbols, max_len):
         per_length[len(p)] += weight
     assert per_length == [len(symbols) ** ((n + 1) // 2) for n in range(max_len + 1)]
 
@@ -658,17 +707,17 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
         states.append(spec.step(w, index, parent))
         return states[-1]
 
-    monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    blocks = [block for block, _ in _plan(monkeypatch, spec, "abc", 7)]
+    monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
     assert verify_claim(claim, "abc", 7).verified
     # abc, and so abcaa, is not trapezoidal, and abca, and so abcaa, is not rich; a block
     # from the state folded along abca runs under the same rule
     parent = _stepped_from_the_empty_word(claim, "abca")
     theorems._run_block((claim, "abc", 7, "abcaa", parent, 2))
-    # the plan walks down to the head length, then each block walks its subtree
-    blocks = theorems._blocks(spec, "abc", 7)
-    head = len(blocks[-1][0])
-    walked = [w for w, _, _ in theorems._walk("abc", "", head)]
+    # the head run steps every word it reaches down to the head length, its heads included,
+    # then each task its subtree, from its head down
+    walked = []
     for prefix, _, depth in [*blocks, ("abcaa", parent, 2)]:
         walked += [w for w, _, _ in theorems._walk("abc", prefix, depth)]
     if claim in PRUNED_TO:  # the empty word, and the children of the class's words, are stepped
@@ -691,16 +740,16 @@ def _stepped_from_the_empty_word(name, w):
 
 @pytest.mark.parametrize("name", list(STEPS))
 def test_walk_yields_the_state_stepped_along_each_prefix(monkeypatch, name):
-    # and stops below each falsy one, each block from the parent state the plan hands it
+    # and stops below each falsy one, each task from the parent state the head run hands it
     index_class, step = STEPS[name]
     spec = theorems.ClaimSpec(name, lambda w, index, state: None, index_class, step)
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
     below_abca = ("abcaa", _stepped_from_the_empty_word(name, "abca"), 2)
-    for prefix, parent, depth in [*theorems._blocks(spec, "abc", 7), below_abca]:
-        index = _index(spec, prefix[:-1])
-        walked = list(theorems._walk("abc", prefix, depth, index, step, parent))
+    for block, heads in [*_plan(monkeypatch, spec, "abc", 7), (below_abca, None)]:
+        prefix, _, depth = block
+        walked = _walk_block(spec, "abc", block, heads)
         kept = lambda w: _stepped_from_the_empty_word(name, w)
-        assert [w for w, _, _ in walked] == _kept_walk("abc", prefix, depth, kept), prefix
+        assert [w for w, _, _ in walked] == _kept_walk("abc", prefix, depth, kept, heads), prefix
         for w, _, state in walked:
             assert state == _stepped_from_the_empty_word(name, w), w
 
@@ -742,8 +791,8 @@ def _trapezoidal_words(symbols, max_len):
     return [w for w in words_up_to(symbols, max_len) if is_trapezoidal(w)]
 
 
-# ba/12 and cab/8 merge 3 blocks each; abc/10 plans 11 heads of length 4 from PROP2's walk, 3 of
-# which are not trapezoidal, so those blocks are counted below their first word
+# ba/12 and cab/8 leave 2 tasks each after the head run; at abc/10 PROP2's head run reaches 11
+# heads of length 4, counts the subtrees of the 3 that are not trapezoidal itself, and leaves 8
 @pytest.mark.parametrize(
     "symbols,max_len",
     [("ba", 12), ("cab", 8), ("abc", 10), ("ab", 14), ("abc", 8), ("abcd", 6), ("a", 30)],
@@ -772,8 +821,8 @@ def _checked_words(claim, symbols, max_len):
     return [w for w in words if w == w[::-1]] if CLAIMS[claim].palindromes else list(words)
 
 
-# at this cap every bound but a/31 splits into several blocks, and the palindrome walk's halves
-# too; the odd bounds drop the even palindromes of the longest halves
+# at this cap every bound but a/31 leaves several tasks after the head run, and the palindrome
+# walk's halves too; the odd bounds drop the even palindromes of the longest halves
 @pytest.mark.parametrize("claim", [c for c in CLAIMS if c not in PRUNED_TO])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_claims_outside_the_restriction_check_every_word(monkeypatch, claim, workers):
@@ -844,8 +893,8 @@ def _quoting_the_state(w, index, state):
     return repr(state)
 
 
-# at this cap the bounds split into 16 to 129 blocks, and with both routes 7 of them are
-# headed by a word rich by neither, so counted below their first word
+# at this cap the head runs leave 14 to 126 tasks, and with both routes they reach 7 heads
+# rich by neither, whose subtrees they count themselves
 @pytest.mark.parametrize("routes", list(PROP1_ROUTES))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_prop1_checks_exactly_the_words_rich_by_either_route(monkeypatch, routes, workers):
@@ -864,7 +913,7 @@ def test_prop1_checks_exactly_the_words_rich_by_either_route(monkeypatch, routes
 @pytest.mark.parametrize("routes", list(PROP1_ROUTES))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_prop1_steps_the_empty_word_and_the_children_of_rich_words(monkeypatch, routes, workers):
-    # with two workers the pool stand-in maps the same blocks in this process, so the steps
+    # with two workers the pool stand-in maps the same tasks in this process, so the steps
     # are recorded here
     state = _plant_prop1_routes(monkeypatch, routes)
     spec, stepped = theorems.CLAIMS["PROP1"], []
@@ -891,8 +940,8 @@ def test_prop1_steps_the_empty_word_and_the_children_of_rich_words(monkeypatch, 
             for w in words_up_to(symbols, max_len)
             if _is_canonical(w, symbols) and (not w or state(w[:-1]))
         ]
-        # the blocks step again the words the plan's walk stepped, so compare the words, not
-        # the calls
+        # the head run and a task both step each task's head, so compare the words, not the
+        # calls
         assert sorted(set(stepped)) == sorted(expected), symbols
 
 
@@ -951,8 +1000,8 @@ def _index_step_calls(monkeypatch, claim, symbols, max_len):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_profile_equiv_steps_r_and_k_only_where_prop2_walks(monkeypatch, symbols, max_len):
     # below a non-trapezoidal word the index route is settled, not stepped: R and K run only
-    # on the children of trapezoidal words, as PROP2 steps them, call for call (the head
-    # block and the subtree blocks step again the words the plan's walk stepped)
+    # on the children of trapezoidal words, as PROP2 steps them, call for call (the head run
+    # and a task both step each task's head)
     r_calls, k_calls = _index_step_calls(monkeypatch, "PROFILE_EQUIV", symbols, max_len)
     assert r_calls == k_calls == _index_step_calls(monkeypatch, "PROP2", symbols, max_len)[0]
     canonical = [w for w in words_up_to(symbols, max_len) if w and _is_canonical(w, symbols)]
@@ -961,13 +1010,25 @@ def test_profile_equiv_steps_r_and_k_only_where_prop2_walks(monkeypatch, symbols
 
 
 @pytest.mark.parametrize("claim", ["BINARY_TRAP", "PROFILE_EQUIV"])
-def test_blocks_step_r_no_more_than_the_plan_and_the_blocks_walk(monkeypatch, claim):
-    # the 6 467 canonical words at ab/20 whose parents are trapezoidal, and again the words
-    # down to the head length, which the plan's walk and a block both step; blocks that
-    # stepped their heads' ancestors again would make 10 327 calls
+def test_verify_steps_r_once_per_word_and_again_at_most_once_per_task(monkeypatch, claim):
+    # the 6 467 canonical words at ab/20 whose parents are trapezoidal, each once, but for a
+    # task's head, which the head run steps for its state and the task again (6 562 calls
+    # for BINARY_TRAP's 95 tasks, 6 607 for PROFILE_EQUIV's); a second walk over the words
+    # down to the head length would make 6 884, and tasks that stepped their heads'
+    # ancestors again 10 327
+    heads, run_block = [], theorems._run_block
+
+    def recording(task, recorded=None):
+        if recorded is None:  # a task, not the head run
+            heads.append(task[3])
+        return run_block(task, recorded)
+
+    monkeypatch.setattr(theorems, "_run_block", recording)
     r_calls, _ = _index_step_calls(monkeypatch, claim, "ab", 20)
-    assert len(set(r_calls)) == 6467
-    assert len(r_calls) <= 7400
+    steps = collections.Counter(r_calls)
+    assert len(steps) == 6467
+    assert all(n == 1 or (n == 2 and w in heads) for w, n in steps.items())
+    assert len(r_calls) <= 6467 + len(heads)
 
 
 def _stub_tree(lengths):
@@ -1174,7 +1235,7 @@ def _trapezoidal_by_extension(symbols, max_len):
     return found
 
 
-# ab/18 splits into blocks of depth 10 under length-8 prefixes, so each block's tree starts deep
+# ab/18 leaves tasks of depth 10 under length-8 heads, so each task's tree starts deep
 @pytest.mark.parametrize("symbols,max_len", [("ab", 14), ("abc", 8), ("ab", 18)])
 def test_prop2_reads_the_tree_of_each_trapezoidal_word(monkeypatch, symbols, max_len):
     spec, seen = theorems.CLAIMS["PROP2"], []
@@ -1230,7 +1291,7 @@ def _planted(w, index=None, flag=None):
     return None if _scattered(w) else "planted"
 
 
-# ba/10 and cab/6 are one block each; ba/12 and cab/8 merge 5 and 10 blocks
+# ba/10 and cab/6 are one task each; ba/12 and cab/8 merge a head run and 2 tasks each
 @pytest.mark.parametrize("symbols,max_len", [("ba", 10), ("cab", 6), ("ba", 12), ("cab", 8)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_counterexamples_in_length_then_alphabet_order(monkeypatch, symbols, max_len, workers):
