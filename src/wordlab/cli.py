@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=int,
         metavar="K",
-        help="worker processes, at least 1; capped at the CPU count and the number of tasks",
+        help="processes, this one included, at least 1; capped at the CPU and task counts",
     )
     group.add_argument(
         "--sequential",

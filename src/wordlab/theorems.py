@@ -34,9 +34,12 @@ Verify runs the claim's own walk in-process down to a head length,
 checking and counting the words above it, and each head that walk
 reaches with a truthy state becomes one task, started from its parent's
 state with no replay of the head's ancestors; a falsy head is counted
-with its subtree in closed form by that head run.  That fixed plan and
-sorted counterexamples make parallel and sequential verify reports
-identical.
+with its subtree in closed form by that head run.  Over n processes the
+calling one runs every n-th task and forks n - 1 children for the rest
+(_fork), each reading its share from its copy of the caller's memory and
+sending back its results, or its fault, through a one-way pipe.  That
+fixed plan and sorted counterexamples make parallel and sequential verify
+reports identical.
 Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
 before any walk, the alphabet, length and budget of verify, enumerate and
 census by one core.check_walk call; nothing raised inside a walk is caught.
@@ -46,11 +49,13 @@ from __future__ import annotations
 
 import os
 import time
+import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import permutations
 from math import perm
-from multiprocessing import Pool
+from multiprocessing import Pool  # bound here for perfbench, whose tracer and smoke test read it
+from multiprocessing import Pipe, get_context
 
 from .classify import (
     _B_mismatches,
@@ -491,6 +496,26 @@ def _run_block(task: tuple, heads: list | None = None) -> tuple[int, list[tuple[
     return checked, bad
 
 
+def _run_share(tasks: list, sender) -> None:
+    """A forked child's body: send (None, the _run_block result of each task), or (the
+    exception that stopped them, its traceback as text), through sender."""
+    try:
+        sent = None, [_run_block(t) for t in tasks]
+    except Exception as fault:
+        sent = fault, traceback.format_exc()
+    sender.send(sent)
+
+
+def _fork(tasks: list) -> tuple:
+    """(child, reader): a forked child running _run_share on its share of the tasks, which it
+    reads from its copy of this process's memory, and the receiving end of its one-way pipe."""
+    reader, sender = Pipe(duplex=False)
+    child = get_context("fork").Process(target=_run_share, args=(tasks, sender), daemon=True)
+    child.start()
+    sender.close()  # the child then holds the only sending end, so its exit ends the pipe
+    return child, reader
+
+
 def verify_claim(
     claim: str,
     alphabet: str,
@@ -503,13 +528,14 @@ def verify_claim(
     The claim's own walk runs in this process down to a head length, and
     each head it reaches with a truthy state becomes a task, the subtree
     of at most _BLOCK_CAP words below it, started from its parent's state.
-    workers=None or 1 runs the tasks sequentially; higher values fan them
-    out to a process pool of at most min(workers, CPU count, number of
-    tasks) processes.  Either way the report is identical.  Before any
-    walk, raises UsageError for an unknown claim, workers < 1, a bad
-    alphabet, or a negative max_len or budget (core.check_walk), and
-    BudgetExceededError for words longer than core.MAX_WORD_LENGTH or
-    more than `budget` words.
+    The tasks run on n = min(workers, CPU count, number of tasks)
+    processes, this one included: it forks n - 1 children, runs its own
+    share meanwhile, then merges theirs and re-raises a child's fault; no
+    child outlives the call.  workers=None or 1 forks nothing.  Either way
+    the report is identical.  Before any walk, raises UsageError for an
+    unknown claim, workers < 1, a bad alphabet, or a negative max_len or
+    budget (core.check_walk), and BudgetExceededError for words longer
+    than core.MAX_WORD_LENGTH or more than `budget` words.
     """
     if claim not in CLAIMS:
         raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
@@ -530,11 +556,27 @@ def verify_claim(
     results = [_run_block((claim, alphabet, max_len, "", True, walked - depth), heads)]
     tasks = [(claim, alphabet, max_len, head, parent, depth) for head, parent in heads]
     processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
-    if processes > 1:
-        with Pool(processes=processes) as pool:
-            results += pool.map(_run_block, tasks)
-    else:
-        results += [_run_block(t) for t in tasks]
+    children = []  # (child, reader) of each forked share, tasks[j::processes] for j >= 1
+    try:
+        for j in range(1, processes):
+            children.append(_fork(tasks[j::processes]))
+        results += [_run_block(t) for t in tasks[::processes]]
+        for child, reader in children:
+            try:
+                fault, share = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a forked child exited with code {child.exitcode} before sending its results"
+                ) from None
+            if fault is not None:
+                raise fault from RuntimeError(f"raised in a forked child:\n{share}")
+            results += share
+    finally:
+        for child, reader in children:
+            child.terminate()
+            child.join()
+            reader.close()
     bad = [hit for _, hits in results for hit in hits]
     # a failing canonical word stands for its other renamings too: each is checked alone, as a
     # word, not a half, its state and index folded from the empty word's, so its diagnostic

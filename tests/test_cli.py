@@ -296,13 +296,31 @@ def _value_fault(w, index=None, flag=None):
 
 
 def _verify_with_checker(capsys, monkeypatch, checker, mode, field="checker"):
+    # ab/13 leaves 4 tasks, the subtrees under aaa, aab, aba and abb, so --parallel 2 forks
+    # a child, whose share is tasks[1::2], the subtrees under aab and abb
     spec = theorems.CLAIMS["PROP1"]
     monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, **{field: checker}))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     return run_cli(
-        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "11",
+        capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "13",
         "--format", "json", *mode,
     )
+
+
+def _in_a_child(fault):
+    """A checker that calls fault on the words under aab, and only in a forked child."""
+    pid = os.getpid()
+
+    def checker(w, index=None, flag=None):
+        if w.startswith("aab") and os.getpid() != pid:
+            fault()
+        return None
+
+    return checker
+
+
+def _child_fault():
+    raise ValueError("checker fault in a child")
 
 
 @pytest.mark.parametrize("mode", [["--sequential"], ["--parallel", "2"]])
@@ -331,6 +349,34 @@ def test_verify_carried_step_value_error_exit_four(capsys, monkeypatch, mode):
     assert code == 4
     assert out == ""
     assert "ValueError: checker fault" in err
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_fault_in_a_child_exit_four(capsys, monkeypatch):
+    checker = _in_a_child(_child_fault)
+    code, out, err = _verify_with_checker(capsys, monkeypatch, checker, ["--parallel", "2"])
+    assert code == 4
+    assert out == ""
+    assert "ValueError: checker fault in a child" in err
+    assert multiprocessing.active_children() == []
+
+
+def _still_waiting(signum, frame):
+    raise TimeoutError("verify still waits for a child that has exited")
+
+
+def test_verify_child_that_exits_without_sending_is_a_fault(capsys, monkeypatch):
+    checker = _in_a_child(lambda: os._exit(1))
+    previous = signal.signal(signal.SIGALRM, _still_waiting)
+    signal.alarm(10)  # a hang becomes a TimeoutError, which the message check below refuses
+    try:
+        code, out, err = _verify_with_checker(capsys, monkeypatch, checker, ["--parallel", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4
+    assert out == ""
+    assert "RuntimeError: a forked child exited with code 1 before sending its results" in err
     assert multiprocessing.active_children() == []
 
 
@@ -371,7 +417,7 @@ def test_plain_value_error_is_a_fault_in_every_command(capsys, monkeypatch, targ
 
 
 def _slow(w, index=None, flag=None):
-    time.sleep(0.001)  # ab/12 is 8191 words, ~4 s on two workers: finite if nothing stops them
+    time.sleep(0.001)  # ab/12 is 8191 words, ~4 s on two processes: finite if nothing stops them
     return None
 
 
@@ -379,7 +425,7 @@ def test_verify_ctrl_c_propagates_and_leaves_no_children(capsys, monkeypatch):
     spec = theorems.CLAIMS["PROP1"]
     monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, checker=_slow))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
-    pid = os.getpid()  # this process only: the pool's workers get no SIGINT
+    pid = os.getpid()  # this process only: the forked child gets no SIGINT
     timer = threading.Timer(0.5, os.kill, (pid, signal.SIGINT))
     timer.start()
     try:

@@ -2,9 +2,12 @@ import collections
 import dataclasses
 import functools
 import itertools
+import json
 import math
+import multiprocessing
 import sys
 import time
+import types
 
 import pytest
 
@@ -181,44 +184,56 @@ def test_verify_rejects_fewer_than_one_worker(workers):
         verify_claim("PROP1", "ab", 3, workers=workers)
 
 
-class _RecordingPool:
-    """Stand-in for multiprocessing.Pool that maps in-process."""
+def _fork_in_process(monkeypatch):
+    """Stand in for theorems._fork: run each child's share in this process, as _run_share,
+    and hand back what the child would send.  Returns the list of the shares forked."""
+    shares = []
 
-    sizes: list = []
+    def fork(tasks):
+        shares.append(tasks)
+        sent = []
+        theorems._run_share(tasks, types.SimpleNamespace(send=sent.append))
+        child = types.SimpleNamespace(terminate=lambda: None, join=lambda: None)
+        return child, types.SimpleNamespace(recv=sent.pop, close=lambda: None)
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
+    monkeypatch.setattr(theorems, "_fork", fork)
+    return shares
 
 
 @pytest.mark.parametrize(
     "workers,cpus,max_len,expected",
     [
-        (64, 3, 12, [3]),  # capped by the CPU count alone
-        (2, 64, 12, [2]),  # the requested count fits, and caps alone
-        (64, 64, 12, [4]),  # capped by the number of tasks alone
-        (8, None, 12, []),  # unknown CPU count: sequential, no pool
-        (1, 64, 12, []),
+        (64, 3, 12, 3),  # capped by the CPU count alone
+        (2, 64, 12, 2),  # the requested count fits, and caps alone
+        (64, 64, 12, 4),  # capped by the number of tasks alone
+        (8, None, 12, 1),  # unknown CPU count: sequential, nothing forked
+        (1, 64, 12, 1),
     ],
 )
-def test_verify_caps_pool_size(monkeypatch, workers, cpus, max_len, expected):
+def test_verify_caps_the_process_count(monkeypatch, workers, cpus, max_len, expected):
     # at this cap ab/12 runs its head run in this process and 4 tasks, the canonical subtrees
-    # under aaa..abb
+    # under aaa..abb; of n processes, this one runs tasks[::n] and child j tasks[j::n]
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 1024)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(theorems, "Pool", _RecordingPool)
+    shares = _fork_in_process(monkeypatch)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
     report = verify_claim("PROP1", "ab", max_len, workers=workers)
-    assert _RecordingPool.sizes == expected
+    assert 1 + len(shares) == expected
+    assert [len(s) for s in shares] == [len(range(j, 4, expected)) for j in range(1, expected)]
     assert report.to_json_dict() == verify_claim("PROP1", "ab", max_len).to_json_dict()
+
+
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_two_forked_children_report_as_one_process(monkeypatch, claim):
+    # with three CPUs, ab/13 forks two children beside this process, as it leaves 4 tasks, and
+    # abc/8 and ba/12 one, as they leave 2; the palindrome claims' halves fit one task
+    forked, fork = [], theorems._fork
+    monkeypatch.setattr(theorems, "_fork", lambda tasks: forked.append(tasks) or fork(tasks))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    for symbols, max_len in (("ab", 13), ("abc", 8), ("ba", 12)):
+        sequential, parallel = (verify_claim(claim, symbols, max_len, workers=n) for n in (1, 3))
+        assert json.dumps(parallel.to_json_dict()) == json.dumps(sequential.to_json_dict())
+    assert len(forked) == (0 if CLAIMS[claim].palindromes else 4)
+    assert multiprocessing.active_children() == []
 
 
 def _index(spec, w):
@@ -913,7 +928,7 @@ def test_prop1_checks_exactly_the_words_rich_by_either_route(monkeypatch, routes
 @pytest.mark.parametrize("routes", list(PROP1_ROUTES))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_prop1_steps_the_empty_word_and_the_children_of_rich_words(monkeypatch, routes, workers):
-    # with two workers the pool stand-in maps the same tasks in this process, so the steps
+    # with two workers the fork stand-in runs the child's share in this process, so the steps
     # are recorded here
     state = _plant_prop1_routes(monkeypatch, routes)
     spec, stepped = theorems.CLAIMS["PROP1"], []
@@ -929,7 +944,7 @@ def test_prop1_steps_the_empty_word_and_the_children_of_rich_words(monkeypatch, 
         dataclasses.replace(spec, checker=lambda w, index, state: None, step=step),
     )
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
-    monkeypatch.setattr(theorems, "Pool", _RecordingPool)
+    _fork_in_process(monkeypatch)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     for symbols, max_len in PROP1_BOUNDS:
         stepped.clear()
