@@ -15,7 +15,7 @@ keep their own direct scans, so the claims that compare them with the
 profiles compare independent algorithms.  A walk of the word tree steps
 them from the parent's values (_r_index_step, _k_index_step and
 _minimal_period_from).
-The naive set-based C and P live in wordlab.oracle.
+The naive set-based C and P are test references, in tests/oracle.py.
 
 The records here are NamedTuples, not frozen dataclasses: each class is
 built when the module is imported, and a frozen dataclass costs about
@@ -245,7 +245,9 @@ def _k_index_step(w: str, k: int) -> int:
 def minimal_period(w: str) -> int:
     """Smallest p >= 1 with w[i] == w[i+p] wherever both sides are defined.
 
-    Direct shift-and-compare scan; equals |w| - |oracle.longest_border(w)|.
+    Direct shift-and-compare scan; equals |w| minus the length of the
+    longest border of w (a word that is both a proper prefix and a proper
+    suffix).
     """
     if not w:
         raise ValueError("period undefined for the empty word")

@@ -89,27 +89,21 @@ def is_palindrome(w: str) -> bool:
     return w == w[::-1]
 
 
-def occurrences(w: str, u: str) -> list[int]:
-    """All start positions of u inside w, ascending, overlaps included."""
-    if not u:
-        raise ValueError("empty pattern")
-    out: list[int] = []
-    i = w.find(u)
-    while i != -1:
-        out.append(i)
-        i = w.find(u, i + 1)
-    return out
-
-
 def complete_returns(w: str, u: str) -> set[str]:
     """Factors of w that start and end with u and contain u exactly twice.
 
     One return per pair of consecutive occurrences of u; occurrences may
     overlap, so the two copies of u inside a return may share positions
-    (complete_returns("aaa", "aa") == {"aaa"}).
+    (complete_returns("aaa", "aa") == {"aaa"}).  An empty u raises ValueError.
     """
-    occ = occurrences(w, u)
-    return {w[i : j + len(u)] for i, j in zip(occ, occ[1:])}
+    if not u:
+        raise ValueError("empty pattern")
+    out: set[str] = set()
+    i = w.find(u)
+    while i != -1 and (j := w.find(u, i + 1)) != -1:
+        out.add(w[i : j + len(u)])
+        i = j
+    return out
 
 
 def palindromic_factors(w: str) -> set[str]:

@@ -12,8 +12,9 @@ word: the count behind richness, the palindromic complexity P(n), the
 factor list that analyze reports, the unbalance witness read off it and
 census's balance flag (new_palindrome_unbalances, which names no
 letter).  The test suite checks it against the naive set-based
-wordlab.oracle, and the PAL_BOUND and PROP1 claims against the one
-string search over palindromic suffixes, core._palindromic_suffixes.
+references in tests/oracle.py, and the PAL_BOUND and PROP1 claims
+against the one string search over palindromic suffixes,
+core._palindromic_suffixes.
 """
 
 from __future__ import annotations

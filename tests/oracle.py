@@ -1,13 +1,15 @@
-"""Product-loop word enumeration and naive set-based profiles,
-palindromic factors, right special factors, borders and the theta test:
-the reference for the test suite, so obviously correct.
+"""Naive references for the test suite, so obviously correct: product-loop
+word enumeration, set-based profiles and palindromic factors, occurrences,
+right special factors, borders, the theta test, richness by its definition,
+and a fixed list of structured words.
 
 The word-tree walk, the suffix-automaton C(n) and the palindromic-tree
 P(n) in wordlab.complexity, the palindromic tree itself, the
 palindromic-suffix scan core._palindromic_suffixes and its folds
 core.palindromic_factors and classify.is_rich_by_returns, and the R, K
-and period scans are checked against it.  Nothing in the package
-imports this module.
+and period scans are checked against it.  It sits beside the tests, not
+in the package: pytest puts this directory on sys.path, so a test module
+reads it with `import oracle`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-from .core import check_alphabet
+from wordlab.core import check_alphabet, complete_returns, is_palindrome
+from wordlab.generate import lower_christoffel
 
 
 def all_words(alphabet: str, n: int) -> Iterator[str]:
@@ -73,6 +76,13 @@ def palindromic_factors(w: str) -> set[str]:
     return out
 
 
+def occurrences(w: str, u: str) -> list[int]:
+    """All start positions of u inside w, ascending, overlaps included."""
+    if not u:
+        raise ValueError("empty pattern")
+    return [i for i in range(len(w)) if w.startswith(u, i)]
+
+
 def right_special_factors(w: str, n: int) -> set[str]:
     """Length-n factors of w that extend to the right by two or more symbols."""
     if n > len(w):
@@ -110,3 +120,27 @@ def theta_palindrome_check(values: Sequence[int]) -> bool:
     if any(v not in (0, 1, 2) for v in values):
         raise ValueError("profile not over {0,1,2}")
     return list(values) == [THETA[v] for v in reversed(values)]
+
+
+def rich_by_definition(w: str) -> bool:
+    """Every complete return to every non-empty palindromic factor is a palindrome."""
+    return all(
+        is_palindrome(ret) for u in palindromic_factors(w) if u for ret in complete_returns(w, u)
+    )
+
+
+def flip(w: str, j: int) -> str:
+    """w with its binary letter at j swapped."""
+    return w[:j] + ("b" if w[j] == "a" else "a") + w[j + 1 :]
+
+
+def structured_words() -> list[str]:
+    """a^N, overlapping returns like "aa" in "aaa", and length-300 windows of
+    Christoffel words (rich), each also with its first, middle and last
+    letter flipped (mostly not rich, with long returns)."""
+    words = ["aa", "aaa", "aaaa", "abaab", "aabbaa", "abcab", "a" * 300, "a" * 299 + "b"]
+    for p, q in ((1, 299), (144, 233), (113, 300), (201, 302)):
+        c = lower_christoffel(p, q)
+        window = c[-300:]
+        words += [window, *(flip(window, j) for j in (0, 150, 299))]
+    return words

@@ -6,6 +6,7 @@ failures surface the line in the captured output either way).  All
 identities here are exact integer checks, so no tolerances apply.
 """
 
+import itertools
 import json
 import math
 import random
@@ -26,7 +27,8 @@ from wordlab.core import is_palindrome
 from wordlab.generate import random_words
 from wordlab.palindromes import index_count_palindromes
 from wordlab.cli import main as cli_main
-from wordlab.oracle import (
+
+from oracle import (
     all_words,
     longest_border,
     palindromic_complexity,
@@ -267,17 +269,36 @@ BINARY_RICH = [2, 4, 8, 16, 32, 64, 128, 252, 488, 932, 1756, 3246, 5916]
 def test_criterion_14_census_closed_forms():
     failures = []
     table = census("ab", 16)
-    for n, got in zip(table.lengths, table.counts["balanced"]):
-        phi = [sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1) for k in range(n + 1)]
-        expected = 1 + sum((n - k + 1) * phi[k] for k in range(1, n + 1))
-        if got != expected:
-            failures.append(("balanced", n, got, expected))
+    phi = [sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1) for k in range(17)]
+    big_phi = list(itertools.accumulate(phi))  # big_phi[j] = phi(1) + ... + phi(j)
+
+    def balanced(n):
+        return 1 + sum((n - k + 1) * phi[k] for k in range(1, n + 1))
+
+    def sturmian_palindromes(n):  # A. de Luca & A. De Luca 2006
+        return 1 + sum(phi[n - 2 * j] for j in range((n + 1) // 2))
+
+    def trapezoidal(n):  # observed, not cited: fitted to n <= 20, held to n = 50
+        return balanced(n) + 2 * sum(big_phi[m // 2] - 1 for m in range(2, n + 1))
+
+    closed_forms = {
+        "balanced": balanced,
+        "sturmian_palindrome": sturmian_palindromes,
+        "condition_B_prime": sturmian_palindromes,
+        "trapezoidal": trapezoidal,
+    }
+    for column, closed_form in closed_forms.items():
+        for n, got in zip(table.lengths, table.counts[column]):
+            if got != closed_form(n):
+                failures.append((column, n, got, closed_form(n)))
     rich = table.counts["rich"][: len(BINARY_RICH)]
     if rich != BINARY_RICH:
         failures.append(("rich", rich))
     report(
         14,
-        "binary census: balanced = 1 + sum (n-k+1) phi(k) to n=16, rich = A216264 to n=13",
+        "binary census to n=16: balanced = 1 + sum (n-k+1) phi(k); Sturmian palindromes "
+        "and B' = 1 + sum_{j<ceil(n/2)} phi(n-2j) (de Luca & De Luca 2006); trapezoidal "
+        "= balanced + 2 sum_{m=2..n} (Phi(m//2) - 1) (observed); rich = A216264 to n=13",
         failures,
     )
 
@@ -293,4 +314,23 @@ def test_criterion_15_trapezoidal_words_are_closed_under_factors():
         "binary <=18 and ternary <=11",
         binary.counterexamples + ternary.counterexamples,
         f"{binary.words_checked + ternary.words_checked} words",
+    )
+
+
+def test_criterion_16_semicentral_words_are_trapezoidal():
+    # Bucci, De Luca & Fici 2013: u x y u with u central and x != y is an (open) trapezoidal word
+    words = [
+        u + xy + u
+        for total in range(2, 63)
+        for p in range(1, total)
+        if math.gcd(p, total) == 1
+        for u in [central_word(p, total - p)]
+        for xy in ("ab", "ba")
+    ]
+    report(
+        16,
+        "every semicentral word u x y u, u = central_word(p, q), p + q <= 62, x != y, "
+        "is trapezoidal",
+        [w for w in words if not is_trapezoidal(w)],
+        f"{len(words)} words",
     )

@@ -19,8 +19,9 @@ from wordlab.classify import (
 )
 from wordlab.core import is_palindrome
 from wordlab.generate import lower_christoffel
-from wordlab import oracle
-from wordlab.oracle import (
+
+import oracle
+from oracle import (
     palindromic_complexity,
     palindromic_factors,
     theta_palindrome_check,

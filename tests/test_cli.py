@@ -19,7 +19,8 @@ from wordlab import cli, sturmian_corpus, theorems, verify_claim
 from wordlab.classify import is_balanced
 from wordlab.cli import analyze_payload, main
 from wordlab.core import DEFAULT_BUDGET, MAX_WORD_LENGTH, UsageError, check_alphabet
-from wordlab.oracle import words_up_to
+
+from oracle import words_up_to
 
 
 def run_cli(capsys, *argv):

@@ -15,15 +15,15 @@ from wordlab.complexity import (
     structural_indices,
 )
 from wordlab.generate import lower_christoffel, random_words
-from wordlab.oracle import (
+
+from oracle import (
     all_words,
     longest_border,
     palindromic_factors,
     right_special_factors,
+    structured_words,
     words_up_to,
 )
-
-from test_palindrome_scan import structured_words
 
 binary_words = st.text(alphabet="ab", max_size=40)
 

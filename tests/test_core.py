@@ -8,11 +8,11 @@ from wordlab.core import (
     check_alphabet,
     complete_returns,
     is_palindrome,
-    occurrences,
     palindromic_factors,
 )
-from wordlab.oracle import longest_border, words_up_to
 from wordlab.theorems import find_class_members
+
+from oracle import longest_border, occurrences, words_up_to
 
 binary_words = st.text(alphabet="ab", max_size=30)
 

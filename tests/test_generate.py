@@ -16,7 +16,8 @@ from wordlab import generate
 from wordlab.classify import is_finite_sturmian, is_rich_by_count
 from wordlab.core import BudgetExceededError, is_palindrome
 from wordlab.generate import random_words
-from wordlab.oracle import words_up_to
+
+from oracle import words_up_to
 
 
 @pytest.mark.parametrize(

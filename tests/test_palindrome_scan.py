@@ -25,21 +25,17 @@ from wordlab.classify import (
     is_rich_by_returns,
     unbalance_witness,
 )
-from wordlab.core import _palindromic_suffixes, complete_returns, is_palindrome, palindromic_factors
-from wordlab.generate import lower_christoffel
-from wordlab import oracle
-from wordlab.oracle import words_up_to
+from wordlab.core import _palindromic_suffixes, is_palindrome, palindromic_factors
 from wordlab.theorems import verify_claim
+
+import oracle
+from oracle import rich_by_definition, structured_words, words_up_to
 
 
 def palindromic_closure(u: str) -> str:
     """Shortest palindrome with prefix u."""
     k = next(k for k in range(len(u) + 1) if is_palindrome(u[k:]))
     return u + u[:k][::-1]
-
-
-def flip(w: str, j: int) -> str:
-    return w[:j] + ("b" if w[j] == "a" else "a") + w[j + 1 :]
 
 
 @st.composite
@@ -63,30 +59,8 @@ def words_with_long_returns(draw, max_len=300):
     return w
 
 
-def structured_words() -> list[str]:
-    """a^N, overlapping returns like "aa" in "aaa", and length-300 windows of
-    Christoffel words (rich), each also with its first, middle and last
-    letter flipped (mostly not rich, with long returns)."""
-    words = ["aa", "aaa", "aaaa", "abaab", "aabbaa", "abcab", "a" * 300, "a" * 299 + "b"]
-    for p, q in ((1, 299), (144, 233), (113, 300), (201, 302)):
-        c = lower_christoffel(p, q)
-        window = c[-300:]
-        words += [window, *(flip(window, j) for j in (0, 150, 299))]
-    return words
-
-
 def exhaustive_words() -> list[str]:
     return [*words_up_to("ab", 12), *words_up_to("abc", 8)]
-
-
-def rich_by_definition(w: str) -> bool:
-    """Every complete return to every non-empty palindromic factor is a palindrome."""
-    return all(
-        is_palindrome(ret)
-        for u in oracle.palindromic_factors(w)
-        if u
-        for ret in complete_returns(w, u)
-    )
 
 
 def scan_by_definition(w: str) -> tuple[list[str], int]:

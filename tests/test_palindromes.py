@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from wordlab import PalindromeIndex
 from wordlab.classify import is_finite_sturmian
-from wordlab.oracle import palindromic_factors, words_up_to
 from wordlab.generate import random_words
 from wordlab.palindromes import index_count_palindromes
+
+from oracle import palindromic_factors, words_up_to
 
 words = st.text(alphabet="abc", max_size=60)
 

@@ -26,10 +26,9 @@ from wordlab.classify import (
     unbalance_witness,
 )
 from wordlab.complexity import _k_index_step, _r_index_step, k_index, minimal_period, r_index
-from wordlab.oracle import words_up_to
 from wordlab.theorems import _profile_step, _r_and_k_step, _trapezoidal_step
 
-from test_palindrome_scan import structured_words
+from oracle import structured_words, words_up_to
 
 
 def refuse(monkeypatch, name: str, modules: tuple[str, ...]) -> None:

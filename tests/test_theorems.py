@@ -11,7 +11,7 @@ import types
 
 import pytest
 
-from wordlab import oracle, theorems
+from wordlab import theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
 from wordlab.classify import is_finite_sturmian, is_trapezoidal
 from wordlab.complexity import (
@@ -25,10 +25,10 @@ from wordlab.complexity import (
 from wordlab.core import DEFAULT_BUDGET, MAX_WORD_LENGTH, BudgetExceededError, UsageError
 from wordlab.core import word_count
 from wordlab.generate import lower_christoffel, random_words
-from wordlab.oracle import words_up_to
 from wordlab.theorems import CENSUS_CLASSES, PREDICATES
 
-from test_palindrome_scan import rich_by_definition
+import oracle
+from oracle import rich_by_definition, words_up_to
 
 
 def _is_canonical(w, symbols):
