@@ -5,7 +5,8 @@ length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk (_walk) serves verify, enumerate and census.  Claims and
 classes are defined by symbol equality, so a word and its letter renamings
 agree: the walk visits one canonical word per renaming class, weighted by
-its renamings, and verify checks each other renaming of a failing one alone.
+its renamings, and the block that walks a failing one checks each of its
+other renamings alone, with the state the walk carried.
 Census, PROP1 and PROP2 read the PalindromeIndex the walk carries,
 PROFILE_EQUIV a SuffixAutomaton.  The walk also steps a state from each
 word to its children, by one form of step, step(w, index, parent), given
@@ -29,7 +30,9 @@ Only TRAP_CLOSED steps R and K on every word, and PERIOD_INEQ R alone;
 TRAP_CLOSED guards every other claim that reads them.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
-by the same walk (_palindromes), and count the other words in closed form.
+by the same walk (_palindromes) and standing for every word of its length
+whose right half is a renaming of its own.  So every block counts every
+word it stands for, and verify's count is the sum of the blocks'.
 Verify runs the claim's own walk in-process down to a head length,
 checking and counting the words above it, and each head that walk
 reaches with a truthy state becomes one task, started from its parent's
@@ -251,7 +254,8 @@ class ClaimSpec:
 
     A claim with palindromes set (THM_FGC, THM_MAIN) is checked on the
     palindromes alone: its checker passes every other word before reading
-    it, so verify counts those instead of walking them.  The walk's words
+    it, so each palindrome stands for, and counts, every word of its
+    length whose right half is a renaming of its own.  The walk's words
     are then right halves, not the words checked, so such a claim carries
     neither index nor step; THM_FGC builds its tree and D per palindrome.
 
@@ -455,14 +459,17 @@ def _palindromes(symbols: str, halves, max_len: int):
 
     h is p's right half read from the centre: p is h[:0:-1] + h (odd, h nonempty) or
     h[::-1] + h (even), and xpx has the half hx.  So the canonical halves up to
-    ceil(max_len / 2) give each canonical palindrome once, and p, with h's letters,
-    carries h's weight.
+    ceil(max_len / 2) give each canonical palindrome once.  p stands for every word of
+    its length whose last ceil(|p| / 2) symbols are a renaming of h, the one palindrome
+    among them, which the checker reads for all: weight is h's, its renamings, times
+    k^floor(|p| / 2), so the palindromes of each length n stand for all k^n words.
     """
     for h, weight, _ in halves:
         for p in (h[:0:-1] + h, h[::-1] + h) if h else ("",):
             if len(p) <= max_len:
                 used = "".join(dict.fromkeys(p))
-                yield p.translate(str.maketrans(used, symbols[: len(used)])), weight, None
+                renamed = p.translate(str.maketrans(used, symbols[: len(used)]))
+                yield renamed, weight * len(symbols) ** (len(p) // 2), None
 
 
 def _run_block(task: tuple, heads: list | None = None) -> tuple[int, list[tuple[str, str]]]:
@@ -473,8 +480,11 @@ def _run_block(task: tuple, heads: list | None = None) -> tuple[int, list[tuple[
     handing heads to _walk: verify's head run passes a list and leaves the heads recorded
     there to one task each.  A falsy state's subtree is counted in closed form down to
     max_len, so a falsy word at the head run's limit stands for its subtree too.  With
-    palindromes, the block's words are right halves, and it checks the palindromes up to
-    max_len that they give.
+    palindromes, the block's words are right halves, and it checks and counts the
+    palindromes up to max_len that they give, each for the words that _palindromes
+    weighs it by.  A failing word stands for its other renamings too: each is checked
+    on its own, with the state the walk carried (no step tells a word from its renamings)
+    and an index built for it, so its diagnostic is its own.
     """
     claim, symbols, max_len, prefix, parent, depth = task
     spec = CLAIMS[claim]
@@ -493,6 +503,9 @@ def _run_block(task: tuple, heads: list | None = None) -> tuple[int, list[tuple[
             checked += weight * below[max_len - len(w)]
         elif (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
+            for v in _renamings(w, symbols)[1:]:
+                if (diag := checker(v, spec.index and spec.index(v), state)) is not None:
+                    bad.append((v, diag))
     return checked, bad
 
 
@@ -531,11 +544,13 @@ def verify_claim(
     The tasks run on n = min(workers, CPU count, number of tasks)
     processes, this one included: it forks n - 1 children, runs its own
     share meanwhile, then merges theirs and re-raises a child's fault; no
-    child outlives the call.  workers=None or 1 forks nothing.  Either way
-    the report is identical.  Before any walk, raises UsageError for an
-    unknown claim, workers < 1, a bad alphabet, or a negative max_len or
-    budget (core.check_walk), and BudgetExceededError for words longer
-    than core.MAX_WORD_LENGTH or more than `budget` words.
+    child outlives the call.  Each block checks and counts every word it
+    stands for, so words_checked and the counterexamples are the blocks'
+    merged.  workers=None or 1 forks nothing.  Either way the report is
+    identical.  Before any walk, raises UsageError for an unknown claim,
+    workers < 1, a bad alphabet, or a negative max_len or budget
+    (core.check_walk), and BudgetExceededError for words longer than
+    core.MAX_WORD_LENGTH or more than `budget` words.
     """
     if claim not in CLAIMS:
         raise UsageError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
@@ -543,11 +558,9 @@ def verify_claim(
         raise UsageError(f"workers must be at least 1, got {workers}")
     check_walk("max_len", max_len, alphabet, budget)
     started = time.perf_counter()
-    k, spec = len(alphabet), CLAIMS[claim]
-    # a palindrome claim walks the right halves, ceil(max_len / 2) long, and passes the
-    # k^n - k^ceil(n/2) other words of each length unread
-    walked = (max_len + 1) // 2 if spec.palindromes else max_len
-    rest = sum(k**n - k ** ((n + 1) // 2) for n in range(max_len + 1)) if spec.palindromes else 0
+    k = len(alphabet)
+    # a palindrome claim walks the right halves, ceil(max_len / 2) long
+    walked = (max_len + 1) // 2 if CLAIMS[claim].palindromes else max_len
     depth, size = 0, 1  # the deepest subtree under the cap, and its word count
     while depth < walked and size + k ** (depth + 1) <= _BLOCK_CAP:
         depth += 1
@@ -578,22 +591,12 @@ def verify_claim(
             child.join()
             reader.close()
     bad = [hit for _, hits in results for hit in hits]
-    # a failing canonical word stands for its other renamings too: each is checked alone, as a
-    # word, not a half, its state and index folded from the empty word's, so its diagnostic
-    # is its own; this is the only step of a state outside _walk
-    for v in [v for w, _ in bad for v in _renamings(w, alphabet)[1:]]:
-        state = True  # the empty word's parent state
-        for n in range(len(v) + 1):
-            index = spec.index and spec.index(v[:n])
-            state = spec.step and state and spec.step(v[:n], index, state)
-        if (state or not spec.step) and (diag := spec.checker(v, index, state)) is not None:
-            bad.append((v, diag))
     order = _alphabet_order(alphabet)
     return VerificationReport(
         claim=claim,
         alphabet=alphabet,
         max_len=max_len,
-        words_checked=rest + sum(c for c, _ in results),
+        words_checked=sum(c for c, _ in results),
         counterexamples=sorted(bad, key=lambda hit: order(hit[0])),
         elapsed_seconds=time.perf_counter() - started,
     )

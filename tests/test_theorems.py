@@ -572,9 +572,12 @@ def test_every_word_carries_the_state_and_verdict_of_its_canonical_form(name, sy
         assert state_and_verdict == seen[_canonical_form(w, symbols)], (name, w)
 
 
+# the odd bounds drop the even palindrome of each longest half, so the palindrome claims'
+# weights are tested at the edge
 @pytest.mark.parametrize("claim", list(CLAIMS))
 def test_words_checked_is_the_full_count(claim):
-    for symbols, max_len in (("ab", 12), ("abc", 8), ("abcd", 6), ("ba", 12), ("a", 30)):
+    bounds = (("ab", 12), ("abc", 8), ("abcd", 6), ("ba", 12), ("a", 30), ("ab", 13), ("abc", 7))
+    for symbols, max_len in bounds:
         report = verify_claim(claim, symbols, max_len)
         assert report.words_checked == word_count(len(symbols), max_len), (symbols, max_len)
 
@@ -673,7 +676,9 @@ def _palindrome_walk(monkeypatch, symbols, max_len):
 def test_palindrome_walk_yields_each_palindrome_once(monkeypatch, symbols, max_len):
     walked = _palindrome_walk(monkeypatch, symbols, max_len)
     assert all(_is_canonical(p, symbols) for p, _, _ in walked)
-    assert all(weight == _weight(p, symbols) for p, weight, _ in walked)
+    # p stands for the words of its length that end in a renaming of its right half
+    k = len(symbols)
+    assert all(weight == _weight(p, symbols) * k ** (len(p) // 2) for p, weight, _ in walked)
     renamings = [v for p, _, _ in walked for v in theorems._renamings(p, symbols)]
     assert sorted(renamings) == sorted(w for w in words_up_to(symbols, max_len) if w == w[::-1])
 
@@ -682,12 +687,13 @@ def test_palindrome_walk_yields_each_palindrome_once(monkeypatch, symbols, max_l
 @pytest.mark.parametrize(
     "symbols,max_len", [("ab", 24), ("ab", 25), ("abc", 15), ("abcd", 10), ("a", 40)]
 )
-def test_palindrome_walk_weights_count_the_palindromes(monkeypatch, symbols, max_len):
-    # a palindrome of length n is fixed by its last ceil(n/2) symbols
+def test_palindrome_walk_weights_count_every_word(monkeypatch, symbols, max_len):
+    # a word of length n has one right half, its last ceil(n/2) symbols, and so one
+    # palindrome of its length with that half: the palindromes partition the words
     per_length = [0] * (max_len + 1)
     for p, weight, _ in _palindrome_walk(monkeypatch, symbols, max_len):
         per_length[len(p)] += weight
-    assert per_length == [len(symbols) ** ((n + 1) // 2) for n in range(max_len + 1)]
+    assert per_length == [len(symbols) ** n for n in range(max_len + 1)]
 
 
 @pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if spec.palindromes])
@@ -1046,6 +1052,32 @@ def test_verify_steps_r_once_per_word_and_again_at_most_once_per_task(monkeypatc
     assert len(r_calls) <= 6467 + len(heads)
 
 
+@pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if spec.step])
+def test_a_failing_word_and_its_renamings_are_stepped_only_by_the_walk(monkeypatch, claim):
+    # every checked word fails, so every renaming of each is reported; each renaming is checked
+    # with the state the walk carried to its canonical form, not stepped again, so the steps
+    # are the walk's: each canonical word once, but for a task's head, which the head run
+    # steps for its state and the task again
+    spec, stepped, tasks, run_block = CLAIMS[claim], [], [], theorems._run_block
+
+    def step(w, index, parent):
+        stepped.append(w)
+        return spec.step(w, index, parent)
+
+    def recording(task, heads=None):
+        if heads is None:  # a task, not the head run
+            tasks.append(task)
+        return run_block(task, heads)
+
+    failing = dataclasses.replace(spec, checker=lambda w, index, state: f"at {w!r}", step=step)
+    monkeypatch.setitem(theorems.CLAIMS, claim, failing)
+    monkeypatch.setattr(theorems, "_run_block", recording)
+    report = verify_claim(claim, "abc", 6)
+    assert report.counterexamples == [(w, f"at {w!r}") for w in _checked_words(claim, "abc", 6)]
+    assert all(_is_canonical(w, "abc") for w in stepped)
+    assert len(stepped) <= len(set(stepped)) + len(tasks)
+
+
 def _stub_tree(lengths):
     class StubTree:
         """A palindromic tree that reports the given node lengths, empty word included."""
@@ -1139,10 +1171,90 @@ def _every_word_trapezoidal(monkeypatch):
     return diagnostic
 
 
+def _every_return_a_palindrome(monkeypatch):
+    # every word is then rich by returns, so nothing is pruned, and each word that is not
+    # rich by count is reported
+    monkeypatch.setattr(theorems, "_end_returns_are_palindromes", lambda w: True)
+
+    def diagnostic(w):
+        return None if rich_by_definition(w) else "rich by count=False, rich by returns=True"
+
+    return diagnostic
+
+
+def _new_palindromes_counted_twice(monkeypatch):
+    # the count of P distinct palindromic factors, the empty word included, reads 2P - 1
+    original = theorems._palindromic_suffixes
+
+    def twice(w):
+        new, prev = original(w)
+        return new + new, prev
+
+    monkeypatch.setattr(theorems, "_palindromic_suffixes", twice)
+
+    def diagnostic(w):
+        count = 2 * len(oracle.palindromic_factors(w)) - 1
+        bound = len(w) + 1
+        return f"{count} distinct palindromic factors, bound is {bound}" if count > bound else None
+
+    return diagnostic
+
+
+def _first_difference_one_high(monkeypatch):
+    # for L letters the coupling at n = 0 reads 1 + L = (L - 1) + 2 on every word, so it now
+    # fails on every nonempty palindrome: each rich one is reported there, and no other
+    class OneHigh(SuffixAutomaton):
+        def __init__(self, w=""):
+            super().__init__(w)
+            if w:
+                self.difference[0] += 1
+
+    monkeypatch.setattr(theorems, "SuffixAutomaton", OneHigh)
+
+    def diagnostic(w):
+        if not w or w != w[::-1] or not rich_by_definition(w):
+            return None
+        lhs = 1 + len(set(w))
+        return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=0: {lhs} != {lhs + 1}"
+
+    return diagnostic
+
+
+def _no_run_decomposition(monkeypatch):
+    # the profile route calls every word non-trapezoidal, so each nonempty trapezoidal word
+    # is reported
+    monkeypatch.setattr(theorems, "_run_decomposition", lambda d: None)
+
+    def diagnostic(w):
+        runs = "index trapezoidal=True, difference-profile runs=None"
+        return runs if w and is_trapezoidal(w) else None
+
+    return diagnostic
+
+
+def _k_one_high_at_length_six(monkeypatch):
+    # some words below a non-trapezoidal one are lifted to |w| = R + K (see
+    # test_trap_closed_guards_the_settled_route_of_profile_equiv)
+    k_step = theorems._k_index_step
+    monkeypatch.setattr(theorems, "_k_index_step", lambda w, k: k_step(w, k) + (len(w) == 6))
+
+    def diagnostic(w):
+        # each word on its own, its state stepped along its prefixes by the planted kernel
+        state = _stepped_from_the_empty_word("TRAP_CLOSED", w)
+        return theorems._check_trap_closed(w, None, state)
+
+    return diagnostic
+
+
 # claim -> a plant in the kernel its checker or step reads, returning the diagnostic each word
 # must then get (None for none), and the exact text of some of them
 PLANTED_FAULTS = {
+    "PROP1": (_every_return_a_palindrome, {"acba": "rich by count=False, rich by returns=True"}),
     "PROP2": (_one_palindrome_short, {"ab": "trapezoidal but not rich"}),
+    "THM_FGC": (
+        _first_difference_one_high,
+        {"bab": "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=0: 3 != 4"},
+    ),
     "THM_MAIN": (
         _trapezoidal_verdict_flipped,
         {
@@ -1151,6 +1263,10 @@ PLANTED_FAULTS = {
             "aabbaa": "sturmian palindrome=False, symmetric P-profile=False, "
             "trapezoidal palindrome=True",
         },
+    ),
+    "PAL_BOUND": (
+        _new_palindromes_counted_twice,
+        {"ba": "5 distinct palindromic factors, bound is 3"},
     ),
     "PERIOD_INEQ": (
         _periods_one_short,
@@ -1161,6 +1277,17 @@ PLANTED_FAULTS = {
         {
             "abc": "trapezoidal word over 3 distinct symbols",
             "abcd": "trapezoidal word over 4 distinct symbols",
+        },
+    ),
+    "PROFILE_EQUIV": (
+        _no_run_decomposition,
+        {"ba": "index trapezoidal=True, difference-profile runs=None"},
+    ),
+    "TRAP_CLOSED": (
+        _k_one_high_at_length_six,
+        {  # a renaming quotes its own w[1:], not its canonical form's
+            "abaabb": "trapezoidal, but w[1:] = 'baabb' is not",
+            "babbaa": "trapezoidal, but w[1:] = 'abbaa' is not",
         },
     ),
 }
@@ -1195,7 +1322,8 @@ def _refused(name):
 
 
 def _settle_non_palindromes(check, symbols, max_len):
-    # verify counts these words instead of walking them, because the checker passes each
+    # the palindrome of each one's length and right half stands for it, unwalked, because
+    # the checker passes each
     settled = 0
     for w in words_up_to(symbols, max_len):
         if w != w[::-1]:
@@ -1283,10 +1411,9 @@ def test_trap_closed_guards_the_settled_route_of_profile_equiv(monkeypatch):
     claim now guards PROFILE_EQUIV's settled route as it guards PROP2's and BINARY_TRAP's
     pruning: steps that lift a word below a non-trapezoidal one back to |w| = R + K, which
     the settled route would never see, must show in TRAP_CLOSED's report."""
-    k_step = theorems._k_index_step
     # one too many at length 6 passes the words with R + K = 5 for trapezoidal, such as
     # aabbaa, below aabba, which is not
-    monkeypatch.setattr(theorems, "_k_index_step", lambda w, k: k_step(w, k) + (len(w) == 6))
+    _k_one_high_at_length_six(monkeypatch)
     rk = {"": (0, 0)}
     for w in list(words_up_to("ab", 8))[1:]:  # shortest first, so each parent comes first
         rk[w] = theorems._r_and_k_step(w, None, rk[w[:-1]])
