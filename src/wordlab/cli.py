@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=int,
         metavar="K",
-        help="processes, this one included, at least 1; capped at the CPU and task counts",
+        help="processes, this one included, at least 1; capped at the CPU and head counts",
     )
     group.add_argument(
         "--sequential",

@@ -5,7 +5,7 @@ length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk (_walk) serves verify, enumerate and census.  Claims and
 classes are defined by symbol equality, so a word and its letter renamings
 agree: the walk visits one canonical word per renaming class, weighted by
-its renamings, and the block that walks a failing one checks each of its
+its renamings, and the share that walks a failing one checks each of its
 other renamings alone, with the state the walk carried.
 Census, PROP1 and PROP2 read the PalindromeIndex the walk carries,
 PROFILE_EQUIV a SuffixAutomaton.  The walk also steps a state from each
@@ -31,18 +31,17 @@ TRAP_CLOSED guards every other claim that reads them.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
 by the same walk (_palindromes) and standing for every word of its length
-whose right half is a renaming of its own.  So every block counts every
-word it stands for, and verify's count is the sum of the blocks'.
-Verify runs the claim's own walk in-process down to a head length,
-checking and counting the words above it, and each head that walk
-reaches with a truthy state becomes one task, started from its parent's
-state with no replay of the head's ancestors; a falsy head is counted
-with its subtree in closed form by that head run.  Over n processes the
-calling one runs every n-th task and forks n - 1 children for the rest
-(_fork), each reading its share from its copy of the caller's memory and
-sending back its results, or its fault, through a one-way pipe.  That
-fixed plan and sorted counterexamples make parallel and sequential verify
-reports identical.
+whose right half is a renaming of its own.  So every share counts every
+word it stands for, and verify's count is the sum of the shares'.
+Verify runs the claim's walk from the empty word, with a fresh index, in each
+of n processes: the calling one and n - 1 children it forks before walking
+(_fork), each child sending back its results, or its fault, through a
+one-way pipe.  Every walk reaches the same words of one head length with a
+truthy state, in the same order, and deals them, the i-th to process
+i mod n: process j walks and checks only the subtrees dealt to it, and
+process 0 also the words above the head length and the falsy heads, whose
+subtrees it counts in closed form.  That deal and sorted counterexamples
+make parallel and sequential verify reports identical.
 Bad arguments, and words longer than core.MAX_WORD_LENGTH, are refused
 before any walk, the alphabet, length and budget of verify, enumerate and
 census by one core.check_walk call; nothing raised inside a walk is caught.
@@ -55,10 +54,10 @@ import time
 import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, cycle, permutations
 from math import perm
 from multiprocessing import Pool  # bound here for perfbench, whose tracer and smoke test read it
-from multiprocessing import Pipe, get_context
+from multiprocessing import Pipe, get_all_start_methods, get_context
 
 from .classify import (
     _B_mismatches,
@@ -85,7 +84,7 @@ from .core import DEFAULT_BUDGET, SCHEMA_VERSION, UsageError, check_walk
 from .core import _palindromic_suffixes
 from .palindromes import PalindromeIndex
 
-_BLOCK_CAP = 2048  # max words enumerated per task
+_BLOCK_CAP = 2048  # max words in a dealt subtree
 Undoable = PalindromeIndex | SuffixAutomaton  # what a walk can carry: append, and pop to undo it
 
 
@@ -264,7 +263,10 @@ class ClaimSpec:
     index class), runs only under a truthy parent state, and
     step("", index, True) is the empty word's state.  The walk stops
     below a falsy state: the checker skips that word, and the subtree
-    below it is counted, not walked.  Two kinds of state:
+    below it is counted, not walked.  Every process of a verify steps the
+    words down to the head length, and one of them each word below, so a
+    state must follow from w, the index and the parent's state alone.
+    Two kinds of state:
 
     - Falsy exactly outside a property closed under prefixes, on which
       the claim holds, so it follows the property of w alone: (rich by
@@ -387,14 +389,13 @@ class VerificationReport:
 
 def _walk(
     symbols: str,
-    prefix: str,
     depth: int,
     index: Undoable | None = None,
     step: Callable[[str, Undoable | None, object], object] | None = None,
-    parent: object = True,
-    heads: list[tuple[str, object]] | None = None,
+    head: int = 0,
+    share: tuple[int, int] = (0, 1),
 ):
-    """Yield (w, weight, state) for prefix, then each canonical extension by 1..depth symbols.
+    """Yield (w, weight, state) for the canonical words of length 0..depth, or a share of them.
 
     A word is canonical when its letters first appear in alphabet order, so
     its children are the letters it uses and the next unused one.  Every
@@ -403,16 +404,19 @@ def _walk(
     k(k-1)...(k-j+1) for j distinct letters out of k.  Words come in prefix
     order, children in alphabet order, so the words of one length come out
     in lexicographic order.  The walk keeps its own stack, so depth is not
-    bounded by Python's recursion limit.  A given index must hold
-    prefix[:-1]; it then holds each word yielded (pop to the parent,
-    append).  A given step sets state(w) = state(w[:-1]) and
-    step(w, index, state(w[:-1])), with the index holding w (None when none
-    is given), and parent is the state of prefix[:-1], True for the empty
-    word's; with no step, every state is None.  With a step, the children
-    of a word whose state is falsy are not walked.  Given a heads list, a
-    word at the walk's limit whose state is truthy (every one, with no
-    step) is not yielded but recorded there as (w, state of w[:-1]), the
-    head of a subtree left to another walk; a falsy one is still yielded.
+    bounded by Python's recursion limit.  A given index must be empty; it
+    then holds each word yielded (pop to the parent, append).  A given step
+    sets state(w) = state(w[:-1]) and step(w, index, state(w[:-1])), with
+    the index holding w (None when none is given) and True as the empty
+    word's parent state; with no step, every state is None.  With a step,
+    the children of a word whose state is falsy are not walked.
+    The words of length head that the walk reaches with a truthy state
+    (every one, with no step) are dealt in walk order, the i-th to share
+    i mod n, for share = (j, n).  Share j yields the words dealt to it and
+    their subtrees, and share 0 also every other word no longer than head:
+    the shorter ones and the falsy ones.  So the n shares yield each word
+    once, share (0, 1) the whole walk, and each share steps the words no
+    longer than head that the walk reaches, and those below its own heads.
     """
     k = len(symbols)
     weights = [perm(k, j) for j in range(k + 1)]
@@ -420,9 +424,10 @@ def _walk(
     children = [
         [(s, max(j, i + 1)) for i, s in enumerate(symbols[: j + 1])][::-1] for j in range(k + 1)
     ]
-    limit = len(prefix) + depth
-    held = max(len(prefix) - 1, 0)  # length of the word the index holds
-    stack = [(prefix, len(set(prefix)), parent if step else None)]
+    j, n = share
+    turns = cycle(range(n))  # the share each dealt head goes to, in turn
+    held = 0  # length of the word the index holds
+    stack = [("", 0, True if step else None)]
     while stack:
         w, used, parent = stack.pop()
         if index is not None and w:
@@ -432,13 +437,14 @@ def _walk(
             index.append(w[-1])
             held += 1
         state = parent and step(w, index, parent)
-        if len(w) < limit and (state or not step):
-            for s, j in children[used]:
-                stack.append((w + s, j, state))
-        elif heads is not None and (state or not step):
-            heads.append((w, parent))
-            continue
-        yield w, weights[used], state
+        live = state or not step
+        if (size := len(w)) == head and live and next(turns) != j:
+            continue  # another share's subtree
+        if size < depth and live:
+            for s, u in children[used]:
+                stack.append((w + s, u, state))
+        if not j or size > head or live and size == head:
+            yield w, weights[used], state
 
 
 def _renamings(w: str, symbols: str) -> list[str]:
@@ -472,29 +478,26 @@ def _palindromes(symbols: str, halves, max_len: int):
                 yield renamed, weight * len(symbols) ** (len(p) // 2), None
 
 
-def _run_block(task: tuple, heads: list | None = None) -> tuple[int, list[tuple[str, str]]]:
-    """(words the walked words stand for, (word, diagnostic) of each failing one) of a block.
+def _run_block(claim: str, symbols: str, max_len: int, head: int, share: tuple) -> tuple:
+    """(words the walked words stand for, (word, diagnostic) of each failing one) of a share.
 
-    task is (claim, alphabet, max_len, prefix, parent, depth), a block and verify's bound.
-    The block builds the claim's index from prefix[:-1] and walks on from the parent state,
-    handing heads to _walk: verify's head run passes a list and leaves the heads recorded
-    there to one task each.  A falsy state's subtree is counted in closed form down to
-    max_len, so a falsy word at the head run's limit stands for its subtree too.  With
-    palindromes, the block's words are right halves, and it checks and counts the
-    palindromes up to max_len that they give, each for the words that _palindromes
-    weighs it by.  A failing word stands for its other renamings too: each is checked
-    on its own, with the state the walk carried (no step tells a word from its renamings)
-    and an index built for it, so its diagnostic is its own.
+    The share is the one _walk deals at the head length of the claim's walk to max_len,
+    from the empty word with a fresh index of the claim's class; share (0, 1) is all of it.
+    A falsy state's subtree is counted in closed form down to max_len.  With palindromes,
+    the walk's words are right halves, and the share checks and counts the palindromes up
+    to max_len that they give, each for the words that _palindromes weighs it by.  A
+    failing word stands for its other renamings too: each is checked on its own, with the
+    state the walk carried (no step tells a word from its renamings) and an index built for
+    it, so its diagnostic is its own.
     """
-    claim, symbols, max_len, prefix, parent, depth = task
     spec = CLAIMS[claim]
     checker, step = spec.checker, spec.step
-    index = spec.index(prefix[:-1]) if spec.index else None
-    below = [0]  # below[j]: words under one that has j levels of the walk beneath it
-    for _ in range(max_len):
-        below.append(len(symbols) * (below[-1] + 1))
+    index = spec.index() if spec.index else None
+    # below[j]: words under one that has j levels of the walk beneath it, k + ... + k^j
+    below = list(accumulate((len(symbols) ** i for i in range(1, max_len + 1)), initial=0))
     checked, bad = 0, []
-    words = _walk(symbols, prefix, depth, index, step, parent, heads)
+    depth = (max_len + 1) // 2 if spec.palindromes else max_len  # halves are ceil(N / 2) long
+    words = _walk(symbols, depth, index, step, head, share)
     if spec.palindromes:
         words = _palindromes(symbols, words, max_len)
     for w, weight, state in words:
@@ -509,21 +512,21 @@ def _run_block(task: tuple, heads: list | None = None) -> tuple[int, list[tuple[
     return checked, bad
 
 
-def _run_share(tasks: list, sender) -> None:
-    """A forked child's body: send (None, the _run_block result of each task), or (the
-    exception that stopped them, its traceback as text), through sender."""
+def _run_share(sender, *block) -> None:
+    """A forked child's body: send (None, _run_block(*block)), or (the exception that
+    stopped it, its traceback as text), through sender."""
     try:
-        sent = None, [_run_block(t) for t in tasks]
+        sent = None, _run_block(*block)
     except Exception as fault:
         sent = fault, traceback.format_exc()
     sender.send(sent)
 
 
-def _fork(tasks: list) -> tuple:
-    """(child, reader): a forked child running _run_share on its share of the tasks, which it
-    reads from its copy of this process's memory, and the receiving end of its one-way pipe."""
+def _fork(*block) -> tuple:
+    """(child, reader): a forked child running _run_share on block, which it reads from its
+    copy of this process's memory, and the receiving end of its one-way pipe."""
     reader, sender = Pipe(duplex=False)
-    child = get_context("fork").Process(target=_run_share, args=(tasks, sender), daemon=True)
+    child = get_context("fork").Process(target=_run_share, args=(sender, *block), daemon=True)
     child.start()
     sender.close()  # the child then holds the only sending end, so its exit ends the pipe
     return child, reader
@@ -538,18 +541,18 @@ def verify_claim(
 ) -> VerificationReport:
     """Evaluate a named claim on every word of length 0..max_len.
 
-    The claim's own walk runs in this process down to a head length, and
-    each head it reaches with a truthy state becomes a task, the subtree
-    of at most _BLOCK_CAP words below it, started from its parent's state.
-    The tasks run on n = min(workers, CPU count, number of tasks)
-    processes, this one included: it forks n - 1 children, runs its own
-    share meanwhile, then merges theirs and re-raises a child's fault; no
-    child outlives the call.  Each block checks and counts every word it
-    stands for, so words_checked and the counterexamples are the blocks'
-    merged.  workers=None or 1 forks nothing.  Either way the report is
-    identical.  Before any walk, raises UsageError for an unknown claim,
-    workers < 1, a bad alphabet, or a negative max_len or budget
-    (core.check_walk), and BudgetExceededError for words longer than
+    The head length leaves at most _BLOCK_CAP words below each head, and
+    n = min(workers, CPU count, canonical words of the head length)
+    processes, this one included, each run the claim's whole walk down to
+    it and check the share that _walk deals them: this one forks n - 1
+    children, runs share 0 meanwhile, then merges theirs and re-raises a
+    child's fault; no child outlives the call.  Each share checks and
+    counts every word it stands for, so words_checked and the
+    counterexamples are the shares' merged.  workers=None or 1 forks
+    nothing, nor does a platform without the fork start method.  Either
+    way the report is identical.  Before any walk, raises UsageError for an
+    unknown claim, workers < 1, a bad alphabet, or a negative max_len or
+    budget (core.check_walk), and BudgetExceededError for words longer than
     core.MAX_WORD_LENGTH or more than `budget` words.
     """
     if claim not in CLAIMS:
@@ -561,19 +564,20 @@ def verify_claim(
     k = len(alphabet)
     # a palindrome claim walks the right halves, ceil(max_len / 2) long
     walked = (max_len + 1) // 2 if CLAIMS[claim].palindromes else max_len
-    depth, size = 0, 1  # the deepest subtree under the cap, and its word count
-    while depth < walked and size + k ** (depth + 1) <= _BLOCK_CAP:
-        depth += 1
-        size += k**depth
-    heads = []  # (head, state of head[:-1]) of each task the head run leaves
-    results = [_run_block((claim, alphabet, max_len, "", True, walked - depth), heads)]
-    tasks = [(claim, alphabet, max_len, head, parent, depth) for head, parent in heads]
-    processes = min(workers or 1, os.cpu_count() or 1, len(tasks))
-    children = []  # (child, reader) of each forked share, tasks[j::processes] for j >= 1
+    head, size = walked, 1  # the shortest head length, and the words of a subtree under it
+    while head and size + k ** (walked - head + 1) <= _BLOCK_CAP:
+        size += k ** (walked - head + 1)
+        head -= 1
+    heads = [1] + [0] * k  # heads[j]: canonical words of the head length with j letters
+    for _ in range(head):  # a child reuses one of its parent's j letters or adds the next
+        heads = [0] + [j * heads[j] + heads[j - 1] for j in range(1, k + 1)]
+    cpus = os.cpu_count() if "fork" in get_all_start_methods() else 1  # children need fork
+    processes = min(workers or 1, cpus or 1, sum(heads))
+    children = []  # (child, reader) of each forked share (j, processes), j >= 1
     try:
         for j in range(1, processes):
-            children.append(_fork(tasks[j::processes]))
-        results += [_run_block(t) for t in tasks[::processes]]
+            children.append(_fork(claim, alphabet, max_len, head, (j, processes)))
+        results = [_run_block(claim, alphabet, max_len, head, (0, processes))]
         for child, reader in children:
             try:
                 fault, share = reader.recv()
@@ -584,7 +588,7 @@ def verify_claim(
                 ) from None
             if fault is not None:
                 raise fault from RuntimeError(f"raised in a forked child:\n{share}")
-            results += share
+            results.append(share)
     finally:
         for child, reader in children:
             child.terminate()
@@ -641,7 +645,7 @@ def find_class_members(
         raise UsageError(f"unknown predicate {predicate!r}; known: {', '.join(PREDICATES)}")
     check_walk("length", length, alphabet, budget, exact=True)
     check = PREDICATES[predicate]
-    members = [w for w, _, _ in _walk(alphabet, "", length) if len(w) == length and check(w)]
+    members = [w for w, _, _ in _walk(alphabet, length) if len(w) == length and check(w)]
     images = (v for w in members for v in _renamings(w, alphabet))
     return sorted(images, key=_alphabet_order(alphabet))
 
@@ -724,7 +728,7 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
     sturmian_pal, cond_b = counts["sturmian_palindrome"], counts["condition_B"]
     cond_b_prime = counts["condition_B_prime"]
     index = PalindromeIndex()
-    walk = _walk(alphabet, "", max_len, index, _census_step)
+    walk = _walk(alphabet, max_len, index, _census_step)
     next(walk)  # skip the empty word
     for w, weight, state in walk:
         if not state:

@@ -297,8 +297,8 @@ def _value_fault(w, index=None, flag=None):
 
 
 def _verify_with_checker(capsys, monkeypatch, checker, mode, field="checker"):
-    # ab/13 leaves 4 tasks, the subtrees under aaa, aab, aba and abb, so --parallel 2 forks
-    # a child, whose share is tasks[1::2], the subtrees under aab and abb
+    # ab/13 deals the subtrees under aaa, aab, aba and abb, so --parallel 2 forks a child,
+    # whose share is every second one, the subtrees under aab and abb
     spec = theorems.CLAIMS["PROP1"]
     monkeypatch.setitem(theorems.CLAIMS, "PROP1", dataclasses.replace(spec, **{field: checker}))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
@@ -306,6 +306,22 @@ def _verify_with_checker(capsys, monkeypatch, checker, mode, field="checker"):
         capsys, "verify", "PROP1", "--alphabet", "ab", "--max-len", "13",
         "--format", "json", *mode,
     )
+
+
+@pytest.mark.parametrize("mode", [[], ["--parallel", "2"]])
+def test_verify_runs_on_one_process_without_the_fork_start_method(capsys, monkeypatch, mode):
+    # as on Windows, where asking for the fork context raises; by default verify asks for as
+    # many processes as CPUs, and ab/13 deals four heads
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    argv = ["verify", "PROP1", "--alphabet", "ab", "--max-len", "13", "--format", "json"]
+    code, sequential, _ = run_cli(capsys, *argv, "--sequential")
+    monkeypatch.setattr(theorems, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(theorems, "get_context", no_fork)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert run_cli(capsys, *argv, *mode) == (code, sequential, "") == (0, sequential, "")
 
 
 def _in_a_child(fault):

@@ -1,3 +1,4 @@
+import bisect
 import collections
 import dataclasses
 import functools
@@ -6,7 +7,6 @@ import json
 import math
 import multiprocessing
 import sys
-import time
 import types
 
 import pytest
@@ -186,13 +186,13 @@ def test_verify_rejects_fewer_than_one_worker(workers):
 
 def _fork_in_process(monkeypatch):
     """Stand in for theorems._fork: run each child's share in this process, as _run_share,
-    and hand back what the child would send.  Returns the list of the shares forked."""
+    and hand back what the child would send.  Returns the list of the blocks forked."""
     shares = []
 
-    def fork(tasks):
-        shares.append(tasks)
+    def fork(*block):
+        shares.append(block)
         sent = []
-        theorems._run_share(tasks, types.SimpleNamespace(send=sent.append))
+        theorems._run_share(types.SimpleNamespace(send=sent.append), *block)
         child = types.SimpleNamespace(terminate=lambda: None, join=lambda: None)
         return child, types.SimpleNamespace(recv=sent.pop, close=lambda: None)
 
@@ -201,33 +201,53 @@ def _fork_in_process(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workers,cpus,max_len,expected",
+    "workers,cpus,symbols,max_len,expected",
     [
-        (64, 3, 12, 3),  # capped by the CPU count alone
-        (2, 64, 12, 2),  # the requested count fits, and caps alone
-        (64, 64, 12, 4),  # capped by the number of tasks alone
-        (8, None, 12, 1),  # unknown CPU count: sequential, nothing forked
-        (1, 64, 12, 1),
+        (64, 3, "ab", 12, 3),  # capped by the CPU count alone
+        (2, 64, "ab", 12, 2),  # the requested count fits, and caps alone
+        (64, 64, "ab", 12, 4),  # capped by the canonical words of the head length alone
+        (64, 64, "ab", 13, 8),  # aaaa to abbb
+        (64, 64, "abc", 8, 5),  # aaa, aab, aba, abb and abc
+        (64, 64, "abcd", 8, 15),  # 1 + 7 + 6 + 1 of length 4 with 1, 2, 3 and 4 letters
+        (64, 64, "a", 12, 1),  # one letter: one word of each length
+        (64, 64, "ab", 9, 1),  # head length 0: the empty word
+        (8, None, "ab", 12, 1),  # unknown CPU count: sequential, nothing forked
+        (1, 64, "ab", 12, 1),
     ],
 )
-def test_verify_caps_the_process_count(monkeypatch, workers, cpus, max_len, expected):
-    # at this cap ab/12 runs its head run in this process and 4 tasks, the canonical subtrees
-    # under aaa..abb; of n processes, this one runs tasks[::n] and child j tasks[j::n]
+def test_verify_caps_the_process_count(monkeypatch, workers, cpus, symbols, max_len, expected):
+    # at this cap the heads of ab/12 and abc/8 are 3 letters long, those of ab/13 and abcd/8
+    # 4, and ab/9 fits under one head; of n processes, this one walks share 0 and child j
+    # share j
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 1024)
     shares = _fork_in_process(monkeypatch)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
-    report = verify_claim("PROP1", "ab", max_len, workers=workers)
-    assert 1 + len(shares) == expected
-    assert [len(s) for s in shares] == [len(range(j, 4, expected)) for j in range(1, expected)]
-    assert report.to_json_dict() == verify_claim("PROP1", "ab", max_len).to_json_dict()
+    report = verify_claim("PROP1", symbols, max_len, workers=workers)
+    assert [share for *_, share in shares] == [(j, expected) for j in range(1, expected)]
+    assert report.to_json_dict() == verify_claim("PROP1", symbols, max_len).to_json_dict()
+
+
+def test_verify_runs_on_one_process_without_the_fork_start_method(monkeypatch):
+    # as on Windows, where asking for the fork context raises
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    shares = _fork_in_process(monkeypatch)
+    monkeypatch.setattr(theorems, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(theorems, "get_context", no_fork)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 4)
+    report = verify_claim("PROP1", "ab", 13, workers=4)
+    assert shares == []
+    assert report.to_json_dict() == verify_claim("PROP1", "ab", 13, workers=1).to_json_dict()
 
 
 @pytest.mark.parametrize("claim", list(CLAIMS))
 def test_two_forked_children_report_as_one_process(monkeypatch, claim):
-    # with three CPUs, ab/13 forks two children beside this process, as it leaves 4 tasks, and
-    # abc/8 and ba/12 one, as they leave 2; the palindrome claims' halves fit one task
+    # with three CPUs, ab/13 forks two children beside this process, as its heads are 3
+    # letters long, and abc/8 and ba/12 one, as theirs are 2 letters long; the palindrome
+    # claims' halves fit under one head, the empty word
     forked, fork = [], theorems._fork
-    monkeypatch.setattr(theorems, "_fork", lambda tasks: forked.append(tasks) or fork(tasks))
+    monkeypatch.setattr(theorems, "_fork", lambda *block: forked.append(block) or fork(*block))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
     for symbols, max_len in (("ab", 13), ("abc", 8), ("ba", 12)):
         sequential, parallel = (verify_claim(claim, symbols, max_len, workers=n) for n in (1, 3))
@@ -236,48 +256,50 @@ def test_two_forked_children_report_as_one_process(monkeypatch, claim):
     assert multiprocessing.active_children() == []
 
 
-def _index(spec, w):
-    # the index a block headed by a child of w starts from: the claim's class, holding w
-    return spec.index(w) if spec.index else None
+def _head(monkeypatch, spec, symbols, max_len):
+    """The head length a sequential verify_claim with spec deals its walk at."""
+    heads, run_block = [], theorems._run_block
 
-
-def _plan(monkeypatch, spec, symbols, max_len):
-    """(block, heads) of each _run_block call a sequential verify_claim with spec makes: the
-    head run's block ("", True, head) with a fresh list for the heads it records, then the
-    (head, parent, depth) block of each task, with None."""
-    blocks, run_block = [], theorems._run_block
-
-    def recording(task, heads=None):
-        blocks.append((task[3:], heads))
-        return run_block(task, heads)
+    def recording(claim, symbols, max_len, head, share):
+        heads.append(head)
+        return run_block(claim, symbols, max_len, head, share)
 
     with monkeypatch.context() as patch:
         patch.setitem(theorems.CLAIMS, "PLANNED", spec)
         patch.setattr(theorems, "_run_block", recording)
         verify_claim("PLANNED", symbols, max_len)
-    assert [heads is None for _, heads in blocks] == [False] + [True] * (len(blocks) - 1)
-    return [(block, None if heads is None else []) for block, heads in blocks]
+    [head] = heads
+    return head
 
 
-def _walk_block(spec, symbols, block, heads=None):
-    """The (w, weight, state) a block's walk yields, recording its heads in heads if given."""
-    prefix, parent, depth = block
-    index = _index(spec, prefix[:-1])
-    return list(theorems._walk(symbols, prefix, depth, index, spec.step, parent, heads))
+def _share(spec, symbols, max_len, head=0, share=(0, 1)):
+    """The (w, weight, state) one share of the claim's walk yields, from a fresh index."""
+    index = spec.index() if spec.index else None
+    depth = (max_len + 1) // 2 if spec.palindromes else max_len
+    return list(theorems._walk(symbols, depth, index, spec.step, head, share))
+
+
+def _shares(monkeypatch, spec, symbols, max_len, n):
+    """(head, share) of each of n processes of verify_claim, j = 0..n - 1."""
+    head = _head(monkeypatch, spec, symbols, max_len)
+    return [(head, (j, n)) for j in range(n)]
 
 
 def _covered(spec, symbols, max_len, walked):
-    """(word, weight) of each canonical word a walked block stands for: each word walked
+    """(word, weight) of each canonical word a walked share stands for: each word walked
     under a truthy state (every one, with no step), and each falsy one with its whole
-    subtree down to max_len, which the block counts in closed form."""
+    subtree down to max_len, which the share counts in closed form."""
+    canonical = sorted(w for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols))
+
+    def subtree(w):  # the canonical words that start with w, one run of them in sorted order
+        run = itertools.islice(canonical, bisect.bisect_left(canonical, w), None)
+        below = itertools.takewhile(lambda v: v.startswith(w), run)
+        return [(v, _weight(v, symbols)) for v in below]
+
     return [
         item
         for w, weight, state in walked
-        for item in (
-            [(w, weight)]
-            if state or not spec.step
-            else [(v, u) for v, u, _ in theorems._walk(symbols, w, max_len - len(w))]
-        )
+        for item in ([(w, weight)] if state or not spec.step else subtree(w))
     ]
 
 
@@ -288,8 +310,9 @@ PLANS = {
 }
 
 
-# at the 32-word cap the heads are 9 letters long at ab/13, 5 at abc/8 and 8 at ba/12, so the
-# head runs reach deep into each walk and the pruned ones leave only some heads to tasks
+# at the 32-word cap the heads are 9 letters long at ab/13, 5 at abc/8 and 8 at ba/12, so
+# every process walks deep into the tree before its first dealt subtree, and the pruned walks
+# deal only some of the words of the head length
 @pytest.mark.parametrize(
     "symbols,max_len,cap",
     [
@@ -299,45 +322,62 @@ PLANS = {
     ],
 )
 @pytest.mark.parametrize("name", list(PLANS))
-def test_head_run_and_tasks_cover_every_word_once(monkeypatch, name, symbols, max_len, cap):
+def test_shares_partition_the_sequential_walk(monkeypatch, name, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
     spec = PLANS[name]
-    (head_run, heads), *tasks = _plan(monkeypatch, spec, symbols, max_len)
-    walks = [_walk_block(spec, symbols, head_run, heads)]
-    # the head run leaves each head it records to one task, which starts from the head's parent
-    assert [(prefix, parent) for (prefix, parent, _), _ in tasks] == heads
-    assert tasks and all(len(prefix) + depth == max_len for (prefix, _, depth), _ in tasks)
-    walks += [_walk_block(spec, symbols, task) for task, _ in tasks]
-    covered = [item for walked in walks for item in _covered(spec, symbols, max_len, walked)]
+    head = _head(monkeypatch, spec, symbols, max_len)
+    sequential = _share(spec, symbols, max_len)
+    # the sequential walk stands for each canonical word once: walked, or counted under one
+    # falsy word; their renamings are every word, each once, and each weight counts them
+    covered = _covered(spec, symbols, max_len, sequential)
     words = sorted(words_up_to(symbols, max_len))
-    # each canonical word once: walked by the head run or one task, or counted under one
-    # falsy word
     assert sorted(w for w, _ in covered) == [w for w in words if _is_canonical(w, symbols)]
-    # their renamings are every word, each once, and each weight counts its word's renamings
     assert sorted(v for w, _ in covered for v in theorems._renamings(w, symbols)) == words
     assert all(weight == _weight(w, symbols) for w, weight in covered)
-    # every task, down to the bound, walks at most the cap
-    assert max(map(len, walks[1:])) <= cap
+    live = [w for w, _, state in sequential if len(w) == head and (state or not spec.step)]
+    assert live
+    if cap == 32 and (symbols, max_len) == ("ab", 13):  # the pruned walks reach falsy heads
+        reached = [w for w, *_ in sequential if len(w) == head]
+        assert len(live) < len(reached) if name in PRUNED_TO else live == reached
+    # every dealt subtree, down to the bound, walks at most the cap
+    subtrees = collections.Counter(w[:head] for w, *_ in sequential if len(w) >= head)
+    assert max(subtrees.values()) <= cap
+    for n in range(1, 5):
+        shares = [_share(spec, symbols, max_len, head, (j, n)) for j in range(n)]
+        # disjoint, each in walk order, and together the sequential walk, weights and states
+        # included
+        merged = sorted((item for share in shares for item in share), key=lambda item: item[0])
+        assert merged == sorted(sequential, key=lambda item: item[0])
+        for j, share in enumerate(shares):
+            own = {w for w, *_ in share}
+            assert share == [item for item in sequential if item[0] in own]
+            # the i-th live head is share i mod n's, with its subtree; share 0 also walks the
+            # words above the head length, and the falsy heads
+            dealt = [w for w, _, state in share if len(w) == head and (state or not spec.step)]
+            assert dealt == live[j::n]
+            assert all(w[:head] in dealt for w, *_ in share if len(w) > head)
+            assert j == 0 or all(w in dealt or len(w) > head for w, *_ in share)
 
 
 @pytest.mark.parametrize(
     "symbols,max_len", [("ab", 13), ("abc", 8), ("abcd", 6), ("ba", 12), ("a", 9)]
 )
 @pytest.mark.parametrize("name", [claim for claim in PLANS if claim in CLAIMS])
-def test_each_task_carries_its_heads_parent_state(monkeypatch, name, symbols, max_len):
+def test_each_share_walks_every_nth_head_the_claim_reaches(monkeypatch, name, symbols, max_len):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
     own = _own_states_and_verdicts(name, symbols, max_len)
-    ((_, _, head), _), *tasks = _plan(monkeypatch, CLAIMS[name], symbols, max_len)
+    head = _head(monkeypatch, CLAIMS[name], symbols, max_len)
     # the heads the claim's walk reaches with a truthy state: those whose prefixes all have
-    # truthy states, each with the state folded from the empty word to its parent (the empty
-    # word's parent state is True); at a/9 the head is the empty word, and one task walks
-    # every word
+    # truthy states, each stepped on its own from the empty word, in lexicographic order,
+    # the walk's; at a/9 the head is the empty word, and share 0 walks every word
     heads = [p for p in words_up_to(symbols, head) if len(p) == head and _is_canonical(p, symbols)]
-    listed = [p for p in heads if all(own[p[:n]][0] for n in range(head + 1))]
-    expected = [(p, own[p[:-1]][0] if p else True, max_len - head) for p in listed]
-    assert [task for task, _ in tasks] == expected
+    live = [p for p in heads if all(own[p[:n]][0] for n in range(head + 1))]
+    for _, (j, n) in _shares(monkeypatch, CLAIMS[name], symbols, max_len, 3):
+        walked = _share(CLAIMS[name], symbols, max_len, head, (j, n))
+        assert [w for w, _, state in walked if len(w) == head and state] == live[j::n]
+        assert all(state == own[w][0] for w, _, state in walked)
     if (symbols, max_len) == ("ab", 13):
-        assert len(listed) < len(heads) if name in PRUNED_TO else listed == heads
+        assert len(live) < len(heads) if name in PRUNED_TO else live == heads
 
 
 def _scattered(w):
@@ -355,37 +395,27 @@ def test_walk_yields_the_words_whose_proper_prefixes_pass_keep(
     spec = theorems.ClaimSpec("keep", lambda w, index, state: None, step=lambda w, index, parent: keep(w))
     canonical = [w for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols)]
     expected = [w for w in canonical if all(keep(w[:i]) for i in range(len(w)))]
-    pruned = theorems._walk(symbols, "", max_len, step=spec.step)
+    pruned = theorems._walk(symbols, max_len, step=spec.step)
     assert sorted(w for w, _, _ in pruned) == sorted(expected)
     assert len(expected) < len(canonical)
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
-    for block, heads in _plan(monkeypatch, spec, symbols, max_len):
-        prefix, _, depth = block
-        # the head run reached it with a truthy state, and so recorded it
-        assert all(keep(prefix[:i]) for i in range(len(prefix) + 1))
-        # the prefix is always yielded; below it, the prefix's ancestors count too
-        in_block = [
-            (w, weight, all(keep(w[:i]) for i in range(len(w) + 1)))
-            for w, weight, _ in theorems._walk(symbols, prefix, depth)
-            if w == prefix or all(keep(w[:i]) for i in range(len(w)))
-        ]
-        walked = _walk_block(spec, symbols, block, heads)
-        if heads is not None:  # the head run records, not yields, each head with a truthy state
-            assert heads == [(w, True) for w, _, kept in in_block if len(w) == depth and kept]
-            in_block = [item for item in in_block if len(item[0]) < depth or not item[2]]
-        assert walked == in_block, prefix  # in prefix order
+    passed = functools.cache(lambda w: all(keep(w[:i]) for i in range(len(w) + 1)))
+    for head, share in _shares(monkeypatch, spec, symbols, max_len, 3):
+        # in prefix order, each with its state: whether keep passes it too
+        walked = _share(spec, symbols, max_len, head, share)
+        kept = _kept_walk(symbols, max_len, passed, head, share)
+        assert walked == [(w, _weight(w, symbols), passed(w)) for w in kept], share
 
 
-# at the 32-word cap each block's index starts from a tree of up to 7 letters
+# at the 32-word cap the heads are 8 letters long at ab/12, 5 at abc/7 and 7 at ba/11, so every
+# share but share 0 pops its index back over the heads dealt to the others
 @pytest.mark.parametrize("cap", [2048, 32])
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_walk_index_is_the_tree_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
-    blocks = _plan(monkeypatch, PLANS["stepless"], symbols, max_len)
-    assert blocks[0][0][0] == "" and all(prefix for (prefix, _, _), _ in blocks[1:])
-    for (prefix, _, depth), heads in blocks:
-        index = PalindromeIndex(prefix[:-1])
-        for w, _, _ in theorems._walk(symbols, prefix, depth, index, heads=heads):
+    for head, share in _shares(monkeypatch, PLANS["stepless"], symbols, max_len, 3):
+        index = PalindromeIndex()
+        for w, _, _ in theorems._walk(symbols, max_len, index, head=head, share=share):
             fresh = PalindromeIndex(w)
             assert index.palindrome_count == fresh.palindrome_count, w
             assert index.prefix_counts == fresh.prefix_counts, w
@@ -406,9 +436,9 @@ def _differences(w):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 6)])
 def test_walk_automaton_is_the_automaton_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
-    for (prefix, _, depth), heads in _plan(monkeypatch, PLANS["stepless"], symbols, max_len):
-        automaton = SuffixAutomaton(prefix[:-1])
-        for w, _, _ in theorems._walk(symbols, prefix, depth, automaton, heads=heads):
+    for head, share in _shares(monkeypatch, PLANS["stepless"], symbols, max_len, 3):
+        automaton = SuffixAutomaton()
+        for w, _, _ in theorems._walk(symbols, max_len, automaton, head=head, share=share):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
             assert automaton.difference == _differences(w), w
 
@@ -429,23 +459,12 @@ def _rich_by_either(w):
 PRUNED_TO = {"PROP1": _rich_by_either, "PROP2": is_trapezoidal, "BINARY_TRAP": is_trapezoidal}
 
 
-@pytest.mark.parametrize("name", list(PRUNED_TO))
-def test_no_task_is_headed_by_a_falsy_state(monkeypatch, name):
-    # the head run counts each falsy head's subtree itself, so the pool never gets a task
-    # that only counts one subtree in closed form; ab/13 has such heads for each claim
-    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
-    own = _own_states_and_verdicts(name, "ab", 13)
-    ((_, _, head), _), *tasks = _plan(monkeypatch, CLAIMS[name], "ab", 13)
-    assert any(len(w) == head and own[w[:-1]][0] and not own[w][0] for w in own)
-    assert tasks and all(own[prefix][0] for (prefix, _, _), _ in tasks)
+def _states_seen(monkeypatch, claim, symbols, max_len, head=0, share=(0, 1)):
+    """(word, carried state) for every canonical word that one share of the claim's walk
+    down to max_len walks, run by _run_block.
 
-
-def _states_seen(monkeypatch, claim, symbols, max_len, block, heads=None):
-    """(word, carried state) for every canonical word one (prefix, parent, depth) block of
-    a walk down to max_len walks, handing heads to _run_block.
-
-    The checker sees exactly the walked words whose state is truthy, and the block
-    counts every canonical word it stands for, the unwalked ones in closed form.
+    The checker sees exactly the walked words whose state is truthy, and the share counts
+    every canonical word it stands for, the unwalked ones in closed form.
     """
     walked, checked = [], []
 
@@ -459,42 +478,44 @@ def _states_seen(monkeypatch, claim, symbols, max_len, block, heads=None):
     with monkeypatch.context() as patch:
         patch.setitem(theorems.CLAIMS, claim, spec)
         patch.setattr(theorems, "_walk", recording_walk)
-        count, _ = theorems._run_block((claim, symbols, max_len, *block), heads)
+        count, _ = theorems._run_block(claim, symbols, max_len, head, share)
     assert checked == [(w, state) for w, _, state in walked if state]
     assert count == sum(weight for _, weight in _covered(original, symbols, max_len, walked))
     return [(w, state) for w, _, state in walked]
 
 
-def _kept_walk(symbols, prefix, depth, keep, heads=None):
-    # a block that stops below each word keep refuses, keep closed under prefixes, yields its
-    # prefix, then each word whose parent keep passes; a head run (heads given) records, not
-    # yields, each word at its limit that keep passes
+def _kept_walk(symbols, max_len, keep, head=0, share=(0, 1)):
+    """The words that one share of a walk stopping below each word keep refuses yields,
+    keep closed under prefixes: those whose parent keep passes, in prefix order, of which
+    the i-th of length head that keep passes, with its subtree, is share i mod n's, and the
+    others no longer than head share 0's."""
+    walked = [w for w, _, _ in theorems._walk(symbols, max_len) if not w or keep(w[:-1])]
+    j, n = share
+    dealt = set([w for w in walked if len(w) == head and keep(w)][j::n])
     return [
         w
-        for w, _, _ in theorems._walk(symbols, prefix, depth)
-        if (w == prefix or keep(w[:-1]))
-        and (heads is None or len(w) < len(prefix) + depth or not keep(w))
+        for w in walked
+        if w[:head] in dealt or not j and (len(w) < head or len(w) == head and not keep(w))
     ]
 
 
-# at this cap ab/12 plans heads of length 8, abc/7 of length 5 and ba/11 of length 7
+# at this cap the heads are 8 letters long at ab/12, 5 at abc/7 and 7 at ba/11
 @pytest.mark.parametrize("cap", [2048, 32])
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_walk_flags_are_the_properties_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
-    for block, heads in _plan(monkeypatch, CLAIMS["PROP1"], symbols, max_len):
-        prefix, _, depth = block
-        walked = _states_seen(monkeypatch, "PROP1", symbols, max_len, block, heads)
-        kept = _kept_walk(symbols, prefix, depth, _rich_by_either, heads)
+    for head, share in _shares(monkeypatch, CLAIMS["PROP1"], symbols, max_len, 3):
+        walked = _states_seen(monkeypatch, "PROP1", symbols, max_len, head, share)
+        kept = _kept_walk(symbols, max_len, _rich_by_either, head, share)
         assert [w for w, _ in walked] == kept
         for w, state in walked:
             flags = (_rich_by_returns(w), _rich_by_count(w))
             assert state == (any(flags) and flags), w
             assert state is False or all(type(flag) is bool for flag in state), w
-    for block, heads in _plan(monkeypatch, CLAIMS["PROP2"], symbols, max_len):
-        prefix, _, depth = block
-        walked = _states_seen(monkeypatch, "PROP2", symbols, max_len, block, heads)
-        assert [w for w, _ in walked] == _kept_walk(symbols, prefix, depth, is_trapezoidal, heads)
+    for head, share in _shares(monkeypatch, CLAIMS["PROP2"], symbols, max_len, 3):
+        walked = _states_seen(monkeypatch, "PROP2", symbols, max_len, head, share)
+        kept = _kept_walk(symbols, max_len, is_trapezoidal, head, share)
+        assert [w for w, _ in walked] == kept
         for w, state in walked:
             if is_trapezoidal(w):
                 assert state == (r_index(w), k_index(w)), w
@@ -531,8 +552,8 @@ INVARIANTS = {
 def test_walk_states_are_the_invariants_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
     for claim, direct in INVARIANTS.items():
-        for block, heads in _plan(monkeypatch, CLAIMS[claim], symbols, max_len):
-            for w, state in _states_seen(monkeypatch, claim, symbols, max_len, block, heads):
+        for head, share in _shares(monkeypatch, CLAIMS[claim], symbols, max_len, 3):
+            for w, state in _states_seen(monkeypatch, claim, symbols, max_len, head, share):
                 assert state == direct(w), (claim, w)
 
 
@@ -592,24 +613,6 @@ def _long_prefixes():
 @pytest.mark.parametrize(
     "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
 )
-def test_walk_states_from_a_long_prefix(monkeypatch, symbols, prefix):
-    # the block starts from the state folded along the 299 ancestors and an index of
-    # prefix[:-1], as the head run hands it over, so the seeded scans run at N = 300; the
-    # christoffel and a299b prefixes are balanced, so trapezoidal, and PROFILE_EQUIV steps R
-    # and K at N = 300 under them too, while under the random ones it has settled to False
-    assert len(prefix) == 300
-    assert bool(_settled_trapezoidal_state(prefix)) == is_finite_sturmian(prefix)
-    for claim, direct in INVARIANTS.items():
-        block = (prefix, _stepped_from_the_empty_word(claim, prefix[:-1]), 2)
-        seen = _states_seen(monkeypatch, claim, symbols, 302, block)
-        assert len(seen) == 1 + len(symbols) + len(symbols) ** 2
-        for w, state in seen:
-            assert state == direct(w), (claim, w)
-
-
-@pytest.mark.parametrize(
-    "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
-)
 def test_step_kernels_along_a_long_prefix(symbols, prefix):
     r = k = 0
     for n in range(1, len(prefix) + 1):
@@ -618,33 +621,14 @@ def test_step_kernels_along_a_long_prefix(symbols, prefix):
         assert (r, k) == (r_index(w), k_index(w)), w
 
 
-@pytest.mark.parametrize(
-    "symbols,prefix", _long_prefixes(), ids=["binary", "quaternary", "christoffel", "a299b"]
-)
-def test_walk_automaton_under_a_long_prefix(symbols, prefix):
-    # pop re-walks a suffix-link chain instead of replaying a journal; it must stay cheap at
-    # N = 300, under a block's automaton built from prefix[:-1]
-    started = time.perf_counter()
-    for _ in theorems._walk(symbols, prefix, 6, SuffixAutomaton(prefix[:-1])):
-        pass
-    assert time.perf_counter() - started < 0.5  # about 10 ms; a rebuild per pop takes seconds
-    automaton = SuffixAutomaton(prefix[:-1])
-    for w, _, _ in theorems._walk(symbols, prefix, 6, automaton):
-        if w.endswith(symbols[0]):  # each first child, reached by popping back from a sibling
-            assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
-    assert _automaton(automaton) == _automaton(SuffixAutomaton(w))
-
-
 def test_carried_flag_starts_from_the_parent_state(monkeypatch):
-    # abca is rich by neither route; abcaa ends in no bad return, so only its parent's flag,
-    # folded from the empty word, says so, and the block stops at its prefix and counts the
-    # 12 words below it; from a parent rich by both routes the block walks on
+    # abca is rich by neither route; abcaa ends in no bad return, so only its parent's flag
+    # says so: the walk stops at abca and counts the words below it, and a step of abcaa from
+    # a parent rich by both routes would call it rich by returns
     assert theorems._end_returns_are_palindromes("abcaa")
-    parent = _stepped_from_the_empty_word("PROP1", "abca")
-    assert parent is False
-    assert _states_seen(monkeypatch, "PROP1", "abc", 7, ("abcaa", parent, 2)) == [("abcaa", False)]
-    seen = _states_seen(monkeypatch, "PROP1", "abc", 7, ("abcaa", (True, True), 2))
-    assert seen[0] == ("abcaa", (True, False)) and len(seen) > 1
+    seen = dict(_states_seen(monkeypatch, "PROP1", "abc", 7))
+    assert seen["abca"] is False and "abcaa" not in seen
+    assert theorems._returns_step("abcaa", PalindromeIndex("abcaa"), (True, True)) == (True, False)
 
 
 def test_palindrome_claims_carry_no_index_and_no_step():
@@ -657,14 +641,14 @@ def test_palindrome_claims_carry_no_index_and_no_step():
 
 
 def _palindrome_walk(monkeypatch, symbols, max_len):
-    # the head run and every task of the right halves, ceil(max_len / 2) long, as verify
-    # splits them, each half turned into its palindromes after the head run records its heads
+    # every share of the right halves, ceil(max_len / 2) long, as three processes of verify
+    # deal them, each half turned into its palindromes
     spec = theorems.ClaimSpec("halves", lambda w, index, state: None, palindromes=True)
     return [
         item
-        for (prefix, _, depth), heads in _plan(monkeypatch, spec, symbols, max_len)
+        for head, share in _shares(monkeypatch, spec, symbols, max_len, 3)
         for item in theorems._palindromes(
-            symbols, theorems._walk(symbols, prefix, depth, heads=heads), max_len
+            symbols, _share(spec, symbols, max_len, head, share), max_len
         )
     ]
 
@@ -683,7 +667,7 @@ def test_palindrome_walk_yields_each_palindrome_once(monkeypatch, symbols, max_l
     assert sorted(renamings) == sorted(w for w in words_up_to(symbols, max_len) if w == w[::-1])
 
 
-# ab/24 and abc/15 leave 2 tasks of halves after the head run, ab/25 4
+# ab/24 and abc/15 deal their halves at 2 heads, ab/25 at 4
 @pytest.mark.parametrize(
     "symbols,max_len", [("ab", 24), ("ab", 25), ("abc", 15), ("abcd", 10), ("a", 40)]
 )
@@ -728,22 +712,14 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
         states.append(spec.step(w, index, parent))
         return states[-1]
 
-    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
-    blocks = [block for block, _ in _plan(monkeypatch, spec, "abc", 7)]
     monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
     assert verify_claim(claim, "abc", 7).verified
-    # abc, and so abcaa, is not trapezoidal, and abca, and so abcaa, is not rich; a block
-    # from the state folded along abca runs under the same rule
-    parent = _stepped_from_the_empty_word(claim, "abca")
-    theorems._run_block((claim, "abc", 7, "abcaa", parent, 2))
-    # the head run steps every word it reaches down to the head length, its heads included,
-    # then each task its subtree, from its head down
-    walked = []
-    for prefix, _, depth in [*blocks, ("abcaa", parent, 2)]:
-        walked += [w for w, _, _ in theorems._walk("abc", prefix, depth)]
+    # abc, and so abcaa, is not trapezoidal, and abca, and so abcaa, is not rich; a sequential
+    # verify steps each word its walk reaches once, in walk order
+    walked = [w for w, _, _ in theorems._walk("abc", 7)]
     if claim in PRUNED_TO:  # the empty word, and the children of the class's words, are stepped
         assert stepped == [w for w in walked if not w or PRUNED_TO[claim](w[:-1])]
-        assert False in states
+        assert "abcaa" not in stepped and False in states
     else:  # values are never falsy, so every word is stepped
         assert all(states) and stepped == walked
 
@@ -761,18 +737,16 @@ def _stepped_from_the_empty_word(name, w):
 
 @pytest.mark.parametrize("name", list(STEPS))
 def test_walk_yields_the_state_stepped_along_each_prefix(monkeypatch, name):
-    # and stops below each falsy one, each task from the parent state the head run hands it
+    # and stops below each falsy one, in every share of three processes
     index_class, step = STEPS[name]
     spec = theorems.ClaimSpec(name, lambda w, index, state: None, index_class, step)
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
-    below_abca = ("abcaa", _stepped_from_the_empty_word(name, "abca"), 2)
-    for block, heads in [*_plan(monkeypatch, spec, "abc", 7), (below_abca, None)]:
-        prefix, _, depth = block
-        walked = _walk_block(spec, "abc", block, heads)
-        kept = lambda w: _stepped_from_the_empty_word(name, w)
-        assert [w for w, _, _ in walked] == _kept_walk("abc", prefix, depth, kept, heads), prefix
+    kept = functools.cache(lambda w: _stepped_from_the_empty_word(name, w))
+    for head, share in _shares(monkeypatch, spec, "abc", 7, 3):
+        walked = _share(spec, "abc", 7, head, share)
+        assert [w for w, _, _ in walked] == _kept_walk("abc", 7, kept, head, share), share
         for w, _, state in walked:
-            assert state == _stepped_from_the_empty_word(name, w), w
+            assert state == kept(w), w
 
 
 def test_pal_bound_reports_a_count_above_the_bound():
@@ -812,8 +786,8 @@ def _trapezoidal_words(symbols, max_len):
     return [w for w in words_up_to(symbols, max_len) if is_trapezoidal(w)]
 
 
-# ba/12 and cab/8 leave 2 tasks each after the head run; at abc/10 PROP2's head run reaches 11
-# heads of length 4, counts the subtrees of the 3 that are not trapezoidal itself, and leaves 8
+# ba/12 and cab/8 deal 2 heads each; at abc/10 PROP2's walk reaches 11 heads of length 4, deals
+# the 8 that are trapezoidal, and counts the subtrees of the other 3 in share 0
 @pytest.mark.parametrize(
     "symbols,max_len",
     [("ba", 12), ("cab", 8), ("abc", 10), ("ab", 14), ("abc", 8), ("abcd", 6), ("a", 30)],
@@ -842,8 +816,8 @@ def _checked_words(claim, symbols, max_len):
     return [w for w in words if w == w[::-1]] if CLAIMS[claim].palindromes else list(words)
 
 
-# at this cap every bound but a/31 leaves several tasks after the head run, and the palindrome
-# walk's halves too; the odd bounds drop the even palindromes of the longest halves
+# at this cap every bound but a/31 deals several heads, and the palindrome walk's halves too;
+# the odd bounds drop the even palindromes of the longest halves
 @pytest.mark.parametrize("claim", [c for c in CLAIMS if c not in PRUNED_TO])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_claims_outside_the_restriction_check_every_word(monkeypatch, claim, workers):
@@ -914,8 +888,8 @@ def _quoting_the_state(w, index, state):
     return repr(state)
 
 
-# at this cap the head runs leave 14 to 126 tasks, and with both routes they reach 7 heads
-# rich by neither, whose subtrees they count themselves
+# at this cap the walks deal 14 to 126 heads, and with both routes they reach 7 heads rich by
+# neither, whose subtrees share 0 counts
 @pytest.mark.parametrize("routes", list(PROP1_ROUTES))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_prop1_checks_exactly_the_words_rich_by_either_route(monkeypatch, routes, workers):
@@ -961,8 +935,8 @@ def test_prop1_steps_the_empty_word_and_the_children_of_rich_words(monkeypatch, 
             for w in words_up_to(symbols, max_len)
             if _is_canonical(w, symbols) and (not w or state(w[:-1]))
         ]
-        # the head run and a task both step each task's head, so compare the words, not the
-        # calls
+        # each process steps the words down to the head length, so compare the words, not
+        # the calls
         assert sorted(set(stepped)) == sorted(expected), symbols
 
 
@@ -1021,61 +995,40 @@ def _index_step_calls(monkeypatch, claim, symbols, max_len):
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("ba", 11)])
 def test_profile_equiv_steps_r_and_k_only_where_prop2_walks(monkeypatch, symbols, max_len):
     # below a non-trapezoidal word the index route is settled, not stepped: R and K run only
-    # on the children of trapezoidal words, as PROP2 steps them, call for call (the head run
-    # and a task both step each task's head)
+    # on the children of trapezoidal words, as PROP2 steps them, call for call
     r_calls, k_calls = _index_step_calls(monkeypatch, "PROFILE_EQUIV", symbols, max_len)
     assert r_calls == k_calls == _index_step_calls(monkeypatch, "PROP2", symbols, max_len)[0]
     canonical = [w for w in words_up_to(symbols, max_len) if w and _is_canonical(w, symbols)]
-    assert sorted(set(r_calls)) == sorted(w for w in canonical if is_trapezoidal(w[:-1]))
+    assert sorted(r_calls) == sorted(w for w in canonical if is_trapezoidal(w[:-1]))
     assert len(set(r_calls)) < len(canonical) // 2
 
 
 @pytest.mark.parametrize("claim", ["BINARY_TRAP", "PROFILE_EQUIV"])
-def test_verify_steps_r_once_per_word_and_again_at_most_once_per_task(monkeypatch, claim):
-    # the 6 467 canonical words at ab/20 whose parents are trapezoidal, each once, but for a
-    # task's head, which the head run steps for its state and the task again (6 562 calls
-    # for BINARY_TRAP's 95 tasks, 6 607 for PROFILE_EQUIV's); a second walk over the words
-    # down to the head length would make 6 884, and tasks that stepped their heads'
-    # ancestors again 10 327
-    heads, run_block = [], theorems._run_block
-
-    def recording(task, recorded=None):
-        if recorded is None:  # a task, not the head run
-            heads.append(task[3])
-        return run_block(task, recorded)
-
-    monkeypatch.setattr(theorems, "_run_block", recording)
+def test_sequential_verify_steps_r_once_per_word(monkeypatch, claim):
+    # the 6 467 canonical words at ab/20 whose parents are trapezoidal, each once, where a walk
+    # that started each subtree from its head's parent stepped each head twice (6 562 calls
+    # for BINARY_TRAP, 6 607 for PROFILE_EQUIV)
     r_calls, _ = _index_step_calls(monkeypatch, claim, "ab", 20)
-    steps = collections.Counter(r_calls)
-    assert len(steps) == 6467
-    assert all(n == 1 or (n == 2 and w in heads) for w, n in steps.items())
-    assert len(r_calls) <= 6467 + len(heads)
+    assert len(r_calls) == len(set(r_calls)) == 6467
 
 
 @pytest.mark.parametrize("claim", [c for c, spec in CLAIMS.items() if spec.step])
 def test_a_failing_word_and_its_renamings_are_stepped_only_by_the_walk(monkeypatch, claim):
     # every checked word fails, so every renaming of each is reported; each renaming is checked
     # with the state the walk carried to its canonical form, not stepped again, so the steps
-    # are the walk's: each canonical word once, but for a task's head, which the head run
-    # steps for its state and the task again
-    spec, stepped, tasks, run_block = CLAIMS[claim], [], [], theorems._run_block
+    # are the walk's: each canonical word once
+    spec, stepped = CLAIMS[claim], []
 
     def step(w, index, parent):
         stepped.append(w)
         return spec.step(w, index, parent)
 
-    def recording(task, heads=None):
-        if heads is None:  # a task, not the head run
-            tasks.append(task)
-        return run_block(task, heads)
-
     failing = dataclasses.replace(spec, checker=lambda w, index, state: f"at {w!r}", step=step)
     monkeypatch.setitem(theorems.CLAIMS, claim, failing)
-    monkeypatch.setattr(theorems, "_run_block", recording)
     report = verify_claim(claim, "abc", 6)
     assert report.counterexamples == [(w, f"at {w!r}") for w in _checked_words(claim, "abc", 6)]
     assert all(_is_canonical(w, "abc") for w in stepped)
-    assert len(stepped) <= len(set(stepped)) + len(tasks)
+    assert len(stepped) == len(set(stepped))
 
 
 def _stub_tree(lengths):
@@ -1378,9 +1331,11 @@ def _trapezoidal_by_extension(symbols, max_len):
     return found
 
 
-# ab/18 leaves tasks of depth 10 under length-8 heads, so each task's tree starts deep
+# ab/18 deals subtrees of depth 10 under length-8 heads; with two processes the child's share,
+# run here by the fork stand-in, pops its tree back over the heads dealt to this one
 @pytest.mark.parametrize("symbols,max_len", [("ab", 14), ("abc", 8), ("ab", 18)])
-def test_prop2_reads_the_tree_of_each_trapezoidal_word(monkeypatch, symbols, max_len):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_prop2_reads_the_tree_of_each_trapezoidal_word(monkeypatch, symbols, max_len, workers):
     spec, seen = theorems.CLAIMS["PROP2"], []
 
     def checker(w, index, rk):
@@ -1390,7 +1345,9 @@ def test_prop2_reads_the_tree_of_each_trapezoidal_word(monkeypatch, symbols, max
         return spec.checker(w, index, rk)
 
     monkeypatch.setitem(theorems.CLAIMS, "PROP2", dataclasses.replace(spec, checker=checker))
-    assert verify_claim("PROP2", symbols, max_len).verified
+    _fork_in_process(monkeypatch)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    assert verify_claim("PROP2", symbols, max_len, workers=workers).verified
     renamings = [v for w in seen for v in theorems._renamings(w, symbols)]
     assert sorted(renamings) == sorted(_trapezoidal_by_extension(symbols, max_len))
 
@@ -1433,7 +1390,7 @@ def _planted(w, index=None, flag=None):
     return None if _scattered(w) else "planted"
 
 
-# ba/10 and cab/6 are one task each; ba/12 and cab/8 merge a head run and 2 tasks each
+# ba/10 and cab/6 fit under one head, the empty word; ba/12 and cab/8 deal 2 heads each
 @pytest.mark.parametrize("symbols,max_len", [("ba", 10), ("cab", 6), ("ba", 12), ("cab", 8)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_counterexamples_in_length_then_alphabet_order(monkeypatch, symbols, max_len, workers):
@@ -1570,7 +1527,7 @@ def test_census_balance_flag_is_the_counting_route(symbols, max_len):
     # and is in none of census's classes, so it is not balanced, nor is any word below it
     index = PalindromeIndex()
     walked = set()
-    for w, _, state in theorems._walk(symbols, "", max_len, index, theorems._census_step):
+    for w, _, state in theorems._walk(symbols, max_len, index, theorems._census_step):
         assert bool(state and state[1]) == is_finite_sturmian(w), w
         walked.add(w)
     canonical = [w for w in words_up_to(symbols, max_len) if _is_canonical(w, symbols)]
