@@ -32,7 +32,9 @@ THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
 by the same walk (_palindromes) and standing for every word of its length
 whose right half is a renaming of its own.  So every share counts every
-word it stands for, and verify's count is the sum of the shares'.
+word it stands for, and verify's count is the sum of the shares'.  Their
+walk steps P of each half's palindromes from its parent's (_halves_step),
+by the string scan PAL_BOUND steps, so neither builds a palindromic tree.
 Verify runs the claim's walk from the empty word, with a fresh index, in each
 of n processes: the calling one and n - 1 children it forks before walking
 (_fork), each child sending back its results, or its fault, through a
@@ -106,14 +108,13 @@ def _check_prop2(w: str, index: PalindromeIndex, rk: tuple[int, int]) -> str | N
     return None
 
 
-def _check_thm_fgc(w: str, index: None, state: None) -> str | None:
+def _check_thm_fgc(w: str, index: None, p: list[int]) -> str | None:
     # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff w is a palindrome
     if not is_palindrome(w):
         return None
-    index = PalindromeIndex(w)
-    rich = index.palindrome_count == len(w)
+    rich = sum(p) == len(w) + 1
     d = SuffixAutomaton(w).difference
-    mismatch = next(_B_mismatches(d, _palindromic_profile(index, len(w))), None)
+    mismatch = next(_B_mismatches(d, p), None)
     if rich and mismatch:
         n, lhs, rhs = mismatch
         return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
@@ -122,12 +123,12 @@ def _check_thm_fgc(w: str, index: None, state: None) -> str | None:
     return None
 
 
-def _check_thm_main(w: str, index: None, flag: None) -> str | None:
+def _check_thm_main(w: str, index: None, p: list[int]) -> str | None:
     # every condition asks for a palindrome, so a non-palindrome fails all three
     if not is_palindrome(w):
         return None
     sturmian_pal = is_finite_sturmian(w)
-    symmetric = condition_B_prime(w)
+    symmetric = not _B_prime_mismatches(p)
     trapezoidal_pal = is_trapezoidal(w)
     if not (sturmian_pal == symmetric == trapezoidal_pal):
         return (
@@ -226,6 +227,27 @@ def _profile_step(w: str, index: Undoable | None, parent: tuple) -> tuple:
     return (parent[0] and _trapezoidal_step(w, index, parent[0]),) if w else ((0, 0),)
 
 
+def _halves_step(h: str, index: None, parent: tuple) -> tuple[list[int], ...]:
+    """(P of h's odd palindrome, P of its even one), each in palindromic_complexity's form,
+    for a right half h (see _palindromes); (P of the empty word,) for the empty half.
+
+    Each palindrome p of the parent half h[:-1] becomes xpx, for x = h[-1].  Every other
+    factor of xpx is one of px or of its reversal xp, which has the same palindromes, so P
+    of xpx is P of p plus one at each palindromic suffix of px that p lacks, and one at
+    |p| + 2 for xpx itself.
+    """
+    if len(h) < 2:
+        return ([1, 1, 0], [1, 1, 1, 0]) if h else ([1, 0],)
+    g, profiles = h[:-1], []
+    for p, profile in zip((g[:0:-1] + g, g[::-1] + g), parent):
+        profile = profile + [0, 0]  # a new list: the parent's is its other children's too
+        for u in _palindromic_suffixes(p + h[-1])[0]:
+            profile[len(u)] += 1
+        profile[-2] += 1
+        profiles.append(profile)
+    return tuple(profiles)
+
+
 def _census_step(w: str, index: PalindromeIndex, parent: tuple) -> tuple | bool:
     """(the trapezoidal state, whether w is balanced), or False when w is neither of
     those nor rich, and so no word below it is."""
@@ -256,7 +278,9 @@ class ClaimSpec:
     it, so each palindrome stands for, and counts, every word of its
     length whose right half is a renaming of its own.  The walk's words
     are then right halves, not the words checked, so such a claim carries
-    neither index nor step; THM_FGC builds its tree and D per palindrome.
+    no index, and its step is over halves: _halves_step carries the P of
+    each half's palindromes, never falsy, and the checker gets the P of
+    its palindrome as its state; THM_FGC builds D per palindrome.
 
     A claim with a step gets the state of w that _walk steps, else None:
     step(w, index, parent) reads the index holding w (None without an
@@ -316,11 +340,13 @@ CLAIMS: dict[str, ClaimSpec] = {
     "THM_FGC": ClaimSpec(
         "rich palindromes are exactly the words with P(n)+P(n+1) = C(n+1)-C(n)+2 for all n",
         _check_thm_fgc,
+        step=_halves_step,
         palindromes=True,
     ),
     "THM_MAIN": ClaimSpec(
         "Sturmian palindrome == symmetric palindromic complexity == trapezoidal palindrome",
         _check_thm_main,
+        step=_halves_step,
         palindromes=True,
     ),
     "PAL_BOUND": ClaimSpec(
@@ -437,14 +463,16 @@ def _walk(
             index.append(w[-1])
             held += 1
         state = parent and step(w, index, parent)
-        live = state or not step
-        if (size := len(w)) == head and live and next(turns) != j:
-            continue  # another share's subtree
-        if size < depth and live:
+        if (size := len(w)) <= head:  # the deal; a longer word pays only this test for it
+            if size == head and (next(turns) != j if state or not step else j):
+                continue  # another share's subtree, or a falsy head, which share 0 yields
+            if size < head and j:  # share 0's, walked through to the heads
+                stack += [(w + s, u, state) for s, u in children[used] if state or not step]
+                continue
+        if size < depth and (state or not step):
             for s, u in children[used]:
                 stack.append((w + s, u, state))
-        if not j or size > head or live and size == head:
-            yield w, weights[used], state
+        yield w, weights[used], state
 
 
 def _renamings(w: str, symbols: str) -> list[str]:
@@ -460,8 +488,9 @@ def _alphabet_order(symbols: str) -> Callable[[str], tuple[int, list[int]]]:
 
 
 def _palindromes(symbols: str, halves, max_len: int):
-    """Yield (p, weight, None) for the palindromes p of each half h that the walk halves
-    yields, those no longer than max_len, each renamed to its canonical form.
+    """Yield (p, weight, P of p) for the palindromes p of each half h that the walk halves
+    yields, with its state from _halves_step, those no longer than max_len, each renamed to
+    its canonical form, which has the same P.
 
     h is p's right half read from the centre: p is h[:0:-1] + h (odd, h nonempty) or
     h[::-1] + h (even), and xpx has the half hx.  So the canonical halves up to
@@ -470,12 +499,12 @@ def _palindromes(symbols: str, halves, max_len: int):
     among them, which the checker reads for all: weight is h's, its renamings, times
     k^floor(|p| / 2), so the palindromes of each length n stand for all k^n words.
     """
-    for h, weight, _ in halves:
-        for p in (h[:0:-1] + h, h[::-1] + h) if h else ("",):
+    for h, weight, profiles in halves:
+        for p, profile in zip((h[:0:-1] + h, h[::-1] + h) if h else ("",), profiles):
             if len(p) <= max_len:
                 used = "".join(dict.fromkeys(p))
                 renamed = p.translate(str.maketrans(used, symbols[: len(used)]))
-                yield renamed, weight * len(symbols) ** (len(p) // 2), None
+                yield renamed, weight * len(symbols) ** (len(p) // 2), profile
 
 
 def _run_block(claim: str, symbols: str, max_len: int, head: int, share: tuple) -> tuple:

@@ -7,8 +7,11 @@ R, K and the minimal period, and the steps the walk carries, scan the word
 and never read the suffix automaton.  R and K are stepped on every word only
 by TRAP_CLOSED, and R alone by PERIOD_INEQ; PROP2, BINARY_TRAP and
 PROFILE_EQUIV step them only below trapezoidal words, which TRAP_CLOSED
-guards.  Each test refuses the other kernel in every module that could
-reach it, shows that the refusal bites, and then runs the route.
+guards.  THM_FGC and THM_MAIN read P stepped along the right halves of
+their palindromes, by string scans, so neither builds a palindromic tree:
+PROP1, PROP2, census and tests/test_palindromes.py are what check the tree.
+Each test refuses the other kernel in every module that could reach it,
+shows that the refusal bites, and then runs the route.
 (test_palindrome_scan.py guards the richness routes the same way.)
 """
 
@@ -16,7 +19,7 @@ import sys
 
 import pytest
 
-from wordlab import census, subword_complexity
+from wordlab import census, subword_complexity, verify_claim
 from wordlab.classify import (
     condition_B_mismatches,
     is_balanced,
@@ -56,6 +59,22 @@ def test_balance_routes_do_not_use_the_palindromic_tree(monkeypatch):
             refused()
     assert [is_balanced(w) for w in binary] == balanced
     assert [(is_finite_sturmian(w), is_sturmian_palindrome(w)) for w in words] == expected
+
+
+def test_palindrome_claims_do_not_use_the_palindromic_tree(monkeypatch):
+    runs = [
+        (claim, symbols, max_len)
+        for claim in ("THM_FGC", "THM_MAIN")
+        for symbols, max_len in (("ab", 12), ("abc", 7), ("ba", 9), ("a", 40))
+    ]
+    expected = [verify_claim(*run).to_json_dict() for run in runs]
+    refuse(monkeypatch, "PalindromeIndex", ("palindromes", "classify", "theorems"))
+    # the patch bites: census carries a tree along its walk, and the counting route builds one
+    for refused in (lambda: census("ab", 2), lambda: is_rich_by_count("ab")):
+        with pytest.raises(AssertionError, match="PalindromeIndex used"):
+            refused()
+    assert [verify_claim(*run).to_json_dict() for run in runs] == expected
+    assert all(report["verified"] for report in expected)
 
 
 def fold(step, w: str):

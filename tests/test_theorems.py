@@ -303,10 +303,15 @@ def _covered(spec, symbols, max_len, walked):
     ]
 
 
-# a claim with no step walks every word; each stepped one stops below its falsy states
+# a claim with no step walks every word; each stepped one stops below its falsy states; the
+# palindrome claims' step is over right halves, so it is planned here over every word, as a
+# walk of halves to max_len
 PLANS = {
     "stepless": theorems.ClaimSpec("walks every word", lambda w, index, state: None),
-    **{claim: spec for claim, spec in CLAIMS.items() if spec.step},
+    **{claim: spec for claim, spec in CLAIMS.items() if spec.step and not spec.palindromes},
+    "halves": theorems.ClaimSpec(
+        "steps every half", lambda w, index, state: None, step=theorems._halves_step
+    ),
 }
 
 
@@ -362,7 +367,7 @@ def test_shares_partition_the_sequential_walk(monkeypatch, name, symbols, max_le
 @pytest.mark.parametrize(
     "symbols,max_len", [("ab", 13), ("abc", 8), ("abcd", 6), ("ba", 12), ("a", 9)]
 )
-@pytest.mark.parametrize("name", [claim for claim in PLANS if claim in CLAIMS])
+@pytest.mark.parametrize("name", [claim for claim, spec in CLAIMS.items() if spec.step])
 def test_each_share_walks_every_nth_head_the_claim_reaches(monkeypatch, name, symbols, max_len):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
     own = _own_states_and_verdicts(name, symbols, max_len)
@@ -562,12 +567,20 @@ STEPS = {c: (spec.index, spec.step) for c, spec in CLAIMS.items() if spec.step}
 STEPS["census"] = (PalindromeIndex, theorems._census_step)
 
 
+def _carried_profile(w, states):
+    """P of the palindrome w as the palindrome claims carry it: its right half w[|w| // 2:]
+    holds (P of its odd palindrome, P of its even one), the empty half (P of the empty word,)."""
+    return states[w[len(w) // 2 :]][bool(w) and len(w) % 2 == 0]
+
+
 def _own_states_and_verdicts(name, symbols, max_len):
     """word -> (carried state, whether the checker passes it), each word on its own.
 
     Each state steps from the parent's, so from the empty word down, with no walk, over
     an index built for the word alone, which the verdict reads too; the verdict is None
-    where a falsy state stops the walk, and for census, which has no checker.
+    where a falsy state stops the walk, and for census, which has no checker.  The
+    palindrome claims step each word as a right half, and their checker reads the P that
+    a palindrome's half carries, and nothing on any other word.
     """
     spec = CLAIMS.get(name)
     index_class, step = STEPS[name] if name in STEPS else (spec.index, None)
@@ -577,7 +590,10 @@ def _own_states_and_verdicts(name, symbols, max_len):
         index = index_class(w) if index_class else None
         state = states[w] = step and (parent and step(w, index, parent))
         verdict = None
-        if spec and (state or not step):
+        if spec and spec.palindromes:
+            profile = _carried_profile(w, states) if w == w[::-1] else None
+            verdict = spec.checker(w, index, profile) is None
+        elif spec and (state or not step):
             verdict = spec.checker(w, index, state) is None
         seen[w] = (state, verdict)
     return seen
@@ -631,26 +647,60 @@ def test_carried_flag_starts_from_the_parent_state(monkeypatch):
     assert theorems._returns_step("abcaa", PalindromeIndex("abcaa"), (True, True)) == (True, False)
 
 
-def test_palindrome_claims_carry_no_index_and_no_step():
-    # their walk's words are right halves, not the words the checker sees
+def test_palindrome_claims_carry_no_index_and_step_their_halves():
+    # their walk's words are right halves, not the words the checker sees, so they carry no
+    # tree, which only appends; the step carries the P of each half's two palindromes
     palindromes = [claim for claim, spec in CLAIMS.items() if spec.palindromes]
     assert palindromes == ["THM_FGC", "THM_MAIN"]
     for claim in palindromes:
         spec = CLAIMS[claim]
-        assert (spec.index, spec.step) == (None, None), claim
+        assert (spec.index, spec.step) == (None, theorems._halves_step), claim
 
 
-def _palindrome_walk(monkeypatch, symbols, max_len):
-    # every share of the right halves, ceil(max_len / 2) long, as three processes of verify
-    # deal them, each half turned into its palindromes
-    spec = theorems.ClaimSpec("halves", lambda w, index, state: None, palindromes=True)
+def _palindrome_walk(monkeypatch, symbols, max_len, processes=3):
+    # every share of the right halves, ceil(max_len / 2) long, as that many processes of
+    # verify deal them, each stepping its halves from the empty half, and each half turned
+    # into its palindromes
+    spec = theorems.ClaimSpec(
+        "halves", lambda w, index, state: None, step=theorems._halves_step, palindromes=True
+    )
     return [
         item
-        for head, share in _shares(monkeypatch, spec, symbols, max_len, 3)
+        for head, share in _shares(monkeypatch, spec, symbols, max_len, processes)
         for item in theorems._palindromes(
             symbols, _share(spec, symbols, max_len, head, share), max_len
         )
     ]
+
+
+_oracle_profile = functools.cache(oracle.palindromic_complexity)
+
+
+# at this cap ab/16 and ab/15 deal 8 heads of 4 letters, abc/10 5 of 3, abcd/8 and ba/12 2 of 2,
+# and a/300 its one head of 119 letters, so the other processes step the halves above it only
+@pytest.mark.parametrize(
+    "symbols,max_len",
+    [("ab", 16), ("ab", 15), ("abc", 10), ("abcd", 8), ("ba", 12), ("a", 300), ("ab", 1),
+     ("ab", 0)],
+)
+def test_stepped_profile_is_the_palindromic_complexity(monkeypatch, symbols, max_len):
+    monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
+    for processes in (1, 2, 3):
+        walked = _palindrome_walk(monkeypatch, symbols, max_len, processes)
+        assert len(walked) == len({p for p, _, _ in walked}) > max_len // 2
+        for p, _, profile in walked:
+            assert profile == _oracle_profile(p), (processes, p)
+
+
+def test_halves_step_from_the_empty_half():
+    # the empty half has only the empty palindrome, a its odd one a and its even one aa
+    assert theorems._halves_step("", None, True) == ([1, 0],)
+    assert theorems._halves_step("a", None, ([1, 0],)) == ([1, 1, 0], [1, 1, 1, 0])
+    # ab: bab adds b and itself to a, and baab adds b, baab and nothing else to aa
+    assert theorems._halves_step("ab", None, ([1, 1, 0], [1, 1, 1, 0])) == (
+        [1, 2, 0, 1, 0],
+        [1, 2, 1, 0, 1, 0],
+    )
 
 
 @pytest.mark.parametrize(
@@ -715,8 +765,9 @@ def test_steps_never_run_under_a_false_parent(monkeypatch, claim):
     monkeypatch.setitem(theorems.CLAIMS, claim, dataclasses.replace(spec, step=step))
     assert verify_claim(claim, "abc", 7).verified
     # abc, and so abcaa, is not trapezoidal, and abca, and so abcaa, is not rich; a sequential
-    # verify steps each word its walk reaches once, in walk order
-    walked = [w for w, _, _ in theorems._walk("abc", 7)]
+    # verify steps each word its walk reaches once, in walk order, and the palindrome claims
+    # each right half, 4 letters long at most
+    walked = [w for w, _, _ in theorems._walk("abc", 4 if spec.palindromes else 7)]
     if claim in PRUNED_TO:  # the empty word, and the children of the class's words, are stepped
         assert stepped == [w for w in walked if not w or PRUNED_TO[claim](w[:-1])]
         assert "abcaa" not in stepped and False in states
@@ -1031,19 +1082,6 @@ def test_a_failing_word_and_its_renamings_are_stepped_only_by_the_walk(monkeypat
     assert len(stepped) == len(set(stepped))
 
 
-def _stub_tree(lengths):
-    class StubTree:
-        """A palindromic tree that reports the given node lengths, empty word included."""
-
-        def __init__(self, w):
-            self.palindrome_count = len(lengths) - 1
-
-        def lengths(self):
-            return lengths
-
-    return StubTree
-
-
 def _stub_automaton(difference):
     class StubAutomaton:
         def __init__(self, w):
@@ -1053,23 +1091,23 @@ def _stub_automaton(difference):
 
 
 def test_thm_fgc_reports_each_side_of_the_equivalence(monkeypatch):
-    # the checker builds its own tree and automaton of w; the walk carries neither
+    # the checker reads the P the walk carries and builds its own automaton of w
     check = theorems._check_thm_fgc
-    assert check("aba", None, None) is None
+    assert check("aba", None, [1, 2, 0, 1, 0]) is None
     assert check("ab", None, None) is None
     # a planted D breaks the coupling of the rich palindrome aba at n = 1
     monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1, -1]))
-    assert check("aba", None, None) == (
+    assert check("aba", None, [1, 2, 0, 1, 0]) == (
         "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 2 != 3"
     )
-    # a tree that misses the b of aba makes it a palindrome that is not rich, and a D that
-    # fits the P read off that tree is reported
+    # a P that misses the b of aba makes it a palindrome that is not rich, and a D that fits
+    # that P is reported
     monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([0, -1, -1]))
-    monkeypatch.setattr(theorems, "PalindromeIndex", _stub_tree([0, 1, 3]))
-    assert check("aba", None, None) == "complexity coupling holds but not a rich palindrome"
-    # a non-palindrome is settled before its tree is built, whatever the tree would claim
-    monkeypatch.setattr(theorems, "PalindromeIndex", _stub_tree([0, 1, 1, 2]))
-    assert check("ab", None, None) is None
+    assert check("aba", None, [1, 1, 0, 1, 0]) == (
+        "complexity coupling holds but not a rich palindrome"
+    )
+    # a non-palindrome is settled before any P is read, whatever P would say
+    assert check("ab", None, [1, 1, 1, 2]) is None
 
 
 def _one_palindrome_short(monkeypatch):
@@ -1199,8 +1237,68 @@ def _k_one_high_at_length_six(monkeypatch):
     return diagnostic
 
 
-# claim -> a plant in the kernel its checker or step reads, returning the diagnostic each word
-# must then get (None for none), and the exact text of some of them
+def _xpx_counted_one_length_short(monkeypatch):
+    """Plant a halves step that counts each palindrome xpx it adds at |xpx| - 1.
+
+    Returns the P each palindrome w then carries: the oracle's, with each of its central
+    palindromes w[i:|w| - i] of 3 letters or more, which the step adds, moved one length
+    down (the empty word, each letter x and each xx come from the step's base cases)."""
+    step = theorems._halves_step
+
+    def planted(h, index, parent):
+        profiles = step(h, index, parent)
+        if len(h) < 2:
+            return profiles
+        return tuple(p[:-3] + [p[-3] + 1, p[-2] - 1, 0] for p in profiles)
+
+    for claim in ("THM_FGC", "THM_MAIN"):
+        spec = dataclasses.replace(theorems.CLAIMS[claim], step=planted)
+        monkeypatch.setitem(theorems.CLAIMS, claim, spec)
+
+    def profile(w):
+        p = list(oracle.palindromic_complexity(w))
+        for n in range(len(w), 2, -2):
+            p[n] -= 1
+            p[n - 1] += 1
+        return p
+
+    return profile
+
+
+def _coupling_broken_by_xpx_one_short(monkeypatch):
+    # the sum of P holds, so a rich palindrome stays rich, but P(|w|) = 0 breaks its coupling:
+    # each rich one the step builds is reported at its first mismatch
+    profile = _xpx_counted_one_length_short(monkeypatch)
+
+    def diagnostic(w):
+        if len(w) < 3 or w != w[::-1] or not rich_by_definition(w):
+            return None
+        p, c = profile(w), oracle.subword_complexity(w)
+        n, lhs, rhs = next(
+            (n, p[n] + p[n + 1], c[n + 1] - c[n] + 2)
+            for n in range(len(w) + 1)
+            if p[n] + p[n + 1] != c[n + 1] - c[n] + 2
+        )
+        return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
+
+    return diagnostic
+
+
+def _symmetry_broken_by_xpx_one_short(monkeypatch):
+    # P(0) + P(|w|) = 1, so no palindrome the step builds has a symmetric profile, and each
+    # Sturmian one, trapezoidal too, is reported
+    _xpx_counted_one_length_short(monkeypatch)
+
+    def diagnostic(w):
+        if len(w) < 3 or w != w[::-1] or not is_finite_sturmian(w):
+            return None
+        return "sturmian palindrome=True, symmetric P-profile=False, trapezoidal palindrome=True"
+
+    return diagnostic
+
+
+# claim, or claim/fault -> a plant in the kernel or step its checker reads, returning the
+# diagnostic each word must then get (None for none), and the exact text of some of them
 PLANTED_FAULTS = {
     "PROP1": (_every_return_a_palindrome, {"acba": "rich by count=False, rich by returns=True"}),
     "PROP2": (_one_palindrome_short, {"ab": "trapezoidal but not rich"}),
@@ -1243,12 +1341,28 @@ PLANTED_FAULTS = {
             "babbaa": "trapezoidal, but w[1:] = 'abbaa' is not",
         },
     ),
+    "THM_FGC/xpx": (
+        _coupling_broken_by_xpx_one_short,
+        {
+            "aba": "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 3 != 2",
+            "abba": "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=2: 2 != 1",
+        },
+    ),
+    "THM_MAIN/xpx": (
+        _symmetry_broken_by_xpx_one_short,
+        {
+            "aba": "sturmian palindrome=True, symmetric P-profile=False, "
+            "trapezoidal palindrome=True",
+            "aa": None,  # a base case of the step
+        },
+    ),
 }
 
 
-@pytest.mark.parametrize("claim", list(PLANTED_FAULTS))
-def test_planted_faults_are_reported_with_their_diagnostics(monkeypatch, claim):
-    plant, pinned = PLANTED_FAULTS[claim]
+@pytest.mark.parametrize("fault", list(PLANTED_FAULTS))
+def test_planted_faults_are_reported_with_their_diagnostics(monkeypatch, fault):
+    claim = fault.partition("/")[0]
+    plant, pinned = PLANTED_FAULTS[fault]
     diagnostic = plant(monkeypatch)
     monkeypatch.setattr(theorems, "_BLOCK_CAP", 32)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
@@ -1294,7 +1408,7 @@ def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch, symbols, max_le
 
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 8)])
 def test_thm_main_settles_a_non_palindrome_without_its_conditions(monkeypatch, symbols, max_len):
-    for name in ("is_finite_sturmian", "condition_B_prime", "is_trapezoidal"):
+    for name in ("is_finite_sturmian", "_B_prime_mismatches", "is_trapezoidal"):
         monkeypatch.setattr(theorems, name, _refused(name))
     _settle_non_palindromes(theorems._check_thm_main, symbols, max_len)
 
@@ -1316,8 +1430,9 @@ def test_thm_fgc_builds_one_automaton_per_palindrome(monkeypatch, symbols, max_l
     automata = _record_builds(monkeypatch, SuffixAutomaton)
     trees = _record_builds(monkeypatch, PalindromeIndex)
     assert verify_claim("THM_FGC", symbols, max_len).verified
-    # one tree and one automaton per canonical palindrome, and their renamings are every one
-    assert trees == automata
+    # no tree, as P is stepped along the halves, and one automaton per canonical palindrome,
+    # whose renamings are every one
+    assert trees == []
     assert all(w == w[::-1] and _is_canonical(w, symbols) for w in automata)
     assert sum(_weight(w, symbols) for w in automata) == built
 
