@@ -186,9 +186,10 @@ def condition_B(w: str) -> bool:
     return is_palindrome(w) and not condition_B_mismatches(w)
 
 
-def _B_prime_mismatches(p: Sequence[int]) -> list[tuple[int, int]]:
+def _symmetric_profile(p: Sequence[int]) -> bool:
+    # P(n) + P(N-n) = 2 for every 0 <= n <= N, for p in palindromic_complexity's form
     n = len(p) - 2
-    return [(i, p[i] + p[n - i]) for i in range(n + 1) if p[i] + p[n - i] != 2]
+    return all(p[i] + p[n - i] == 2 for i in range(n + 1))
 
 
 def condition_B_prime(w: str) -> bool:
@@ -199,7 +200,7 @@ def condition_B_prime(w: str) -> bool:
     and w is its only factor of length N.  Other words are rejected
     before any profile is built.
     """
-    return is_palindrome(w) and not _B_prime_mismatches(palindromic_complexity(w))
+    return is_palindrome(w) and _symmetric_profile(palindromic_complexity(w))
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def classify(w: str) -> ClassificationReport:
         is_finite_sturmian=bool(balanced),
         is_sturmian_palindrome=pal and bool(balanced),
         condition_B=next(_B_mismatches(d, palindromic), None) is None,
-        condition_B_prime=not _B_prime_mismatches(palindromic),
+        condition_B_prime=_symmetric_profile(palindromic),
         subword=tuple(_subword_of(d)),
         palindromic=palindromic,
         difference=_difference_of(d) if w else None,

@@ -4,9 +4,9 @@ Each claim is a per-word predicate evaluated over every word up to a
 length bound; violations are collected with a pointwise diagnostic.  One
 prefix-order walk (_walk) serves verify, enumerate and census.  Claims and
 classes are defined by symbol equality, so a word and its letter renamings
-agree: the walk visits one canonical word per renaming class, weighted by
-its renamings, and the share that walks a failing one checks each of its
-other renamings alone, with the state the walk carried.
+agree: the walk visits one word per renaming class, weighted by its
+renamings, and the share that walks a failing one checks each of its other
+renamings alone, with the state the walk carried.
 Census, PROP1 and PROP2 read the PalindromeIndex the walk carries,
 PROFILE_EQUIV a SuffixAutomaton.  The walk also steps a state from each
 word to its children, by one form of step, step(w, index, parent), given
@@ -30,11 +30,12 @@ Only TRAP_CLOSED steps R and K on every word, and PERIOD_INEQ R alone;
 TRAP_CLOSED guards every other claim that reads them.
 THM_MAIN and THM_FGC hold on a non-palindrome by their checkers' first
 test, so they walk only the palindromes, each built from its right half
-by the same walk (_palindromes) and standing for every word of its length
-whose right half is a renaming of its own.  So every share counts every
-word it stands for, and verify's count is the sum of the shares'.  Their
-walk steps P of each half's palindromes from its parent's (_halves_step),
-by the string scan PAL_BOUND steps, so neither builds a palindromic tree.
+by the same walk (_palindromes), not renamed, and standing for every word
+of its length whose right half is a renaming of its own.  So every share
+counts every word it stands for, and verify's count is the sum of the
+shares'.  Their walk steps P of each half's palindromes from its parent's
+(_halves_step), by the string scan PAL_BOUND steps, so neither builds a
+palindromic tree, and THM_FGC builds D only for the rich palindromes.
 Verify runs the claim's walk from the empty word, with a fresh index, in each
 of n processes: the calling one and n - 1 children it forks before walking
 (_fork), each child sending back its results, or its fault, through a
@@ -63,8 +64,8 @@ from multiprocessing import Pipe, get_all_start_methods, get_context
 
 from .classify import (
     _B_mismatches,
-    _B_prime_mismatches,
     _end_returns_are_palindromes,
+    _symmetric_profile,
     condition_B,
     condition_B_prime,
     is_finite_sturmian,
@@ -109,17 +110,14 @@ def _check_prop2(w: str, index: PalindromeIndex, rk: tuple[int, int]) -> str | N
 
 
 def _check_thm_fgc(w: str, index: None, p: list[int]) -> str | None:
-    # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff w is a palindrome
-    if not is_palindrome(w):
+    # C(|w|) = 1 and C(|w|+1) = P(|w|+1) = 0, so the n = |w| term holds iff w is a palindrome;
+    # summed over n, the coupling telescopes to sum P = |w| + 1, richness, as P(0) = 1,
+    # P(|w|+1) = 0 and D sums to 0 (see census), so no palindrome that is not rich meets it
+    if not is_palindrome(w) or sum(p) != len(w) + 1:
         return None
-    rich = sum(p) == len(w) + 1
-    d = SuffixAutomaton(w).difference
-    mismatch = next(_B_mismatches(d, p), None)
-    if rich and mismatch:
+    if mismatch := next(_B_mismatches(SuffixAutomaton(w).difference, p), None):
         n, lhs, rhs = mismatch
         return f"rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n={n}: {lhs} != {rhs}"
-    if not rich and not mismatch:
-        return "complexity coupling holds but not a rich palindrome"
     return None
 
 
@@ -128,7 +126,7 @@ def _check_thm_main(w: str, index: None, p: list[int]) -> str | None:
     if not is_palindrome(w):
         return None
     sturmian_pal = is_finite_sturmian(w)
-    symmetric = not _B_prime_mismatches(p)
+    symmetric = _symmetric_profile(p)
     trapezoidal_pal = is_trapezoidal(w)
     if not (sturmian_pal == symmetric == trapezoidal_pal):
         return (
@@ -280,7 +278,8 @@ class ClaimSpec:
     are then right halves, not the words checked, so such a claim carries
     no index, and its step is over halves: _halves_step carries the P of
     each half's palindromes, never falsy, and the checker gets the P of
-    its palindrome as its state; THM_FGC builds D per palindrome.
+    its palindrome as its state; THM_FGC builds D only when that P sums
+    to |w| + 1, as no palindrome that is not rich meets its coupling.
 
     A claim with a step gets the state of w that _walk steps, else None:
     step(w, index, parent) reads the index holding w (None without an
@@ -476,8 +475,9 @@ def _walk(
 
 
 def _renamings(w: str, symbols: str) -> list[str]:
-    """The images of a canonical word under the injective renamings of its letters, w first."""
-    used = symbols[: len(set(w))]
+    """The images of w under the injective renamings of its letters, taken in order of
+    first appearance, into symbols: each once, w among them, and first when w is canonical."""
+    used = "".join(dict.fromkeys(w))
     return [w.translate(str.maketrans(used, "".join(p))) for p in permutations(symbols, len(used))]
 
 
@@ -489,22 +489,21 @@ def _alphabet_order(symbols: str) -> Callable[[str], tuple[int, list[int]]]:
 
 def _palindromes(symbols: str, halves, max_len: int):
     """Yield (p, weight, P of p) for the palindromes p of each half h that the walk halves
-    yields, with its state from _halves_step, those no longer than max_len, each renamed to
-    its canonical form, which has the same P.
+    yields, with its state from _halves_step, those no longer than max_len, each as built
+    from h, not renamed: a failing one's renamings are checked as any failing word's.
 
     h is p's right half read from the centre: p is h[:0:-1] + h (odd, h nonempty) or
     h[::-1] + h (even), and xpx has the half hx.  So the canonical halves up to
-    ceil(max_len / 2) give each canonical palindrome once.  p stands for every word of
-    its length whose last ceil(|p| / 2) symbols are a renaming of h, the one palindrome
-    among them, which the checker reads for all: weight is h's, its renamings, times
-    k^floor(|p| / 2), so the palindromes of each length n stand for all k^n words.
+    ceil(max_len / 2) give one palindrome of each renaming class, once.  p stands for
+    every word of its length whose last ceil(|p| / 2) symbols are a renaming of h, the
+    one palindrome among them, which the checker reads for all: weight is h's, its
+    renamings, times k^floor(|p| / 2), so the palindromes of each length n stand for all
+    k^n words.
     """
     for h, weight, profiles in halves:
         for p, profile in zip((h[:0:-1] + h, h[::-1] + h) if h else ("",), profiles):
             if len(p) <= max_len:
-                used = "".join(dict.fromkeys(p))
-                renamed = p.translate(str.maketrans(used, symbols[: len(used)]))
-                yield renamed, weight * len(symbols) ** (len(p) // 2), profile
+                yield p, weight * len(symbols) ** (len(p) // 2), profile
 
 
 def _run_block(claim: str, symbols: str, max_len: int, head: int, share: tuple) -> tuple:
@@ -535,8 +534,8 @@ def _run_block(claim: str, symbols: str, max_len: int, head: int, share: tuple) 
             checked += weight * below[max_len - len(w)]
         elif (diag := checker(w, index, state)) is not None:
             bad.append((w, diag))
-            for v in _renamings(w, symbols)[1:]:
-                if (diag := checker(v, spec.index and spec.index(v), state)) is not None:
+            for v in _renamings(w, symbols):
+                if v != w and (diag := checker(v, spec.index and spec.index(v), state)) is not None:
                     bad.append((v, diag))
     return checked, bad
 
@@ -749,7 +748,8 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
     symbol).  Sturmian palindromes are balanced.  Summing condition_B's
     terms over 0 <= n <= N telescopes C to 2 sum P - 1 = 2N + 1, and
     summing condition_B_prime's gives 2 sum P = 2(N + 1); either way
-    sum P = N + 1, which is richness.
+    sum P = N + 1, which is richness.  So condition_B is read only on
+    rich palindromes, as THM_FGC reads its coupling.
     """
     check_walk("max_len", max_len, alphabet, budget)
     counts = {name: [0] * (max_len + 1) for name in CENSUS_CLASSES}
@@ -774,7 +774,7 @@ def census(alphabet: str, max_len: int, budget: int = DEFAULT_BUDGET) -> CensusT
             if is_rich:
                 d = SuffixAutomaton(w).difference
                 cond_b[n] += weight * (next(_B_mismatches(d, p), None) is None)
-            cond_b_prime[n] += weight * (not _B_prime_mismatches(p))
+            cond_b_prime[n] += weight * _symmetric_profile(p)
     return CensusTable(
         alphabet=alphabet,
         max_len=max_len,

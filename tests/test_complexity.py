@@ -208,6 +208,10 @@ def test_difference_values_sum_to_zero_exhaustive():
     for w in words_up_to("ab", 14):
         if w:
             assert sum(difference_profile(w).values) == 0
+    # and the D of every automaton, which THM_FGC reads: C(|w|) - C(0) = 0, the empty word too
+    for alphabet, n in (("abc", 8), ("abcd", 6)):
+        for w in words_up_to(alphabet, n):
+            assert sum(SuffixAutomaton(w).difference) == 0, w
 
 
 @given(binary_words)

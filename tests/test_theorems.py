@@ -10,6 +10,8 @@ import sys
 import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordlab import theorems
 from wordlab import CLAIMS, PalindromeIndex, census, find_class_members, verify_claim
@@ -437,15 +439,20 @@ def _differences(w):
     return [c[n + 1] - c[n] for n in range(len(w))]
 
 
+# the automaton PROFILE_EQUIV carries, popped back to each parent; its D, as every automaton's,
+# sums to C(|w|) - C(0) = 0 (each append adds -1 at the end and +1 at L, and pop undoes both),
+# which THM_FGC's skip of the palindromes that are not rich rests on
 @pytest.mark.parametrize("cap", [2048, 32])
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 7), ("abcd", 6)])
 def test_walk_automaton_is_the_automaton_of_each_word(monkeypatch, symbols, max_len, cap):
     monkeypatch.setattr(theorems, "_BLOCK_CAP", cap)
-    for head, share in _shares(monkeypatch, PLANS["stepless"], symbols, max_len, 3):
+    spec = CLAIMS["PROFILE_EQUIV"]
+    for head, share in _shares(monkeypatch, spec, symbols, max_len, 3):
         automaton = SuffixAutomaton()
-        for w, _, _ in theorems._walk(symbols, max_len, automaton, head=head, share=share):
+        for w, _, _ in theorems._walk(symbols, max_len, automaton, spec.step, head, share):
             assert _automaton(automaton) == _automaton(SuffixAutomaton(w)), w
             assert automaton.difference == _differences(w), w
+            assert sum(automaton.difference) == 0, w
 
 
 _rich_by_returns = functools.cache(rich_by_definition)
@@ -690,6 +697,9 @@ def test_stepped_profile_is_the_palindromic_complexity(monkeypatch, symbols, max
         assert len(walked) == len({p for p, _, _ in walked}) > max_len // 2
         for p, _, profile in walked:
             assert profile == _oracle_profile(p), (processes, p)
+            # P(0) = 1 and P(|p|+1) = 0, which THM_FGC's skip of the palindromes that are
+            # not rich rests on (test_the_coupling_at_every_n_forces_richness)
+            assert profile[0] == 1 and profile[-1] == 0, (processes, p)
 
 
 def test_halves_step_from_the_empty_half():
@@ -709,12 +719,34 @@ def test_halves_step_from_the_empty_half():
 )
 def test_palindrome_walk_yields_each_palindrome_once(monkeypatch, symbols, max_len):
     walked = _palindrome_walk(monkeypatch, symbols, max_len)
-    assert all(_is_canonical(p, symbols) for p, _, _ in walked)
+    # each palindrome as built from its canonical half, not renamed, so bab for ab; one of
+    # each renaming class, whose canonical forms are the oracle's canonical palindromes
+    canonical = [_canonical_form(p, symbols) for p, _, _ in walked]
+    assert len(canonical) == len(set(canonical))
+    palindromes = [w for w in words_up_to(symbols, max_len) if w == w[::-1]]
+    assert sorted(canonical) == sorted(w for w in palindromes if _is_canonical(w, symbols))
+    built = [p for p, _, _ in walked]
+    assert max_len < 3 or len(symbols) == 1 or not all(_is_canonical(p, symbols) for p in built)
     # p stands for the words of its length that end in a renaming of its right half
     k = len(symbols)
     assert all(weight == _weight(p, symbols) * k ** (len(p) // 2) for p, weight, _ in walked)
     renamings = [v for p, _, _ in walked for v in theorems._renamings(p, symbols)]
-    assert sorted(renamings) == sorted(w for w in words_up_to(symbols, max_len) if w == w[::-1])
+    assert sorted(renamings) == sorted(palindromes)
+
+
+@pytest.mark.parametrize("symbols,max_len", [("ab", 8), ("abc", 6), ("cab", 5), ("abcd", 5)])
+def test_renamings_are_every_injective_renaming_of_any_word(symbols, max_len):
+    # canonical or not, as the palindrome walk's words need not be: a word's letters are taken
+    # in order of first appearance, so its images are the words of its length with its
+    # canonical form, each once, itself among them, and first when it is canonical
+    classes = collections.defaultdict(list)
+    for w in words_up_to(symbols, max_len):
+        classes[_canonical_form(w, symbols)].append(w)
+    for w in words_up_to(symbols, max_len):
+        images = theorems._renamings(w, symbols)
+        assert sorted(images) == sorted(classes[_canonical_form(w, symbols)]), w
+        assert len(images) == _weight(w, symbols) and images.count(w) == 1, w
+        assert images[0] == w or not _is_canonical(w, symbols), w
 
 
 # ab/24 and abc/15 deal their halves at 2 heads, ab/25 at 4
@@ -1090,24 +1122,49 @@ def _stub_automaton(difference):
     return StubAutomaton
 
 
-def test_thm_fgc_reports_each_side_of_the_equivalence(monkeypatch):
+def test_thm_fgc_checks_the_coupling_of_the_rich_palindromes_alone(monkeypatch):
     # the checker reads the P the walk carries and builds its own automaton of w
     check = theorems._check_thm_fgc
     assert check("aba", None, [1, 2, 0, 1, 0]) is None
     assert check("ab", None, None) is None
-    # a planted D breaks the coupling of the rich palindrome aba at n = 1
-    monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1, -1]))
+    # a planted D, summing to 0 as every automaton's does, breaks the coupling of the rich
+    # palindrome aba at n = 1
+    monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([1, 1, -2]))
     assert check("aba", None, [1, 2, 0, 1, 0]) == (
         "rich palindrome but P(n)+P(n+1) != C(n+1)-C(n)+2 at n=1: 2 != 3"
     )
-    # a P that misses the b of aba makes it a palindrome that is not rich, and a D that fits
-    # that P is reported
-    monkeypatch.setattr(theorems, "SuffixAutomaton", _stub_automaton([0, -1, -1]))
-    assert check("aba", None, [1, 1, 0, 1, 0]) == (
-        "complexity coupling holds but not a rich palindrome"
-    )
+    # a P that misses the b of aba says it is not rich, which settles it before any D is built:
+    # no D that sums to 0 meets the coupling with a P that sums to 3
+    # (test_the_coupling_at_every_n_forces_richness)
+    monkeypatch.setattr(theorems, "SuffixAutomaton", _refused("SuffixAutomaton"))
+    assert check("aba", None, [1, 1, 0, 1, 0]) is None
     # a non-palindrome is settled before any P is read, whatever P would say
     assert check("ab", None, [1, 1, 1, 2]) is None
+
+
+# every stepped P has P(0) = 1 and P(N+1) = 0, and every automaton's D sums to 0
+# (test_stepped_profile_is_the_palindromic_complexity,
+# test_walk_automaton_is_the_automaton_of_each_word, test_difference_values_sum_to_zero_exhaustive);
+# with those, the coupling at every 0 <= n <= N telescopes to 2 sum P - 1 = 2N + 1, so
+# _check_thm_fgc passes a palindrome whose P sums to anything but N + 1 without building D
+@given(st.lists(st.integers(-4, 4), max_size=24))
+def test_the_coupling_at_every_n_forces_richness(head):
+    # every such P and D for N >= 2: D(0..N-3) is head, P follows from P(0) = 1 by the
+    # coupling, and D's last two terms are fixed by sum D = 0 and by the n = N term, which
+    # reads P(N) + 0 = -1 + 2; P(m) = 1 + sum head (mod 2), so they are integers
+    p, total = [1], sum(head)
+    for x in head:
+        p.append(x + 2 - p[-1])
+    last = (1 - p[-1] - total) // 2
+    d = [*head, -total - last, last]
+    for x in d[-2:]:
+        p.append(x + 2 - p[-1])
+    p.append(0)
+    assert sum(d) == 0 and next(theorems._B_mismatches(d, p), None) is None
+    assert sum(p) == len(p) - 1
+    # and the one pair each for N = 0 and N = 1
+    for p, d in (([1, 0], []), ([1, 1, 0], [0])):
+        assert next(theorems._B_mismatches(d, p), None) is None and sum(p) == len(p) - 1
 
 
 def _one_palindrome_short(monkeypatch):
@@ -1237,23 +1294,27 @@ def _k_one_high_at_length_six(monkeypatch):
     return diagnostic
 
 
+def _plant_in_halves_step(monkeypatch, plant):
+    # both palindrome claims step with plant applied to each P the halves step gives past its
+    # base cases (the empty word, each letter x and each xx), that of a palindrome xpx
+    step = theorems._halves_step
+
+    def planted(h, index, parent):
+        profiles = step(h, index, parent)
+        return profiles if len(h) < 2 else tuple(plant(p) for p in profiles)
+
+    for claim in ("THM_FGC", "THM_MAIN"):
+        spec = dataclasses.replace(theorems.CLAIMS[claim], step=planted)
+        monkeypatch.setitem(theorems.CLAIMS, claim, spec)
+
+
 def _xpx_counted_one_length_short(monkeypatch):
     """Plant a halves step that counts each palindrome xpx it adds at |xpx| - 1.
 
     Returns the P each palindrome w then carries: the oracle's, with each of its central
     palindromes w[i:|w| - i] of 3 letters or more, which the step adds, moved one length
-    down (the empty word, each letter x and each xx come from the step's base cases)."""
-    step = theorems._halves_step
-
-    def planted(h, index, parent):
-        profiles = step(h, index, parent)
-        if len(h) < 2:
-            return profiles
-        return tuple(p[:-3] + [p[-3] + 1, p[-2] - 1, 0] for p in profiles)
-
-    for claim in ("THM_FGC", "THM_MAIN"):
-        spec = dataclasses.replace(theorems.CLAIMS[claim], step=planted)
-        monkeypatch.setitem(theorems.CLAIMS, claim, spec)
+    down."""
+    _plant_in_halves_step(monkeypatch, lambda p: p[:-3] + [p[-3] + 1, p[-2] - 1, 0])
 
     def profile(w):
         p = list(oracle.palindromic_complexity(w))
@@ -1284,17 +1345,27 @@ def _coupling_broken_by_xpx_one_short(monkeypatch):
     return diagnostic
 
 
+def _symmetry_broken(w):
+    # the diagnostic of each Sturmian palindrome, trapezoidal too, that the halves step builds,
+    # when none of those has a symmetric profile
+    if len(w) < 3 or w != w[::-1] or not is_finite_sturmian(w):
+        return None
+    return "sturmian palindrome=True, symmetric P-profile=False, trapezoidal palindrome=True"
+
+
 def _symmetry_broken_by_xpx_one_short(monkeypatch):
-    # P(0) + P(|w|) = 1, so no palindrome the step builds has a symmetric profile, and each
-    # Sturmian one, trapezoidal too, is reported
+    # P(0) + P(|w|) = 1, so no palindrome the step builds has a symmetric profile
     _xpx_counted_one_length_short(monkeypatch)
+    return _symmetry_broken
 
-    def diagnostic(w):
-        if len(w) < 3 or w != w[::-1] or not is_finite_sturmian(w):
-            return None
-        return "sturmian palindrome=True, symmetric P-profile=False, trapezoidal palindrome=True"
 
-    return diagnostic
+def _symmetry_broken_by_xpx_dropped(monkeypatch):
+    # a halves step that forgets the one at |xpx| for xpx itself: P(|w|) = 0 again, so
+    # THM_MAIN reports each Sturmian palindrome it builds.  THM_FGC reports none: P sums to
+    # less than |w| + 1, and both its routes read that sum, richness directly and the
+    # coupling as it telescopes, so both say "not rich" (ROADMAP item 3)
+    _plant_in_halves_step(monkeypatch, lambda p: p[:-2] + [p[-2] - 1, 0])
+    return _symmetry_broken
 
 
 # claim, or claim/fault -> a plant in the kernel or step its checker reads, returning the
@@ -1356,6 +1427,14 @@ PLANTED_FAULTS = {
             "aa": None,  # a base case of the step
         },
     ),
+    "THM_MAIN/drop": (
+        _symmetry_broken_by_xpx_dropped,
+        {
+            "bab": "sturmian palindrome=True, symmetric P-profile=False, "
+            "trapezoidal palindrome=True",
+            "abcba": None,  # not Sturmian, so all three routes say False
+        },
+    ),
 }
 
 
@@ -1408,7 +1487,7 @@ def test_thm_fgc_settles_a_non_palindrome_without_d(monkeypatch, symbols, max_le
 
 @pytest.mark.parametrize("symbols,max_len", [("ab", 12), ("abc", 8)])
 def test_thm_main_settles_a_non_palindrome_without_its_conditions(monkeypatch, symbols, max_len):
-    for name in ("is_finite_sturmian", "_B_prime_mismatches", "is_trapezoidal"):
+    for name in ("is_finite_sturmian", "_symmetric_profile", "is_trapezoidal"):
         monkeypatch.setattr(theorems, name, _refused(name))
     _settle_non_palindromes(theorems._check_thm_main, symbols, max_len)
 
@@ -1424,17 +1503,24 @@ def _record_builds(monkeypatch, cls):
     return words
 
 
-@pytest.mark.parametrize("symbols,max_len,built", [("ab", 12, 253), ("abc", 7, 160)])
-def test_thm_fgc_builds_one_automaton_per_palindrome(monkeypatch, symbols, max_len, built):
-    assert built == _palindromes_up_to(len(symbols), max_len)
+# ab/16 has 511 canonical palindromes, 14 of them not rich, and abc/10 127, 16 not rich (ab/12
+# has none, abc/7 one)
+@pytest.mark.parametrize("symbols,max_len,not_rich", [("ab", 16, 14), ("abc", 10, 16)])
+def test_thm_fgc_builds_one_automaton_per_rich_palindrome(monkeypatch, symbols, max_len, not_rich):
+    palindromes = [w for w in words_up_to(symbols, max_len) if w == w[::-1]]
+    assert len(palindromes) == _palindromes_up_to(len(symbols), max_len)
+    rich = {w for w in palindromes if len(oracle.palindromic_factors(w)) == len(w) + 1}
+    canonical = [w for w in palindromes if _is_canonical(w, symbols)]
+    assert sum(w not in rich for w in canonical) == not_rich
     automata = _record_builds(monkeypatch, SuffixAutomaton)
     trees = _record_builds(monkeypatch, PalindromeIndex)
     assert verify_claim("THM_FGC", symbols, max_len).verified
-    # no tree, as P is stepped along the halves, and one automaton per canonical palindrome,
-    # whose renamings are every one
+    # no tree, as P is stepped along the halves, and one automaton per rich palindrome of
+    # each renaming class: their renamings are every rich palindrome, each once, and no other
     assert trees == []
-    assert all(w == w[::-1] and _is_canonical(w, symbols) for w in automata)
-    assert sum(_weight(w, symbols) for w in automata) == built
+    built = [v for w in automata for v in theorems._renamings(w, symbols)]
+    assert sorted(built) == sorted(rich)
+    assert len(automata) == len(canonical) - not_rich
 
 
 def _trapezoidal_by_extension(symbols, max_len):
